@@ -10,8 +10,7 @@ checked with zero tolerance; all coefficients are rational.
 """
 
 from .charged import (
-    ChargedState,
-    apply_charged_mode,
+    CHARGED,
     enumerate_charged_basis,
     from_charged,
     hA_family,
@@ -19,6 +18,7 @@ from .charged import (
     to_charged,
 )
 from .fock import (
+    NEUTRAL,
     FockState,
     annihilation,
     apply_mode,

@@ -8,6 +8,12 @@ A monomial is a pair of strictly increasing tuples of negative integers
 ``(plus, minus)`` standing for the product with every ``psi+`` factor left
 of every ``psi-`` factor and each block ordered by increasing mode index.
 
+States and operators are the shared ones of :mod:`fockcheck.fock` and
+:mod:`fockcheck.modeops`; this module supplies the space :data:`CHARGED`.
+A charged mode is encoded as the ``int`` ``2*n`` for ``psi+_n`` and
+``2*n + 1`` for ``psi-_n`` (:func:`charged_code`), so that, as in the
+neutral space, a code is negative exactly when the mode creates.
+
 The neutral space maps onto this one by the mode dictionary
 
     odd  neutral index 2j+1  <->  psi+_{-j-1}
@@ -21,12 +27,14 @@ and ``psi-_{-j-1}`` are weighted ``2j + 3/2`` and ``2j + 1/2``.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .fock import Monomial, add_term
-from .modeops import OperatorFamily
+from .fock import NEUTRAL, FockState, Monomial, Space, add_term
+from .modeops import AffineOperator, OperatorFamily, QuadraticModeOperator, falling
 
 ChargedMonomial = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -45,81 +53,25 @@ def cweight2(mono: ChargedMonomial) -> int:
     return sum(-4 * p - 1 for p in plus) + sum(-4 * q - 3 for q in minus)
 
 
-class ChargedState:
-    """Finite linear combination of charged monomials, exact coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[ChargedMonomial, Fraction] | None = None):
-        self.terms = terms if terms is not None else {}
-
-    @classmethod
-    def zero(cls) -> "ChargedState":
-        return cls()
-
-    @classmethod
-    def vacuum(cls) -> "ChargedState":
-        return cls({CVACUUM: Fraction(1)})
-
-    @classmethod
-    def monomial(cls, mono: ChargedMonomial, coeff: Fraction | int = 1) -> "ChargedState":
-        coeff = Fraction(coeff)
-        return cls({mono: coeff} if coeff else {})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, mono: ChargedMonomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
-    def __add__(self, other: "ChargedState") -> "ChargedState":
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            add_term(acc, mono, c)
-        return ChargedState(acc)
-
-    def __sub__(self, other: "ChargedState") -> "ChargedState":
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            add_term(acc, mono, -c)
-        return ChargedState(acc)
-
-    def scale(self, factor: Fraction | int) -> "ChargedState":
-        factor = Fraction(factor)
-        if not factor:
-            return ChargedState()
-        return ChargedState({m: factor * c for m, c in self.terms.items()})
-
-    __rmul__ = scale
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChargedState):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"ChargedState({format_charged_state(self)!r})"
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: (cweight2(item[0]), item[0]))
+def charged_code(species: int, m: int) -> int:
+    """The ``int`` code of the mode ``psi+_m`` (``2m``) or ``psi-_m`` (``2m + 1``)."""
+    return 2 * m + (species == MINUS)
 
 
-def apply_charged_mode_to_monomial(
-    species: int, m: int, mono: ChargedMonomial
-) -> tuple[int, ChargedMonomial] | None:
-    """Signed action of one charged mode on a monomial, or None when zero.
+def apply_charged_mode_to_monomial(code: int, mono: ChargedMonomial) -> tuple[int, ChargedMonomial] | None:
+    """Signed action of the charged mode ``code`` on a monomial, or None when zero.
 
     Signs count the factors the moving operator anticommutes past in the
     canonical product: a ``psi-`` factor or annihilator passes the whole
     ``psi+`` block first.
     """
     plus, minus = mono
-    if species == PLUS:
+    m = code >> 1
+    if not code & 1:  # psi+_m
         if m <= -1:  # create psi+_m
             if m in plus:
                 return None
-            pos = _insert_pos(plus, m)
+            pos = bisect_left(plus, m)
             sign = -1 if pos % 2 else 1
             return sign, (plus[:pos] + (m,) + plus[pos:], minus)
         target = -1 - m  # annihilate against psi-_{-1-m}
@@ -131,7 +83,7 @@ def apply_charged_mode_to_monomial(
     if m <= -1:  # create psi-_m
         if m in minus:
             return None
-        pos = _insert_pos(minus, m)
+        pos = bisect_left(minus, m)
         sign = -1 if (len(plus) + pos) % 2 else 1
         return sign, (plus, minus[:pos] + (m,) + minus[pos:])
     target = -1 - m  # annihilate against psi+_{-1-m}
@@ -142,37 +94,11 @@ def apply_charged_mode_to_monomial(
     return sign, (plus[:pos] + plus[pos + 1 :], minus)
 
 
-def _insert_pos(block: tuple[int, ...], m: int) -> int:
-    pos = 0
-    while pos < len(block) and block[pos] < m:
-        pos += 1
-    return pos
-
-
 def _find_pos(block: tuple[int, ...], m: int) -> int | None:
     try:
         return block.index(m)
     except ValueError:
         return None
-
-
-def apply_charged_mode(species: int, m: int, state: ChargedState) -> ChargedState:
-    acc: dict[ChargedMonomial, Fraction] = {}
-    for mono, c in state.terms.items():
-        hit = apply_charged_mode_to_monomial(species, m, mono)
-        if hit is not None:
-            sign, out = hit
-            add_term(acc, out, sign * c)
-    return ChargedState(acc)
-
-
-class ChargedModeOperator:
-    def __init__(self, species: int, m: int):
-        self.species = species
-        self.m = m
-
-    def apply(self, state: ChargedState) -> ChargedState:
-        return apply_charged_mode(self.species, self.m, state)
 
 
 def enumerate_charged_basis(weight_cut2: int) -> list[ChargedMonomial]:
@@ -181,7 +107,7 @@ def enumerate_charged_basis(weight_cut2: int) -> list[ChargedMonomial]:
     for pweight, plus in _blocks(weight_cut2, 1):  # psi+_{-j-1} costs 4j+3
         for _, minus in _blocks(weight_cut2 - pweight, 3):  # psi-_{-j-1} costs 4j+1
             out.append((plus, minus))
-    out.sort(key=lambda m: (cweight2(m), m))
+    out.sort(key=CHARGED.sort_key)
     return out
 
 
@@ -215,54 +141,7 @@ class ChargedBilinear:
     dright: int
 
 
-def _falling(m: int, order: int) -> int:
-    out = 1
-    for step in range(order):
-        out *= m - step
-    return out
-
-
-class ChargedQuadraticOperator:
-    """Lazy ``sum_a c_a :X_a Y_{T-a}:`` over charged mode pairs."""
-
-    def __init__(self, rule, support, scalar: Fraction | int = 0):
-        self.rule = rule
-        self.support = support
-        self.scalar = Fraction(scalar)
-
-    def apply(self, state: ChargedState) -> ChargedState:
-        acc: dict[ChargedMonomial, Fraction] = {}
-        for mono, c in state.terms.items():
-            if self.scalar:
-                add_term(acc, mono, self.scalar * c)
-            for a in self.support(mono):
-                sp_l, ml, sp_r, mr, w = self.rule(a)
-                if w:
-                    _apply_charged_pair(sp_l, ml, sp_r, mr, mono, acc, w * c)
-        return ChargedState(acc)
-
-
-def _apply_charged_pair(sp_l, ml, sp_r, mr, mono, acc, coeff) -> None:
-    # normal order: left annihilator against right creator acts as the
-    # swapped product with a minus sign; otherwise right factor first
-    if ml >= 0 and mr <= -1:
-        order = ((sp_l, ml), (sp_r, mr))
-        sign = -1
-    else:
-        order = ((sp_r, mr), (sp_l, ml))
-        sign = 1
-    hit = apply_charged_mode_to_monomial(order[0][0], order[0][1], mono)
-    if hit is None:
-        return
-    s1, mid = hit
-    hit = apply_charged_mode_to_monomial(order[1][0], order[1][1], mid)
-    if hit is None:
-        return
-    s2, out = hit
-    add_term(acc, out, coeff * (sign * s1 * s2))
-
-
-def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> ChargedQuadraticOperator:
+def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> QuadraticModeOperator:
     """Coefficient of ``z**exponent`` of the bilinear, as a lazy operator.
 
     Fields expand as ``X(z) = sum_n X_n z^{-n-1}``; with
@@ -272,11 +151,12 @@ def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> ChargedQuadrat
     T = -exponent + bil.zshift - 2 - bil.dleft - bil.dright
     pref, a_ord, b_ord = bil.prefactor, bil.dleft, bil.dright
     sp_l, sp_r = bil.left_species, bil.right_species
+    l_bit, r_bit = charged_code(sp_l, 0), charged_code(sp_r, 0)  # charged_code(sp, a) == 2*a + bit
 
     def rule(a: int):
         b = T - a
-        c = pref * _falling(-a - 1, a_ord) * _falling(-b - 1, b_ord)
-        return sp_l, a, sp_r, b, c
+        c = pref * falling(-a - 1, a_ord) * falling(-b - 1, b_ord)
+        return 2 * a + l_bit, 2 * b + r_bit, c
 
     def support(mono: ChargedMonomial) -> Iterable[int]:
         plus, minus = mono
@@ -289,25 +169,13 @@ def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> ChargedQuadrat
             hits.add(T + 1 + x)  # right factor annihilates
         return sorted(hits)
 
-    return ChargedQuadraticOperator(rule, support)
-
-
-class ChargedAffineOperator:
-    def __init__(self, parts: Sequence[tuple[Fraction | int, object]], scalar: Fraction | int = 0):
-        self.parts = [(Fraction(c), op) for c, op in parts if c]
-        self.scalar = Fraction(scalar)
-
-    def apply(self, state: ChargedState) -> ChargedState:
-        out = state.scale(self.scalar) if self.scalar else ChargedState.zero()
-        for c, op in self.parts:
-            out = out + op.apply(state).scale(c)
-        return out
+    return QuadraticModeOperator(rule, support)
 
 
 H_CHARGED_BILINEAR = ChargedBilinear(Fraction(1), 0, PLUS, 0, MINUS, 0)
 
 
-def hA_mode(n: int) -> ChargedQuadraticOperator:
+def hA_mode(n: int) -> QuadraticModeOperator:
     """Mode n of the charged current ``:psi+(z) psi-(z):``."""
     return charged_bilinear_mode(H_CHARGED_BILINEAR, -n - 1)
 
@@ -316,11 +184,11 @@ def hA_family() -> OperatorFamily:
     return OperatorFamily("hA", hA_mode)
 
 
-def lA_mode(lam: Fraction, n: int) -> ChargedAffineOperator:
+def lA_mode(lam: Fraction, n: int) -> AffineOperator:
     """Mode n of ``(1-lam):(d psi+) psi-: + lam :(d psi-) psi+:``."""
     lam = Fraction(lam)
     e = -n - 2
-    return ChargedAffineOperator(
+    return AffineOperator(
         [
             (1 - lam, charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, PLUS, 1, MINUS, 0), e)),
             (lam, charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, MINUS, 1, PLUS, 0), e)),
@@ -328,7 +196,7 @@ def lA_mode(lam: Fraction, n: int) -> ChargedAffineOperator:
     )
 
 
-def lA_lambda_b_mode(lam: Fraction, b: Fraction, n: int) -> ChargedAffineOperator:
+def lA_lambda_b_mode(lam: Fraction, b: Fraction, n: int) -> AffineOperator:
     """Two-parameter charged Virasoro mode; the ``b`` terms shift by the
     current and a constant ``b(b - 2 lam + 1)/2`` at mode zero."""
     lam, b = Fraction(lam), Fraction(b)
@@ -336,7 +204,7 @@ def lA_lambda_b_mode(lam: Fraction, b: Fraction, n: int) -> ChargedAffineOperato
     if b:
         parts.append((-b, hA_mode(n)))
     scalar = b * (b - 2 * lam + 1) / 2 if n == 0 else Fraction(0)
-    return ChargedAffineOperator(parts, scalar)
+    return AffineOperator(parts, scalar)
 
 
 def lA_family(lam: Fraction, b: Fraction = Fraction(0)) -> OperatorFamily:
@@ -398,23 +266,21 @@ def from_charged_monomial(mono: ChargedMonomial) -> tuple[int, Monomial]:
     return sign, tuple(sorted(indices))
 
 
-def to_charged(state) -> ChargedState:
+def _transport(state: FockState, signed_image: Callable, space: Space) -> FockState:
+    acc: dict = {}
+    for mono, c in state.terms.items():
+        sign, image = signed_image(mono)
+        add_term(acc, image, sign * c)
+    return FockState(acc, space)
+
+
+def to_charged(state: FockState) -> FockState:
     """Linear extension of the monomial dictionary (the state isomorphism)."""
-    acc: dict[ChargedMonomial, Fraction] = {}
-    for mono, c in state.terms.items():
-        sign, image = to_charged_monomial(mono)
-        add_term(acc, image, sign * c)
-    return ChargedState(acc)
+    return _transport(state, to_charged_monomial, CHARGED)
 
 
-def from_charged(state: ChargedState):
-    from .fock import FockState
-
-    acc: dict[Monomial, Fraction] = {}
-    for mono, c in state.terms.items():
-        sign, image = from_charged_monomial(mono)
-        add_term(acc, image, sign * c)
-    return FockState(acc)
+def from_charged(state: FockState) -> FockState:
+    return _transport(state, from_charged_monomial, NEUTRAL)
 
 
 class ConjugatedOperator:
@@ -437,15 +303,27 @@ def format_charged_monomial(mono: ChargedMonomial) -> str:
     return " ".join(factors + ["|0>"]) if factors else "|0>"
 
 
-def format_charged_state(state: ChargedState) -> str:
-    if state.is_zero:
-        return "0"
-    parts: list[str] = []
-    for i, (mono, c) in enumerate(state.sorted_terms()):
-        mag = abs(c)
-        body = format_charged_monomial(mono) if mag == 1 else f"{mag} {format_charged_monomial(mono)}"
-        if i == 0:
-            parts.append(("-1 " + format_charged_monomial(mono)) if (c < 0 and mag == 1) else (f"-{body}" if c < 0 else body))
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
+# -- the space ---------------------------------------------------------------
+
+
+def _is_charged_canonical(mono: ChargedMonomial) -> bool:
+    """True for a pair of strictly increasing tuples of negative modes."""
+    return len(mono) == 2 and all(
+        all(a < b for a, b in zip(block, block[1:])) and not (block and block[-1] >= 0) for block in mono
+    )
+
+
+CHARGED = Space(
+    "charged",
+    CVACUUM,
+    apply_charged_mode_to_monomial,
+    operator.index,  # every integer is the code of one charged mode
+    _is_charged_canonical,
+    lambda mono: (cweight2(mono), mono),
+    format_charged_monomial,
+)
+
+# perfbench/layers.py traces the charged layer under these names.
+ChargedState = FockState
+ChargedQuadraticOperator = QuadraticModeOperator
+ChargedAffineOperator = AffineOperator

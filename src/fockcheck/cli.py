@@ -24,7 +24,7 @@ from multiprocessing import Pool
 
 from . import suites as _suites
 from . import virasoro as vir
-from .fock import FockState, format_state, parse_fraction, parse_half
+from .fock import FockState, enumerate_basis, format_state, parse_fraction, parse_half
 from .heisenberg import h_mode
 from .modeops import ModeOperator
 from .verify import VerificationReport
@@ -122,6 +122,15 @@ def _run_named_suite(args) -> list[VerificationReport]:
     return _suites.run_suite(name, **params)
 
 
+# ``verify virasoro --family F``: the suite to run and the checks of it to report
+_FAMILY_CHECKS = {
+    "half": (_suites.suite_virasoro_half, ("virasoro_half",)),
+    "half~": (_suites.suite_virasoro_half, ("virasoro_half_tilde",)),
+    "one": (_suites.suite_virasoro_one, ("virasoro_one_sugawara",)),
+    "one~": (_suites.suite_virasoro_one, ("virasoro_one_tilde", "l1_tilde_mode_relation")),
+}
+
+
 def _run_virasoro(args) -> list[VerificationReport]:
     if args.family is None:
         reports = []
@@ -130,16 +139,9 @@ def _run_virasoro(args) -> list[VerificationReport]:
         return reports
     mmax = args.mmax if args.mmax is not None else 4
     cut2 = args.weight_cut if args.weight_cut is not None else 20
-    basis_args = dict(mmax=mmax, weight_cut2=cut2)
-    if args.family == "half":
-        return _suites.suite_virasoro_half(**basis_args)[:1]
-    if args.family == "half~":
-        return _suites.suite_virasoro_half(**basis_args)[1:2]
-    if args.family == "one":
-        return _suites.suite_virasoro_one(**basis_args)[:1]
-    if args.family == "one~":
-        return _suites.suite_virasoro_one(**basis_args)[1:]
-    from .fock import enumerate_basis
+    if args.family in _FAMILY_CHECKS:
+        suite, checks = _FAMILY_CHECKS[args.family]
+        return [rep for rep in suite(mmax=mmax, weight_cut2=cut2) if rep.check in checks]
 
     family = vir.lambda_family(args.lam, args.b)
     return [
@@ -221,7 +223,7 @@ _TOKEN_RES = [
     (re.compile(r"L1\[(-?\d+)\]$"), lambda m: vir.sugawara_l1_mode(int(m.group(1)))),
     (
         re.compile(r"Llb\[(-?\d+(?:/\d+)?),(-?\d+(?:/\d+)?);(-?\d+)\]$"),
-        lambda m: vir.lambda_family(Fraction(m.group(1)), Fraction(m.group(2))).mode(int(m.group(3))),
+        lambda m: vir.lambda_family(parse_fraction(m.group(1)), parse_fraction(m.group(2))).mode(int(m.group(3))),
     ),
     (re.compile(r"J\[(\d+),(-?\d+)\]$"), lambda m: jk_mode_neutral(int(m.group(1)), int(m.group(2)))),
 ]

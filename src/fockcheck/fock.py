@@ -1,18 +1,25 @@
-"""Neutral-fermion Fock space: canonical monomials, exact states, mode action.
+"""Exact states and mode action, shared by the neutral and charged Fock spaces.
 
-The space is spanned by monomials of creation modes applied to the vacuum.
-A monomial is stored as a strictly increasing tuple of non-negative integers
-``(n_1, ..., n_k)``, standing for the product
+A :class:`FockState` is a finite combination of basis monomials with exact
+rational coefficients, tagged with its :class:`Space`: the action of one
+mode on one monomial, the vacuum, the canonical check, the sort key and the
+renderer.  In both spaces a mode is an ``int`` code that is negative exactly
+when the mode creates, so normal ordering needs no call into the space.
+This module defines the neutral space :data:`NEUTRAL`, and
+:mod:`fockcheck.charged` the charged one.
+
+A neutral monomial is stored as a strictly increasing tuple of non-negative
+integers ``(n_1, ..., n_k)``, standing for the product
 
     phi[-n_k-1/2] ... phi[-n_2-1/2] phi[-n_1-1/2] |0>
 
-written with the most negative mode leftmost.  Every sign in the package is
+written with the most negative mode leftmost.  Every neutral sign is
 derived from this single factor-order convention.
 
-Mode indices are half-integers.  They are encoded throughout as *twice* the
-value, an odd ``int``: ``t = 2*m``.  Negative ``t`` creates the index
-``n = (-t-1)//2``, positive ``t`` annihilates ``n = (t-1)//2``.  The modes
-satisfy the Clifford relations ``{phi_m, phi_n} = delta(m, -n)``.
+Neutral mode indices are half-integers.  They are encoded throughout as
+*twice* the value, an odd ``int``: ``t = 2*m``.  Negative ``t`` creates the
+index ``n = (-t-1)//2``, positive ``t`` annihilates ``n = (t-1)//2``.  The
+modes satisfy the Clifford relations ``{phi_m, phi_n} = delta(m, -n)``.
 
 Coefficients are ``fractions.Fraction``; no floating point exists anywhere
 in this package.
@@ -22,8 +29,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 Monomial = tuple[int, ...]
 
@@ -48,10 +56,6 @@ def check_mode(t: int) -> int:
     if t % 2 == 0:
         raise ValueError(f"fermion mode must be a half-integer, got {Fraction(t, 2)}")
     return t
-
-
-def mode_value(t: int) -> Fraction:
-    return Fraction(t, 2)
 
 
 def weight2(mono: Monomial) -> int:
@@ -86,6 +90,45 @@ def apply_mode_to_monomial(t: int, mono: Monomial) -> tuple[int, Monomial] | Non
     return sign, mono[:pos] + mono[pos + 1 :]
 
 
+def _is_canonical(mono: Monomial) -> bool:
+    """True for a strictly increasing tuple of non-negative indices."""
+    return all(a < b for a, b in zip(mono, mono[1:])) and not (mono and mono[0] < 0)
+
+
+def format_monomial(mono: Monomial) -> str:
+    if not mono:
+        return "|0>"
+    factors = " ".join(f"phi[{-(2 * n + 1)}/2]" for n in reversed(mono))
+    return f"{factors} |0>"
+
+
+@dataclass(frozen=True, eq=False)
+class Space:
+    """What differs between the Fock spaces that share :class:`FockState`.
+
+    Spaces compare by identity: states of different spaces are never equal.
+    """
+
+    name: str
+    vacuum: Hashable  # the vacuum monomial
+    act: Callable[[int, Any], tuple[int, Any] | None]  # one mode on one monomial
+    check_mode: Callable[[int], int]  # returns a valid mode code, else raises ValueError
+    is_canonical: Callable[[Any], bool]
+    sort_key: Callable[[Any], Any]  # report order of monomials
+    format_monomial: Callable[[Any], str]
+
+
+NEUTRAL = Space(
+    "neutral",
+    VACUUM,
+    apply_mode_to_monomial,
+    check_mode,
+    _is_canonical,
+    lambda mono: (weight2(mono), mono),
+    format_monomial,
+)
+
+
 class FockState:
     """Finite linear combination of monomials with exact rational coefficients.
 
@@ -93,70 +136,69 @@ class FockState:
     Instances are treated as immutable values.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "space")
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, terms: dict[Any, Fraction] | None = None, space: Space = NEUTRAL):
         self.terms = terms if terms is not None else {}
+        self.space = space
 
     @classmethod
-    def zero(cls) -> "FockState":
-        return cls()
+    def zero(cls, space: Space = NEUTRAL) -> "FockState":
+        return cls({}, space)
 
     @classmethod
-    def monomial(cls, mono: Iterable[int], coeff: Fraction | int = 1) -> "FockState":
+    def monomial(cls, mono: Iterable, coeff: Fraction | int = 1, space: Space = NEUTRAL) -> "FockState":
         mono = tuple(mono)
-        if any(b <= a for a, b in zip(mono, mono[1:])) or (mono and mono[0] < 0):
-            raise ValueError(f"not a canonical monomial: {mono}")
+        if not space.is_canonical(mono):
+            raise ValueError(f"not a canonical {space.name} monomial: {mono}")
         coeff = Fraction(coeff)
-        return cls({mono: coeff} if coeff else {})
+        return cls({mono: coeff} if coeff else {}, space)
 
     @classmethod
-    def vacuum(cls) -> "FockState":
-        return cls({VACUUM: Fraction(1)})
+    def vacuum(cls, space: Space = NEUTRAL) -> "FockState":
+        return cls({space.vacuum: Fraction(1)}, space)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mono: Monomial) -> Fraction:
+    def coefficient(self, mono) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
 
     def __add__(self, other: "FockState") -> "FockState":
         acc = dict(self.terms)
         for mono, c in other.terms.items():
             add_term(acc, mono, c)
-        return FockState(acc)
+        return FockState(acc, self.space)
 
     def __sub__(self, other: "FockState") -> "FockState":
         acc = dict(self.terms)
         for mono, c in other.terms.items():
             add_term(acc, mono, -c)
-        return FockState(acc)
-
-    def __neg__(self) -> "FockState":
-        return FockState({m: -c for m, c in self.terms.items()})
+        return FockState(acc, self.space)
 
     def scale(self, factor: Fraction | int) -> "FockState":
         factor = Fraction(factor)
         if not factor:
-            return FockState()
-        return FockState({m: factor * c for m, c in self.terms.items()})
+            return FockState({}, self.space)
+        return FockState({m: factor * c for m, c in self.terms.items()}, self.space)
 
     __rmul__ = scale
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockState):
             return NotImplemented
-        return self.terms == other.terms
+        return self.space is other.space and self.terms == other.terms
 
     def __repr__(self) -> str:
-        return f"FockState({format_state(self)!r})"
+        return f"FockState({format_state(self)!r}, {self.space.name})"
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda item: (weight2(item[0]), item[0]))
+    def sorted_terms(self) -> list[tuple[Any, Fraction]]:
+        key = self.space.sort_key
+        return sorted(self.terms.items(), key=lambda item: key(item[0]))
 
 
-def add_term(acc: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
+def add_term(acc: dict, mono, coeff: Fraction) -> None:
     """Accumulate ``coeff * mono`` into ``acc``, dropping exact zeros."""
     new = acc.get(mono, 0) + coeff
     if new:
@@ -166,15 +208,17 @@ def add_term(acc: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> 
 
 
 def apply_mode(t: int, state: FockState) -> FockState:
-    """Linear extension of the Clifford mode action to states."""
-    check_mode(t)
-    acc: dict[Monomial, Fraction] = {}
+    """Linear extension of the mode action of ``state``'s space to states."""
+    space = state.space
+    space.check_mode(t)
+    act = space.act
+    acc: dict = {}
     for mono, c in state.terms.items():
-        hit = apply_mode_to_monomial(t, mono)
+        hit = act(t, mono)
         if hit is not None:
             sign, out = hit
             add_term(acc, out, sign * c)
-    return FockState(acc)
+    return FockState(acc, space)
 
 
 def enumerate_basis(weight_cut2: int) -> list[Monomial]:
@@ -195,35 +239,30 @@ def enumerate_basis(weight_cut2: int) -> list[Monomial]:
             n += 1
 
     extend((), 0, weight_cut2)
-    found.sort(key=lambda m: (weight2(m), m))
+    found.sort(key=NEUTRAL.sort_key)
     return found
 
 
 # -- text form ---------------------------------------------------------------
 #
-# Monomials render as ``phi[-5/2] phi[-1/2] |0>`` and states as sums of
-# ``coeff monomial`` terms; the same grammar is parsed back by the CLI.
+# Neutral monomials render as ``phi[-5/2] phi[-1/2] |0>`` and states of
+# either space as sums of ``coeff monomial`` terms; the neutral grammar is
+# parsed back by the CLI.
 
 _PHI_RE = re.compile(r"phi\[(-?\d+)/2\]")
 _COEFF_RE = re.compile(r"(-?\d+)(?:/(\d+))?$")
 
 
-def format_monomial(mono: Monomial) -> str:
-    if not mono:
-        return "|0>"
-    factors = " ".join(f"phi[{-(2 * n + 1)}/2]" for n in reversed(mono))
-    return f"{factors} |0>"
-
-
 def format_state(state: FockState) -> str:
     if state.is_zero:
         return "0"
+    render = state.space.format_monomial
     parts: list[str] = []
     for i, (mono, c) in enumerate(state.sorted_terms()):
         mag = abs(c)
-        body = format_monomial(mono) if mag == 1 else f"{mag} {format_monomial(mono)}"
+        body = render(mono) if mag == 1 else f"{mag} {render(mono)}"
         if i == 0:
-            parts.append(("-1 " + format_monomial(mono)) if (c < 0 and mag == 1) else (f"-{body}" if c < 0 else body))
+            parts.append(("-1 " + render(mono)) if (c < 0 and mag == 1) else (f"-{body}" if c < 0 else body))
         else:
             parts.append((" - " if c < 0 else " + ") + body)
     return "".join(parts)
@@ -235,6 +274,8 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"not an exact rational: {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
+    if not den:
+        raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)
 
 

@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Iterator
 
 from .fock import (
-    FockState,
     Monomial,
     apply_mode_to_monomial,
     weight,
@@ -138,18 +137,11 @@ def lemma_vector(parts: Partition) -> Monomial:
     return mono
 
 
-def is_h0_eigenbasis(state: FockState) -> bool:
-    """True when all monomials of a state share one charge (an h_0 eigenstate)."""
-    charges = {dg(m) for m in state.terms}
-    return len(charges) <= 1
-
-
 __all__ = [
     "Partition",
     "dg",
     "deg_h",
     "grade_triple",
-    "is_h0_eigenbasis",
     "lemma_vector",
     "length",
     "partition_count",

@@ -41,7 +41,7 @@ def h_mode(n: int) -> QuadraticModeOperator:
             hits.add(T + m + 1)
         return sorted(hits)
 
-    return QuadraticModeOperator(rule, support, 0, pair_sum2=-2 * T - 2)
+    return QuadraticModeOperator(rule, support)
 
 
 HEISENBERG_BILINEAR = FermionBilinear(Fraction(1, 2), 0, 0, 0, 1, -1)

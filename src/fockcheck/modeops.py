@@ -1,20 +1,26 @@
-"""Normal-ordered quadratic operators in fermion modes.
+"""Normal-ordered quadratic operators on either Fock space.
 
-Operators of interest are formally infinite sums ``sum_i c_i :phi_{p_i} phi_{q_i}:``
-with constant ``p_i + q_i``.  They are never materialised: a
-:class:`QuadraticModeOperator` carries a coefficient rule ``i -> (p, q, c)``
-plus a support bound mapping each monomial to the finitely many ``i`` whose
-summand can act on it without annihilating everything.  A summand acts
-nonzero only if every annihilator among its two factors targets an index
-present in the monomial, or both factors create, which pins ``i`` to a
-finite window.
+Operators of interest are formally infinite sums ``sum_i c_i :X_{p_i} Y_{q_i}:``
+of mode pairs, in neutral modes ``phi`` or charged modes ``psi+``/``psi-``,
+with constant weight shift.  They are never materialised: a
+:class:`QuadraticModeOperator` carries a coefficient rule
+``i -> (p, q, c)`` plus a support bound mapping each monomial to the
+finitely many ``i`` whose summand can act on it without annihilating
+everything.  A summand acts nonzero only if every annihilator among its two
+factors targets a mode present in the monomial, or both factors create,
+which pins ``i`` to a finite window.
+
+The operator classes are shared by both spaces: a mode is an ``int`` code
+of the space of the state acted on (see :mod:`fockcheck.fock`), and the
+pair action reads the single-mode action from that state's space.  Only
+the constructors differ, because the two field expansions differ.
 
 Normal ordering of a pair subtracts the vacuum expectation.  As an action
 this means: when the left factor annihilates and the right one creates, the
 pair acts as minus the swapped product; in every other arrangement it acts
 as written (rightmost factor first).
 
-Mode extraction from bilinear fields uses the expansion
+Mode extraction from neutral bilinear fields uses the expansion
 ``phi(s*z) = sum_m phi_{-m-1/2} s^m z^m`` with field derivatives taken before
 evaluation, so ``F(z) = pref * z^shift :(d^a phi)(s1 z)(d^b phi)(s2 z):``
 has integer powers of ``z`` only.
@@ -26,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .fock import FockState, Monomial, add_term, apply_mode, apply_mode_to_monomial, check_mode
+from .fock import FockState, Monomial, add_term, apply_mode, check_mode
 
-Pair = tuple[int, int, Fraction]  # left twice-mode, right twice-mode, coefficient
+Pair = tuple[int, int, Fraction]  # left mode code, right mode code, coefficient
 
 
 def normal_order_pair(p: int, q: int) -> tuple[tuple[int, int], int, Fraction]:
@@ -46,19 +52,21 @@ def normal_order_pair(p: int, q: int) -> tuple[tuple[int, int], int, Fraction]:
     return (p, q), 1, Fraction(0)
 
 
-def apply_pair_to_monomial(
-    p: int, q: int, mono: Monomial, acc: dict[Monomial, Fraction], coeff: Fraction
-) -> None:
-    """Accumulate ``coeff * :phi_p phi_q: mono`` into ``acc``."""
-    if p > 0 and q < 0:
+def apply_pair_to_monomial(act: Callable, p: int, q: int, mono, acc: dict, coeff: Fraction) -> None:
+    """Accumulate ``coeff * :X_p X_q: mono`` into ``acc``.
+
+    ``act`` is the single-mode action of the space the mode codes ``p`` and
+    ``q`` belong to; a negative code creates.
+    """
+    if q < 0 <= p:
         first, second, sign = p, q, -1
     else:
         first, second, sign = q, p, 1
-    hit = apply_mode_to_monomial(first, mono)
+    hit = act(first, mono)
     if hit is None:
         return
     s1, mid = hit
-    hit = apply_mode_to_monomial(second, mid)
+    hit = act(second, mid)
     if hit is None:
         return
     s2, out = hit
@@ -66,54 +74,41 @@ def apply_pair_to_monomial(
 
 
 class QuadraticModeOperator:
-    """Lazy sum ``scalar + sum_i c_i :phi_{p_i} phi_{q_i}:`` with finite action.
+    """Lazy sum ``sum_i c_i :X_{p_i} Y_{q_i}:`` with finite action.
 
     ``rule(i)`` yields the ``i``-th summand; ``support(mono)`` yields every
     ``i`` whose summand can act nonzero on ``mono`` (a finite, possibly
-    overcomplete, set).  All summands must share the same mode sum
-    ``p_i + q_i`` so the operator shifts weight homogeneously.
+    overcomplete, set).  All summands must shift weight by the same amount
+    so the operator is homogeneous.
     """
 
-    def __init__(
-        self,
-        rule: Callable[[int], Pair],
-        support: Callable[[Monomial], Iterable[int]],
-        scalar: Fraction | int = 0,
-        pair_sum2: int | None = None,
-    ):
+    def __init__(self, rule: Callable[[int], Pair], support: Callable[[object], Iterable[int]]):
         self.rule = rule
         self.support = support
-        self.scalar = Fraction(scalar)
-        self.pair_sum2 = pair_sum2
-
-    @property
-    def weight_shift2(self) -> int | None:
-        """Twice the weight shift of every summand (-(p+q) for modes p, q)."""
-        return None if self.pair_sum2 is None else -self.pair_sum2
 
     def apply(self, state: FockState) -> FockState:
-        acc: dict[Monomial, Fraction] = {}
+        act, rule, support = state.space.act, self.rule, self.support
+        acc: dict = {}
         for mono, c in state.terms.items():
-            if self.scalar:
-                add_term(acc, mono, self.scalar * c)
-            for i in self.support(mono):
-                p, q, w = self.rule(i)
+            for i in support(mono):
+                p, q, w = rule(i)
                 if w:
-                    apply_pair_to_monomial(p, q, mono, acc, w * c)
-        return FockState(acc)
+                    apply_pair_to_monomial(act, p, q, mono, acc, w * c)
+        return FockState(acc, state.space)
 
     def apply_term(self, i: int, state: FockState) -> FockState:
         """Action of the single summand ``i``; used to probe support soundness."""
-        acc: dict[Monomial, Fraction] = {}
+        act = state.space.act
+        acc: dict = {}
         p, q, w = self.rule(i)
         if w:
             for mono, c in state.terms.items():
-                apply_pair_to_monomial(p, q, mono, acc, w * c)
-        return FockState(acc)
+                apply_pair_to_monomial(act, p, q, mono, acc, w * c)
+        return FockState(acc, state.space)
 
 
 def zero_operator() -> QuadraticModeOperator:
-    return QuadraticModeOperator(lambda i: (1, 1, Fraction(0)), lambda mono: (), 0, None)
+    return QuadraticModeOperator(lambda i: (1, 1, Fraction(0)), lambda mono: ())
 
 
 @dataclass(frozen=True)
@@ -134,7 +129,8 @@ class FermionBilinear:
             raise ValueError("derivative orders must be non-negative")
 
 
-def _falling(m: int, order: int) -> int:
+def falling(m: int, order: int) -> int:
+    """The falling factorial ``m (m-1) ... (m-order+1)``."""
     out = 1
     for step in range(order):
         out *= m - step
@@ -154,7 +150,7 @@ def bilinear_mode(bil: FermionBilinear, exponent: int) -> QuadraticModeOperator:
 
     def rule(i: int) -> Pair:
         j = T - i
-        c = pref * _falling(i, a) * _falling(j, b)
+        c = pref * falling(i, a) * falling(j, b)
         if sl < 0 and (i - a) % 2:
             c = -c
         if sr < 0 and (j - b) % 2:
@@ -168,7 +164,7 @@ def bilinear_mode(bil: FermionBilinear, exponent: int) -> QuadraticModeOperator:
             hits.add(T + n + 1)  # right factor annihilates n
         return sorted(hits)
 
-    return QuadraticModeOperator(rule, support, 0, pair_sum2=-2 * T - 2)
+    return QuadraticModeOperator(rule, support)
 
 
 class AffineOperator:
@@ -179,17 +175,20 @@ class AffineOperator:
         self.scalar = Fraction(scalar)
 
     def apply(self, state: FockState) -> FockState:
-        out = state.scale(self.scalar) if self.scalar else FockState.zero()
+        out = state.scale(self.scalar) if self.scalar else FockState.zero(state.space)
         for c, op in self.parts:
             out = out + op.apply(state).scale(c)
         return out
 
 
 class ModeOperator:
-    """A single Clifford mode as an operator (used by the relation harness)."""
+    """A single mode as an operator (used by the relation harness).
+
+    The code ``t`` is read, and checked, in the space of the state it acts on.
+    """
 
     def __init__(self, t: int):
-        self.t = check_mode(t)
+        self.t = t
 
     def apply(self, state: FockState) -> FockState:
         return apply_mode(self.t, state)
@@ -201,7 +200,6 @@ class OperatorFamily:
 
     name: str
     mode: Callable[[int], object]
-    index_set: str = "all integers"
 
 
 def compose_families(
@@ -233,12 +231,3 @@ def parity_flip(family: OperatorFamily) -> OperatorFamily:
 
     return OperatorFamily(f"{family.name}~", mode)
 
-
-def commutator_apply(left, right, state: FockState) -> FockState:
-    """``[left, right]`` applied to a state."""
-    return left.apply(right.apply(state)) - right.apply(left.apply(state))
-
-
-def anticommutator_apply(left, right, state: FockState) -> FockState:
-    """``{left, right}`` applied to a state."""
-    return left.apply(right.apply(state)) + right.apply(left.apply(state))

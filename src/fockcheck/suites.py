@@ -28,7 +28,7 @@ from .heisenberg import (
     highest_weight_check,
     spanning_check,
 )
-from .modeops import FermionBilinear, ModeOperator, OperatorFamily, bilinear_mode, zero_operator
+from .modeops import AffineOperator, FermionBilinear, ModeOperator, OperatorFamily, bilinear_mode, zero_operator
 from .verify import BracketSpec, VerificationReport, _Timer, bracket_check, field_identity_check
 from .winf import jk_mode_charged, jk_mode_neutral, scalar_defect_check
 
@@ -293,13 +293,9 @@ def suite_identities(mmax: int = 4, weight_cut2: int = 16) -> list[VerificationR
     v2 = vir.weight2_field(2)
 
     def hderiv_rhs(m: int):
-        from .modeops import AffineOperator
-
         return AffineOperator([(Fraction(1, 2), v3.mode(m)), (Fraction(1, 2), v4.mode(m))])
 
     def hsquare_rhs(m: int):
-        from .modeops import AffineOperator
-
         parts = [(Fraction(1, 4), v1.mode(m)), (Fraction(1, 4), v2.mode(m))]
         if m % 2 == 0:
             parts.append((Fraction(-1, 2), h_mode(m // 2)))
@@ -362,16 +358,15 @@ def suite_iso(weight_cut2: int = 16, mmax: int = 4, max_index2: int = 15) -> lis
     spec = BracketSpec(
         "dictionary_clifford_transport",
         "anticommutator",
-        lambda t: ch.ChargedModeOperator(*ch.charged_mode_of(t)),
-        lambda t: ch.ChargedModeOperator(*ch.charged_mode_of(t)),
+        lambda t: ModeOperator(ch.charged_code(*ch.charged_mode_of(t))),
+        lambda t: ModeOperator(ch.charged_code(*ch.charged_mode_of(t))),
         lambda s, t: ([], Fraction(1) if s == -t else Fraction(0)),
     )
     transport = bracket_check(
         spec,
         [(s, t) for s in modes for t in modes],
         cbasis,
-        state_of=ch.ChargedState.monomial,
-        render=ch.format_charged_state,
+        space=ch.CHARGED,
     )
     transport.params.update({"max_index2": max_index2, "weight_cut2": weight_cut2})
 
@@ -389,8 +384,8 @@ def suite_iso(weight_cut2: int = 16, mmax: int = 4, max_index2: int = 15) -> lis
                 if lhs != rhs:
                     intertwine.record(
                         witness=f"h_{n} on {format_state(v)}",
-                        lhs=ch.format_charged_state(lhs),
-                        rhs=ch.format_charged_state(rhs),
+                        lhs=format_state(lhs),
+                        rhs=format_state(rhs),
                     )
     intertwine.elapsed_ms = timer.ms
 
@@ -433,8 +428,7 @@ def suite_winf(kmax: int = 2, nmax: int = 3, weight_cut2: int = 16, mmax: int = 
             ch.hA_mode,
             range(-mmax, mmax + 1),
             cbasis,
-            state_of=ch.ChargedState.monomial,
-            render=ch.format_charged_state,
+            space=ch.CHARGED,
         ),
         field_identity_check(
             "j0_equals_heisenberg_neutral",
@@ -491,9 +485,7 @@ def suite_charged(
     spec = BracketSpec(
         "charged_heisenberg_bracket", "commutator", ch.hA_mode, ch.hA_mode, heisenberg_expected
     )
-    hrep = bracket_check(
-        spec, square_grid(mmax_h), cbasis, state_of=ch.ChargedState.monomial, render=ch.format_charged_state
-    )
+    hrep = bracket_check(spec, square_grid(mmax_h), cbasis, space=ch.CHARGED)
     hrep.params.update({"mmax": mmax_h, "weight_cut2": weight_cut2})
     reports = [hrep]
     for lam in lambdas:
@@ -503,10 +495,7 @@ def suite_charged(
                 f"charged_virasoro", "commutator", family.mode, family.mode,
                 virasoro_expected(family, vir.central_charge(lam)),
             )
-            rep = bracket_check(
-                spec, square_grid(mmax), cbasis,
-                state_of=ch.ChargedState.monomial, render=ch.format_charged_state,
-            )
+            rep = bracket_check(spec, square_grid(mmax), cbasis, space=ch.CHARGED)
             rep.params.update({"family": family.name, "c": str(vir.central_charge(lam)), "mmax": mmax})
             reports.append(rep)
     return reports

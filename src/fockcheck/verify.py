@@ -10,12 +10,13 @@ a red check is reproducible from its report alone.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .fock import FockState
+from .fock import NEUTRAL, FockState, Space, format_state
 
 
 @dataclass
@@ -85,19 +86,12 @@ def bracket_check(
     spec: BracketSpec,
     mode_pairs: Iterable[tuple[int, int]],
     basis: Sequence,
-    state_of: Callable = None,
-    render: Callable = None,
+    space: Space = NEUTRAL,
 ) -> VerificationReport:
     """Evaluate a bracket relation on every (mode pair, basis vector).
 
-    ``basis`` holds monomials; ``state_of`` lifts one to a state and
-    ``render`` pretty-prints states for witnesses (defaults target the
-    neutral Fock space).
+    ``basis`` holds monomials of ``space``.
     """
-    from .fock import FockState as NS, format_state
-
-    state_of = state_of or (lambda mono: NS.monomial(mono))
-    render = render or format_state
     pairs = list(mode_pairs)
     report = VerificationReport(spec.name, {})
     sign = 1 if spec.kind == "anticommutator" else -1
@@ -107,7 +101,7 @@ def bracket_check(
             right_n = spec.right(n)
             ops, scalar = spec.expected(m, n)
             for mono in basis:
-                v = state_of(mono)
+                v = FockState.monomial(mono, space=space)
                 lhs = left_m.apply(right_n.apply(v)) + right_n.apply(left_m.apply(v)).scale(sign)
                 rhs = v.scale(scalar)
                 for c, op in ops:
@@ -116,9 +110,9 @@ def bracket_check(
                 report.cases_run += 1
                 if lhs != rhs:
                     report.record(
-                        witness=f"(m={m}, n={n}) on {render(v)}",
-                        lhs=render(lhs),
-                        rhs=render(rhs),
+                        witness=f"(m={m}, n={n}) on {format_state(v)}",
+                        lhs=format_state(lhs),
+                        rhs=format_state(rhs),
                     )
     report.elapsed_ms = timer.ms
     report.params = {"kind": spec.kind, "pairs": len(pairs), "basis": len(basis)}
@@ -131,14 +125,10 @@ def field_identity_check(
     right_mode: Callable[[int], object],
     modes: Iterable[int],
     basis: Sequence,
-    state_of: Callable = None,
-    render: Callable = None,
+    space: Space = NEUTRAL,
 ) -> VerificationReport:
-    """Assert ``left_mode(n) v == right_mode(n) v`` exactly over the grid."""
-    from .fock import FockState as NS, format_state
-
-    state_of = state_of or (lambda mono: NS.monomial(mono))
-    render = render or format_state
+    """Assert ``left_mode(n) v == right_mode(n) v`` exactly over the grid of
+    modes and monomials of ``space``."""
     modes = list(modes)
     report = VerificationReport(name, {"modes": len(modes), "basis": len(basis)})
     with _Timer() as timer:
@@ -146,12 +136,14 @@ def field_identity_check(
             a = left_mode(n)
             b = right_mode(n)
             for mono in basis:
-                v = state_of(mono)
+                v = FockState.monomial(mono, space=space)
                 lhs = a.apply(v)
                 rhs = b.apply(v)
                 report.cases_run += 1
                 if lhs != rhs:
-                    report.record(witness=f"(n={n}) on {render(v)}", lhs=render(lhs), rhs=render(rhs))
+                    report.record(
+                        witness=f"(n={n}) on {format_state(v)}", lhs=format_state(lhs), rhs=format_state(rhs)
+                    )
     report.elapsed_ms = timer.ms
     return report
 
@@ -162,7 +154,7 @@ def fraction_free_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     for row in rows:
         denom = 1
         for x in row:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+            denom = math.lcm(denom, x.denominator)
         mat.append([int(x * denom) for x in row])
     if not mat:
         return 0
@@ -185,16 +177,3 @@ def fraction_free_rank(rows: Sequence[Sequence[Fraction]]) -> int:
             break
     return rank
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
-
-
-def state_vector(state: FockState, basis_index: dict) -> list[Fraction]:
-    """Coordinates of a state in a listed basis; fails on out-of-basis terms."""
-    coords = [Fraction(0)] * len(basis_index)
-    for mono, c in state.terms.items():
-        coords[basis_index[mono]] = c
-    return coords

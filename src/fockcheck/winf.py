@@ -22,17 +22,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .charged import (
+    CHARGED,
     MINUS,
     PLUS,
     ChargedBilinear,
     ChargedMonomial,
-    ChargedState,
     ConjugatedOperator,
     charged_bilinear_mode,
-    format_charged_state,
-    _apply_charged_pair,
+    charged_code,
 )
-from .modeops import OperatorFamily
+from .fock import FockState, add_term, format_state
+from .modeops import apply_pair_to_monomial
 from .verify import VerificationReport, _Timer
 
 Matrix = dict[tuple[int, int], Fraction]
@@ -47,17 +47,9 @@ def jk_mode_charged(k: int, n: int):
     return charged_bilinear_mode(bil, -(n + k + 1))
 
 
-def jk_charged_family(k: int) -> OperatorFamily:
-    return OperatorFamily(f"J{k}", lambda n: jk_mode_charged(k, n))
-
-
 def jk_mode_neutral(k: int, n: int) -> ConjugatedOperator:
     """The same generator on the neutral space, through the isomorphism."""
     return ConjugatedOperator(jk_mode_charged(k, n))
-
-
-def jk_neutral_family(k: int) -> OperatorFamily:
-    return OperatorFamily(f"J{k}(neutral)", lambda n: jk_mode_neutral(k, n))
 
 
 def _rising(j: int, k: int) -> int:
@@ -88,34 +80,27 @@ def matrix_commutator(a: Matrix, b: Matrix, radius: int) -> Matrix:
     for (r, t), x in a.items():
         for (t2, s), y in b.items():
             if t == t2 and abs(r) <= radius and abs(s) <= radius:
-                _madd(out, (r, s), x * y)
+                add_term(out, (r, s), x * y)
     for (r, t), x in b.items():
         for (t2, s), y in a.items():
             if t == t2 and abs(r) <= radius and abs(s) <= radius:
-                _madd(out, (r, s), -x * y)
+                add_term(out, (r, s), -x * y)
     return out
-
-
-def _madd(mat: Matrix, key: tuple[int, int], val: Fraction) -> None:
-    new = mat.get(key, 0) + val
-    if new:
-        mat[key] = new
-    else:
-        mat.pop(key, None)
 
 
 class MatrixLift:
     """Fock-space lift ``E_{r,s} -> :psi+_{-r} psi-_{s-1}:`` of a window matrix."""
 
     def __init__(self, matrix: Matrix):
-        self.matrix = matrix
+        self.pairs = [(charged_code(PLUS, -r), charged_code(MINUS, s - 1), w) for (r, s), w in matrix.items()]
 
-    def apply(self, state: ChargedState) -> ChargedState:
+    def apply(self, state: FockState) -> FockState:
+        act = state.space.act
         acc: dict[ChargedMonomial, Fraction] = {}
         for mono, c in state.terms.items():
-            for (r, s), w in self.matrix.items():
-                _apply_charged_pair(PLUS, -r, MINUS, s - 1, mono, acc, w * c)
-        return ChargedState(acc)
+            for p, q, w in self.pairs:
+                apply_pair_to_monomial(act, p, q, mono, acc, w * c)
+        return FockState(acc, state.space)
 
 
 def _max_slot(basis: Sequence[ChargedMonomial]) -> int:
@@ -157,15 +142,15 @@ def scalar_defect_check(
         op2 = jk_mode_charged(k2, n2)
         scalar = expected_scalar
         for mono in basis:
-            v = ChargedState.monomial(mono)
+            v = FockState.monomial(mono, space=CHARGED)
             bracket = op1.apply(op2.apply(v)) - op2.apply(op1.apply(v))
             defect = bracket - lifted.apply(v)
             report.cases_run += 1
             found = defect.coefficient(mono)
             if defect != v.scale(found):
                 report.record(
-                    witness=f"defect not scalar on {format_charged_state(v)}",
-                    lhs=format_charged_state(defect),
+                    witness=f"defect not scalar on {format_state(v)}",
+                    lhs=format_state(defect),
                     rhs=f"{found} * state",
                 )
                 continue
@@ -173,7 +158,7 @@ def scalar_defect_check(
                 scalar = found
             elif found != scalar:
                 report.record(
-                    witness=f"defect scalar varies on {format_charged_state(v)}",
+                    witness=f"defect scalar varies on {format_state(v)}",
                     lhs=str(found),
                     rhs=str(scalar),
                 )

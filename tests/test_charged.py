@@ -5,15 +5,14 @@ from fractions import Fraction
 import pytest
 
 from fockcheck.charged import (
+    CHARGED,
     MINUS,
     PLUS,
-    ChargedState,
-    apply_charged_mode,
     charge,
+    charged_code,
     charged_mode_of,
     cweight2,
     enumerate_charged_basis,
-    format_charged_state,
     from_charged,
     from_charged_monomial,
     hA_mode,
@@ -22,7 +21,7 @@ from fockcheck.charged import (
     to_charged,
     to_charged_monomial,
 )
-from fockcheck.fock import FockState, annihilation, creation, enumerate_basis
+from fockcheck.fock import FockState, annihilation, apply_mode, creation, enumerate_basis, format_state
 from fockcheck.grading import dg
 from fockcheck.heisenberg import h_mode
 from fockcheck.virasoro import central_charge
@@ -31,31 +30,37 @@ CBASIS = enumerate_charged_basis(16)
 NBASIS = enumerate_basis(16)
 
 
+def psi(species, m, state):
+    return apply_mode(charged_code(species, m), state)
+
+
+def cstate(mono, coeff=1):
+    return FockState.monomial(mono, coeff, space=CHARGED)
+
+
 def test_vacuum_axioms():
-    vac = ChargedState.vacuum()
+    vac = FockState.vacuum(CHARGED)
     for species in (PLUS, MINUS):
         for m in range(0, 4):
-            assert apply_charged_mode(species, m, vac).is_zero
+            assert psi(species, m, vac).is_zero
 
 
 def test_pairing_examples():
-    vac = ChargedState.vacuum()
-    s = apply_charged_mode(MINUS, -1, vac)
-    assert apply_charged_mode(PLUS, 0, s) == vac
-    t = apply_charged_mode(PLUS, -1, vac)
-    assert apply_charged_mode(MINUS, 0, t) == vac
+    vac = FockState.vacuum(CHARGED)
+    s = psi(MINUS, -1, vac)
+    assert psi(PLUS, 0, s) == vac
+    t = psi(PLUS, -1, vac)
+    assert psi(MINUS, 0, t) == vac
 
 
 def test_clifford_relations_transport_grid():
     for m in range(-4, 4):
         for n in range(-4, 4):
             for mono in CBASIS:
-                v = ChargedState.monomial(mono)
+                v = cstate(mono)
                 for sa, sb in ((PLUS, MINUS), (PLUS, PLUS), (MINUS, MINUS)):
-                    got = apply_charged_mode(sa, m, apply_charged_mode(sb, n, v)) + apply_charged_mode(
-                        sb, n, apply_charged_mode(sa, m, v)
-                    )
-                    want = v if (sa != sb and m + n == -1) else ChargedState.zero()
+                    got = psi(sa, m, psi(sb, n, v)) + psi(sb, n, psi(sa, m, v))
+                    want = v if (sa != sb and m + n == -1) else FockState.zero(CHARGED)
                     assert got == want, (sa, m, sb, n, mono)
 
 
@@ -63,9 +68,9 @@ def test_hA_bracket():
     for m in range(-3, 4):
         for n in range(-3, 4):
             for mono in CBASIS:
-                v = ChargedState.monomial(mono)
+                v = cstate(mono)
                 got = hA_mode(m).apply(hA_mode(n).apply(v)) - hA_mode(n).apply(hA_mode(m).apply(v))
-                want = v.scale(m) if m == -n else ChargedState.zero()
+                want = v.scale(m) if m == -n else FockState.zero(CHARGED)
                 assert got == want, (m, n, mono)
 
 
@@ -76,7 +81,7 @@ def test_charged_virasoro_brackets(lam, b):
     for m in range(-2, 3):
         for n in range(-2, 3):
             for mono in CBASIS:
-                v = ChargedState.monomial(mono)
+                v = cstate(mono)
                 lhs = fam.mode(m).apply(fam.mode(n).apply(v)) - fam.mode(n).apply(fam.mode(m).apply(v))
                 rhs = fam.mode(m + n).apply(v).scale(m - n)
                 if m == -n:
@@ -100,18 +105,16 @@ def test_dictionary_transports_anticommutators():
         for t in range(-9, 10, 2):
             da, db = charged_mode_of(s), charged_mode_of(t)
             for mono in CBASIS[:15]:
-                v = ChargedState.monomial(mono)
-                got = apply_charged_mode(*da, apply_charged_mode(*db, v)) + apply_charged_mode(
-                    *db, apply_charged_mode(*da, v)
-                )
-                want = v if s == -t else ChargedState.zero()
+                v = cstate(mono)
+                got = psi(*da, psi(*db, v)) + psi(*db, psi(*da, v))
+                want = v if s == -t else FockState.zero(CHARGED)
                 assert got == want, (s, t, mono)
 
 
 def test_state_map_examples():
-    assert to_charged(FockState.vacuum()) == ChargedState.vacuum()
+    assert to_charged(FockState.vacuum()) == FockState.vacuum(CHARGED)
     v1 = FockState.monomial((1,))
-    assert to_charged(v1) == ChargedState.monomial(((-1,), ()))
+    assert to_charged(v1) == cstate(((-1,), ()))
     sign, image = to_charged_monomial((0, 2))
     assert image == ((), (-2, -1)) and sign in (1, -1)
 
@@ -146,6 +149,12 @@ def test_heisenberg_intertwining():
 
 
 def test_charged_render():
-    s = ChargedState.monomial(((-2,), (-1,)), Fraction(-1))
-    assert format_charged_state(s) == "-1 psi+[-2] psi-[-1] |0>"
-    assert format_charged_state(ChargedState.zero()) == "0"
+    s = cstate(((-2,), (-1,)), Fraction(-1))
+    assert format_state(s) == "-1 psi+[-2] psi-[-1] |0>"
+    assert format_state(FockState.zero(CHARGED)) == "0"
+
+
+def test_states_of_different_spaces_differ():
+    assert FockState.zero() != FockState.zero(CHARGED)
+    assert FockState.vacuum() != FockState.vacuum(CHARGED)
+    assert to_charged(FockState.vacuum()) != FockState.vacuum()

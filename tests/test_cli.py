@@ -146,3 +146,44 @@ def test_decimal_flags_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "clifford", "--weight-cut", "8.5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "virasoro", "--family", "lambda", "--lambda", "1/0"),
+        ("verify", "virasoro", "--family", "lambda", "--b", "2/0"),
+    ],
+)
+def test_zero_denominator_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_zero_denominator_in_apply_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "apply", "Llb[1/0,0;1] |0>")
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_parse_state_rejects_zero_denominator():
+    with pytest.raises(ValueError):
+        parse_state("3/0 |0>")
+
+
+@pytest.mark.parametrize(
+    "family,checks",
+    [
+        ("half", ["virasoro_half"]),
+        ("half~", ["virasoro_half_tilde"]),
+        ("one", ["virasoro_one_sugawara"]),
+        ("one~", ["virasoro_one_tilde", "l1_tilde_mode_relation"]),
+    ],
+)
+def test_virasoro_family_selects_checks_by_name(capsys, family, checks):
+    code, out, _ = run_cli(capsys, "verify", "virasoro", "--family", family, "--mmax", "1", "--weight-cut", "2", "--json")
+    assert code == 0
+    assert [json.loads(line)["check"] for line in out.strip().splitlines()] == checks

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from fockcheck.fock import FockState, apply_mode, enumerate_basis, weight2
+from fockcheck.charged import CHARGED, MINUS, PLUS, ChargedBilinear, charged_bilinear_mode, enumerate_charged_basis
+from fockcheck.fock import NEUTRAL, FockState, apply_mode, enumerate_basis, weight2
 from fockcheck.modeops import (
     AffineOperator,
     FermionBilinear,
@@ -73,19 +74,43 @@ def test_low_exponent_modes_vanish_on_cut_basis():
                 assert out.is_zero, (e, mono)
 
 
+def out_of_support_summands(op, basis, space):
+    """Count the summands outside ``op.support(mono)`` probed on ``basis``,
+    asserting that each acts as zero."""
+    probed = 0
+    for mono in basis:
+        v = FockState.monomial(mono, space=space)
+        inside = set(op.support(mono))
+        margin = range(min(inside, default=0) - 6, max(inside, default=0) + 7)
+        for i in margin:
+            if i in inside:
+                continue
+            assert op.apply_term(i, v).is_zero, (mono, i)
+            probed += 1
+    return probed
+
+
+ORDERS = [(a, b) for a in range(3) for b in range(3)]
+
+
 def test_support_bound_is_sound():
     # summands outside the declared support act as zero on the monomial
     basis = enumerate_basis(10)
     for n in (-2, 0, 1, 3):
-        op = h_mode(n)
-        for mono in basis:
-            v = FockState.monomial(mono)
-            inside = set(op.support(mono))
-            margin = range(min(inside, default=0) - 6, max(inside, default=0) + 7)
-            for i in margin:
-                if i in inside:
-                    continue
-                assert op.apply_term(i, v).is_zero, (n, mono, i)
+        assert out_of_support_summands(h_mode(n), basis, NEUTRAL)
+    for a, b in ORDERS:
+        for sl in (1, -1):
+            for sr in (1, -1):
+                for e in range(-6, 3):
+                    op = bilinear_mode(FermionBilinear(Fraction(1), 0, a, b, sl, sr), e)
+                    assert out_of_support_summands(op, basis, NEUTRAL), (a, b, sl, sr, e)
+    cbasis = enumerate_charged_basis(10)
+    for a, b in ORDERS:
+        for left in (PLUS, MINUS):
+            for right in (PLUS, MINUS):
+                for e in range(-6, 3):
+                    op = charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, left, a, right, b), e)
+                    assert out_of_support_summands(op, cbasis, CHARGED), (left, a, right, b, e)
 
 
 def test_weight_homogeneity():

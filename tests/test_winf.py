@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fockcheck.charged import ChargedState, enumerate_charged_basis, hA_mode
+from fockcheck.charged import CHARGED, enumerate_charged_basis, hA_mode
 from fockcheck.fock import FockState, enumerate_basis
 from fockcheck.grading import dg
 from fockcheck.heisenberg import h_mode
@@ -24,7 +24,7 @@ NBASIS = enumerate_basis(16)
 def test_j0_equals_charged_current():
     for n in range(-4, 5):
         for mono in CBASIS:
-            v = ChargedState.monomial(mono)
+            v = FockState.monomial(mono, space=CHARGED)
             assert jk_mode_charged(0, n).apply(v) == hA_mode(n).apply(v), (n, mono)
 
 
@@ -37,9 +37,9 @@ def test_j0_equals_neutral_current():
 
 def test_j1_zero_on_single_particle():
     # frozen from the window matrix: slot 1 carries eigenvalue 1
-    v = ChargedState.monomial(((-1,), ()))
+    v = FockState.monomial(((-1,), ()), space=CHARGED)
     assert jk_mode_charged(1, 0).apply(v) == v
-    w = ChargedState.monomial(((-2,), ()))
+    w = FockState.monomial(((-2,), ()), space=CHARGED)
     assert jk_mode_charged(1, 0).apply(w) == w.scale(2)
 
 
@@ -72,7 +72,7 @@ def test_lift_of_identity_counts_charge():
     from fockcheck.charged import charge
 
     for mono in CBASIS:
-        v = ChargedState.monomial(mono)
+        v = FockState.monomial(mono, space=CHARGED)
         assert lift.apply(v) == v.scale(charge(mono)), mono
 
 
