@@ -2,11 +2,17 @@
 
 Subcommands::
 
-    verify {clifford,heisenberg,virasoro,winf,iso,identities,all} [flags]
+    verify TARGET [flags]
     character --qmax Q --form {trace,product,sum} [--json]
     jacobi --which {DA,A} --qmax Q
     decompose --nmax N --kmax K [--json]
     apply "EXPR"
+
+``verify`` takes one of the 14 suites (clifford, heisenberg, sectors,
+decomposition, virasoro-half, virasoro-one, virasoro-lambda, doubling,
+eigenvalues, identities, characters, iso, winf, charged), ``virasoro``
+(optionally one ``--family``) or ``all`` (``--jobs N``); ``VERIFY_FLAGS``
+lists the flags each target takes, and any other flag is a usage error.
 
 Exit status: 0 when every check passes, 1 on any verification failure,
 2 on a usage error.  Half-integer flags are written as ``p/2`` literals
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -72,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--mmax", type=int, default=None)
     ver.add_argument("--kmax", type=int, default=None)
     ver.add_argument("--family", choices=["half", "half~", "one", "one~", "lambda"])
-    ver.add_argument("--lambda", dest="lam", type=_fraction_flag, default=Fraction(1, 2), metavar="p/q")
-    ver.add_argument("--b", type=_fraction_flag, default=Fraction(0), metavar="p/q")
-    ver.add_argument("--jobs", type=int, default=1)
+    ver.add_argument("--lambda", type=_fraction_flag, default=None, metavar="p/q")
+    ver.add_argument("--b", type=_fraction_flag, default=None, metavar="p/q")
+    ver.add_argument("--jobs", type=int, default=None)
     ver.add_argument("--json", action="store_true")
     ver.add_argument("--out", default=None, metavar="FILE")
 
@@ -101,73 +108,107 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _suite_params(args) -> dict:
-    params: dict = {}
-    if args.weight_cut is not None:
-        params["weight_cut2"] = args.weight_cut
-    if args.mmax is not None:
-        params["mmax"] = args.mmax
+_GRID = {"--mmax": "mmax", "--weight-cut": "weight_cut2"}
+
+# ``verify TARGET [--family F]``: each flag it takes -> the keyword that flag becomes
+VERIFY_FLAGS: dict[tuple[str, str | None], dict[str, str]] = {
+    ("clifford", None): {"--max-index": "max_index2", "--weight-cut": "weight_cut2"},
+    ("heisenberg", None): _GRID,
+    ("sectors", None): {"--kmax": "kmax"},
+    ("decomposition", None): {},
+    ("virasoro-half", None): _GRID,
+    ("virasoro-one", None): _GRID,
+    ("virasoro-lambda", None): _GRID,
+    ("doubling", None): {"--weight-cut": "weight_cut2"},
+    ("eigenvalues", None): {"--weight-cut": "weight_cut2"},
+    ("identities", None): _GRID,
+    ("characters", None): {},
+    ("iso", None): {**_GRID, "--max-index": "max_index2"},
+    ("winf", None): {"--kmax": "kmax", "--mmax": "nmax", "--weight-cut": "weight_cut2"},  # the commutator grid
+    ("charged", None): _GRID,
+    ("virasoro", None): {},
+    **{("virasoro", family): _GRID for family in ("half", "half~", "one", "one~")},
+    ("virasoro", "lambda"): {**_GRID, "--lambda": "lam", "--b": "b"},
+    ("all", None): {"--jobs": "jobs"},
+}
+_TUNING_FLAGS = ("--weight-cut", "--max-index", "--mmax", "--kmax", "--lambda", "--b", "--jobs")
+
+
+def _verify_params(args) -> dict:
+    """The keywords of ``verify``; a flag its target does not take is a usage error."""
+    flags = VERIFY_FLAGS.get((args.target, args.family))
+    if flags is None:
+        raise ValueError(f"verify {args.target} does not take --family")
+    params = {}
+    for flag in _TUNING_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if flag not in flags:
+            target = args.target if args.family is None else f"{args.target} --family {args.family}"
+            raise ValueError(f"verify {target} does not take {flag}")
+        params[flags[flag]] = value
     return params
 
 
-def _run_named_suite(args) -> list[VerificationReport]:
-    name = args.target
-    params = _suite_params(args)
-    if name == "clifford" and args.max_index is not None:
-        params["max_index2"] = args.max_index
-    if name in ("winf", "sectors") and args.kmax is not None:
-        params["kmax"] = args.kmax
-    if name == "winf" and args.mmax is not None:
-        params["nmax"] = params.pop("mmax")  # the commutator mode grid
-    return _suites.run_suite(name, **params)
-
-
-# ``verify virasoro --family F``: the suite to run and the checks of it to report
-_FAMILY_CHECKS = {
-    "half": (_suites.suite_virasoro_half, ("virasoro_half",)),
-    "half~": (_suites.suite_virasoro_half, ("virasoro_half_tilde",)),
-    "one": (_suites.suite_virasoro_one, ("virasoro_one_sugawara",)),
-    "one~": (_suites.suite_virasoro_one, ("virasoro_one_tilde", "l1_tilde_mode_relation")),
+# ``verify virasoro --family F`` (F other than lambda): check name, family, central charge
+_FAMILIES = {
+    "half": ("virasoro_half", vir.l_half_family, Fraction(1, 2)),
+    "half~": ("virasoro_half_tilde", vir.l_half_tilde_family, Fraction(1, 2)),
+    "one": ("virasoro_one_sugawara", vir.sugawara_family, Fraction(1)),
+    "one~": ("virasoro_one_tilde", vir.l1_tilde_family, Fraction(1)),
 }
 
 
-def _run_virasoro(args) -> list[VerificationReport]:
-    if args.family is None:
-        reports = []
-        for suite in ("virasoro-half", "virasoro-one", "virasoro-lambda", "doubling", "eigenvalues"):
-            reports.extend(_suites.run_suite(suite))
-        return reports
-    mmax = args.mmax if args.mmax is not None else 4
-    cut2 = args.weight_cut if args.weight_cut is not None else 20
-    if args.family in _FAMILY_CHECKS:
-        suite, checks = _FAMILY_CHECKS[args.family]
-        return [rep for rep in suite(mmax=mmax, weight_cut2=cut2) if rep.check in checks]
+def _run_virasoro(
+    family: str | None, mmax: int | None = None, weight_cut2: int = 20, lam=Fraction(1, 2), b=Fraction(0)
+) -> list[VerificationReport]:
+    if family is None:
+        suites = ("virasoro-half", "virasoro-one", "virasoro-lambda", "doubling", "eigenvalues")
+        return [rep for suite in suites for rep in _suites.run_suite(suite)]
+    basis = enumerate_basis(weight_cut2)
+    if family == "lambda":
+        family_ops = vir.lambda_family(lam, b)
+        mmax = 3 if mmax is None else mmax
+        return [_suites.virasoro_bracket("virasoro_lambda", family_ops, vir.central_charge(lam), mmax, basis)]
+    mmax = 4 if mmax is None else mmax
+    name, build, c = _FAMILIES[family]
+    reports = [_suites.virasoro_bracket(name, build(), c, mmax, basis)]
+    if family == "one~":
+        reports.append(_suites.l1_tilde_relation(mmax, weight_cut2))
+    return reports
 
-    family = vir.lambda_family(args.lam, args.b)
-    return [
-        _suites.virasoro_bracket(
-            "virasoro_lambda", family, vir.central_charge(args.lam), min(mmax, 3), enumerate_basis(cut2)
-        )
-    ]
+
+def pool_size(jobs: int, tasks: int) -> int:
+    """Worker processes for ``--jobs``: never more than the CPUs or the tasks."""
+    return min(jobs, os.cpu_count() or 1, tasks)
 
 
 def _worker(name: str) -> list[VerificationReport]:
     return _suites.run_suite(name)
 
 
-def cmd_verify(args) -> int:
-    if args.target == "virasoro":
-        reports = _run_virasoro(args)
-    elif args.target == "all":
-        names = list(_suites.SUITES)
-        if args.jobs > 1:
-            with Pool(args.jobs) as pool:
-                chunks = pool.map(_worker, names)
-        else:
-            chunks = [_worker(name) for name in names]
-        reports = [rep for chunk in chunks for rep in chunk]
+def _verify_all(jobs: int = 1) -> list[VerificationReport]:
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, not {jobs}")
+    names = list(_suites.SUITES)
+    size = pool_size(jobs, len(names))
+    if size > 1:
+        with Pool(size) as pool:
+            chunks = pool.map(_worker, names)
     else:
-        reports = _run_named_suite(args)
+        chunks = [_worker(name) for name in names]
+    return [rep for chunk in chunks for rep in chunk]
+
+
+def cmd_verify(args) -> int:
+    params = _verify_params(args)
+    if args.target == "all":
+        reports = _verify_all(**params)
+    elif args.target == "virasoro":
+        reports = _run_virasoro(args.family, **params)
+    else:
+        reports = _suites.run_suite(args.target, **params)
     _emit(_report_lines(reports, args.json), args.out)
     return 0 if all(rep.passed for rep in reports) else 1
 

@@ -165,13 +165,19 @@ class FockState:
     def coefficient(self, mono) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
 
+    def _check_space(self, other: "FockState") -> None:
+        if other.space is not self.space:
+            raise ValueError(f"cannot combine a {self.space.name} state with a {other.space.name} state")
+
     def __add__(self, other: "FockState") -> "FockState":
+        self._check_space(other)
         acc = dict(self.terms)
         for mono, c in other.terms.items():
             add_term(acc, mono, c)
         return FockState(acc, self.space)
 
     def __sub__(self, other: "FockState") -> "FockState":
+        self._check_space(other)
         acc = dict(self.terms)
         for mono, c in other.terms.items():
             add_term(acc, mono, -c)

@@ -19,10 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .fock import FockState, Monomial
+from .fock import FockState, Monomial, format_state
 from .grading import partition_count, partitions, sector_basis, vacuum_like
 from .modeops import FermionBilinear, OperatorFamily, QuadraticModeOperator, bilinear_mode
-from .verify import VerificationReport, _Timer, fraction_free_rank
+from .verify import VerificationReport, fraction_free_rank
 
 
 @lru_cache(maxsize=None)
@@ -70,21 +70,11 @@ def raising_string(ks: Iterable[int], start: FockState) -> FockState:
 
 def highest_weight_check(n: int, mmax: int) -> VerificationReport:
     """Assert ``h_m v_n = 0`` for 1 <= m <= mmax and ``h_0 v_n = n v_n``."""
-    report = VerificationReport("highest_weight", {"n": n, "mmax": mmax})
     v = FockState.monomial(vacuum_like(n))
-    from .fock import format_state
-
-    with _Timer() as timer:
-        got = h_mode(0).apply(v)
-        report.cases_run += 1
-        if got != v.scale(n):
-            report.record(witness=f"h_0 on {format_state(v)}", lhs=format_state(got), rhs=format_state(v.scale(n)))
+    with VerificationReport("highest_weight", {"n": n, "mmax": mmax}) as report:
+        report.expect(h_mode(0).apply(v), v.scale(n), lambda: f"h_0 on {format_state(v)}")
         for m in range(1, mmax + 1):
-            got = h_mode(m).apply(v)
-            report.cases_run += 1
-            if not got.is_zero:
-                report.record(witness=f"h_{m} on {format_state(v)}", lhs=format_state(got), rhs="0")
-    report.elapsed_ms = timer.ms
+            report.expect(h_mode(m).apply(v), v.scale(0), lambda: f"h_{m} on {format_state(v)}")
     return report
 
 
@@ -95,8 +85,7 @@ def spanning_check(n: int, k: int) -> VerificationReport:
     One vector per partition of ``k``; the check passes when their rank in
     the sector basis equals p(k), which is also the sector dimension.
     """
-    report = VerificationReport("spanning", {"n": n, "k": k})
-    with _Timer() as timer:
+    with VerificationReport("spanning", {"n": n, "k": k}) as report:
         basis = sector_basis(n, k)
         index = {mono: i for i, mono in enumerate(basis)}
         expect = partition_count(k)
@@ -124,5 +113,4 @@ def spanning_check(n: int, k: int) -> VerificationReport:
                 lhs=f"rank {rank} of dim {len(basis)}",
                 rhs=f"p({k}) = {expect}",
             )
-    report.elapsed_ms = timer.ms
     return report

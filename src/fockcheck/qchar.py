@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fock import enumerate_basis, weight2
+from .fock import FockState, enumerate_basis, weight2
 from .grading import dg, partition_count, partitions, vacuum_like, weight
 from .heisenberg import raising_string
-from .verify import VerificationReport, _Timer
+from .verify import VerificationReport
 
 
 class CharacterSeries:
@@ -87,14 +87,9 @@ class CharacterSeries:
         trim = lambda s: {k: c for k, c in s.coeffs.items() if k[1] <= bound}
         return trim(self) == trim(other)
 
-    def differs_at(self, other: "CharacterSeries") -> tuple[int, int] | None:
-        """First (z, qhalf) where the two series disagree below both bounds."""
-        bound = min(self.qmax_half, other.qmax_half)
-        keys = {k for k in self.coeffs if k[1] <= bound} | {k for k in other.coeffs if k[1] <= bound}
-        for key in sorted(keys, key=lambda k: (k[1], k[0])):
-            if self.coeffs.get(key, 0) != other.coeffs.get(key, 0):
-                return key
-        return None
+    def at(self, qhalf: int) -> dict[int, int]:
+        """The nonzero coefficients of ``q^(qhalf/2)``, keyed by z-exponent."""
+        return {z: c for (z, qh), c in self.coeffs.items() if qh == qhalf}
 
     def records(self) -> list[dict]:
         return [
@@ -167,9 +162,8 @@ def jacobi_check(which: str, qmax: int) -> VerificationReport:
     ``A``:  prod (1-q^i)(1-z q^{i-1})(1-z^{-1} q^i)
             = sum_m (-1)^m z^m q^{m(m-1)/2}   (the triple product)
     """
-    report = VerificationReport("jacobi", {"which": which, "qmax": qmax})
     qmax_half = 2 * qmax
-    with _Timer() as timer:
+    with VerificationReport("jacobi", {"which": which, "qmax": qmax}) as report:
         lhs = CharacterSeries.one(qmax_half)
         rhs: dict[tuple[int, int], int] = {}
         if which == "DA":
@@ -211,72 +205,43 @@ def jacobi_check(which: str, qmax: int) -> VerificationReport:
         else:
             raise ValueError(f"unknown identity {which!r}")
         rhs_series = CharacterSeries(rhs, qmax_half)
-        report.cases_run = qmax_half + 1
-        where = lhs.differs_at(rhs_series)
-        if where is not None:
-            z, qh = where
-            report.record(
-                witness=f"coefficient at z^{z} q^{Fraction(qh, 2)}",
-                lhs=str(lhs.coeffs.get((z, qh), 0)),
-                rhs=str(rhs_series.coeffs.get((z, qh), 0)),
-            )
-    report.elapsed_ms = timer.ms
+        for qh in range(qmax_half + 1):
+            report.expect(lhs.at(qh), rhs_series.at(qh), lambda: f"z-coefficients of q^{Fraction(qh, 2)}")
     return report
 
 
 def character_triple_check(qmax_half: int) -> VerificationReport:
     """Trace = product form = sum form, coefficient-exact to the bound."""
-    report = VerificationReport("character_triple", {"qmax_half": qmax_half})
-    with _Timer() as timer:
+    with VerificationReport("character_triple", {"qmax_half": qmax_half}) as report:
         trace = char_trace(qmax_half)
-        product = char_product_form(qmax_half)
-        total = char_sum_form(qmax_half)
-        report.cases_run = 2 * (qmax_half + 1)
-        for name, other in (("product", product), ("sum", total)):
-            where = trace.differs_at(other)
-            if where is not None:
-                z, qh = where
-                report.record(
-                    witness=f"trace vs {name} at z^{z} q^{Fraction(qh, 2)}",
-                    lhs=str(trace.coeffs.get(where, 0)),
-                    rhs=str(other.coeffs.get(where, 0)),
+        for name, other in (("product", char_product_form(qmax_half)), ("sum", char_sum_form(qmax_half))):
+            for qh in range(qmax_half + 1):
+                report.expect(
+                    trace.at(qh), other.at(qh), lambda: f"trace vs {name}: z-coefficients of q^{Fraction(qh, 2)}"
                 )
-    report.elapsed_ms = timer.ms
     return report
 
 
 def virasoro_weight_check(nmax: int, kmax: int) -> VerificationReport:
     """Each spanning vector ``h_{-k_l}...h_{-k_1} v_n`` is an L0 eigenvector
     with eigenvalue ``2(k_1+...+k_l) + weight(v_n)``."""
-    from .fock import FockState, format_state
     from .virasoro import l_half_mode
 
-    report = VerificationReport("virasoro_weights", {"nmax": nmax, "kmax": kmax})
     l0 = l_half_mode(0)
-    with _Timer() as timer:
+    with VerificationReport("virasoro_weights", {"nmax": nmax, "kmax": kmax}) as report:
         for n in range(-nmax, nmax + 1):
             vn = FockState.monomial(vacuum_like(n))
             base = weight(vacuum_like(n))
             for k in range(kmax + 1):
                 for parts in partitions(k):
                     vec = raising_string(parts, vn)
-                    expect = vec.scale(2 * k + base)
-                    got = l0.apply(vec)
-                    report.cases_run += 1
-                    if got != expect:
-                        report.record(
-                            witness=f"n={n} partition={parts}",
-                            lhs=format_state(got),
-                            rhs=format_state(expect),
-                        )
-    report.elapsed_ms = timer.ms
+                    report.expect(l0.apply(vec), vec.scale(2 * k + base), lambda: f"L0 on n={n} partition={parts}")
     return report
 
 
 def sector_refinement_check(weight_cut2: int) -> VerificationReport:
     """The z^n q^w coefficient of the trace equals p((w - weight(v_n))/2)."""
-    report = VerificationReport("sector_refinement", {"weight_cut2": weight_cut2})
-    with _Timer() as timer:
+    with VerificationReport("sector_refinement", {"weight_cut2": weight_cut2}) as report:
         trace = char_trace(weight_cut2)
         seen_charges = sorted({z for z, _ in trace.coeffs})
         for n in seen_charges:
@@ -284,13 +249,5 @@ def sector_refinement_check(weight_cut2: int) -> VerificationReport:
             for w2 in range(weight_cut2 + 1):
                 diff = w2 - base2
                 expect = partition_count(diff // 4) if diff >= 0 and diff % 4 == 0 else 0
-                got = trace.coeffs.get((n, w2), 0)
-                report.cases_run += 1
-                if got != expect:
-                    report.record(
-                        witness=f"z^{n} q^{Fraction(w2, 2)}",
-                        lhs=str(got),
-                        rhs=str(expect),
-                    )
-    report.elapsed_ms = timer.ms
+                report.expect(trace.coeffs.get((n, w2), 0), expect, lambda: f"coefficient of z^{n} q^{Fraction(w2, 2)}")
     return report

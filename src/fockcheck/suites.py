@@ -29,18 +29,8 @@ from .heisenberg import (
     spanning_check,
 )
 from .modeops import AffineOperator, FermionBilinear, ModeOperator, OperatorFamily, bilinear_mode, zero_operator
-from .verify import BracketSpec, VerificationReport, _Timer, bracket_check, field_identity_check
+from .verify import BracketSpec, VerificationReport, bracket_check, field_identity_check, merge_reports
 from .winf import jk_mode_charged, jk_mode_neutral, scalar_defect_check
-
-
-def merge_reports(name: str, params: dict, reports: Sequence[VerificationReport]) -> VerificationReport:
-    out = VerificationReport(name, params)
-    for rep in reports:
-        out.cases_run += rep.cases_run
-        out.elapsed_ms += rep.elapsed_ms
-        for failure in rep.failures:
-            out.failures.append({**failure, "witness": f"[{rep.check}] {failure['witness']}"})
-    return out
 
 
 def square_grid(mmax: int) -> list[tuple[int, int]]:
@@ -105,19 +95,12 @@ def suite_heisenberg(mmax: int = 5, weight_cut2: int = 20) -> list[VerificationR
 
 def suite_sectors(nmax: int = 4, kmax: int = 8) -> list[VerificationReport]:
     """Sector dimensions p(k) and the partition-indexed sector vectors."""
-    dims = VerificationReport("sector_dimensions", {"nmax": nmax, "kmax": kmax})
-    with _Timer() as timer:
+    with VerificationReport("sector_dimensions", {"nmax": nmax, "kmax": kmax}) as dims:
         for n in range(-nmax, nmax + 1):
             for k in range(kmax + 1):
-                got = len(sector_basis(n, k))
-                expect = partition_count(k)
-                dims.cases_run += 1
-                if got != expect:
-                    dims.record(witness=f"sector ({n}, {k})", lhs=str(got), rhs=f"p({k}) = {expect}")
-    dims.elapsed_ms = timer.ms
+                dims.expect(len(sector_basis(n, k)), partition_count(k), lambda: f"dim of sector ({n}, {k}) vs p({k})")
 
-    inj = VerificationReport("partition_vectors", {"kmax": kmax})
-    with _Timer() as timer:
+    with VerificationReport("partition_vectors", {"kmax": kmax}) as inj:
         for k in range(kmax + 1):
             sector = set(sector_basis(0, k))
             seen: dict = {}
@@ -129,7 +112,6 @@ def suite_sectors(nmax: int = 4, kmax: int = 8) -> list[VerificationReport]:
                 if mono in seen:
                     inj.record(witness=f"partitions {seen[mono]} and {parts}", lhs=str(mono), rhs="distinct monomials")
                 seen[mono] = parts
-    inj.elapsed_ms = timer.ms
     return [dims, inj]
 
 
@@ -170,22 +152,25 @@ def suite_virasoro_half(mmax: int = 4, weight_cut2: int = 20) -> list[Verificati
     ]
 
 
+def l1_tilde_relation(mmax: int, weight_cut2: int) -> VerificationReport:
+    """The tilde family of c = 1 against its field modes, at twice-weight <= min(cut, 16)."""
+    return field_identity_check(
+        "l1_tilde_mode_relation",
+        vir.l1_tilde_family().mode,
+        vir.l1_tilde_field_mode,
+        range(-mmax, mmax + 1),
+        enumerate_basis(min(weight_cut2, 16)),
+    )
+
+
 def suite_virasoro_one(mmax: int = 4, weight_cut2: int = 20) -> list[VerificationReport]:
     basis = enumerate_basis(weight_cut2)
-    small = enumerate_basis(min(weight_cut2, 16))
     one = Fraction(1)
-    reports = [
+    return [
         virasoro_bracket("virasoro_one_sugawara", vir.sugawara_family(), one, mmax, basis),
         virasoro_bracket("virasoro_one_tilde", vir.l1_tilde_family(), one, mmax, basis),
-        field_identity_check(
-            "l1_tilde_mode_relation",
-            vir.l1_tilde_family().mode,
-            lambda n: vir.l1_tilde_field_mode(n),
-            range(-mmax, mmax + 1),
-            small,
-        ),
+        l1_tilde_relation(mmax, weight_cut2),
     ]
-    return reports
 
 
 LAMBDA_PAIRS = (
@@ -251,36 +236,23 @@ def suite_doubling(weight_cut2: int = 16) -> list[VerificationReport]:
 
 def suite_eigenvalues(nmax: int = 5, weight_cut2: int = 16) -> list[VerificationReport]:
     """Vacuum-like eigenvalue pins and joint diagonalisation of (h_0, L0)."""
-    report = VerificationReport("eigenvalue_pins", {"nmax": nmax})
     l0 = vir.l_half_mode(0)
     h0 = h_mode(0)
-    with _Timer() as timer:
+    with VerificationReport("eigenvalue_pins", {"nmax": nmax}) as report:
         for n in range(-nmax, nmax + 1):
             v = FockState.monomial(vacuum_like(n))
             expect_l0 = Fraction(n * n) + Fraction(n, 2)
             for name, op, expect in (("L0", l0, expect_l0), ("h0", h0, Fraction(n))):
-                got = op.apply(v)
-                report.cases_run += 1
-                if got != v.scale(expect):
-                    report.record(
-                        witness=f"{name} on vacuum-like n={n}",
-                        lhs=format_state(got),
-                        rhs=format_state(v.scale(expect)),
-                    )
-    report.elapsed_ms = timer.ms
+                report.expect(op.apply(v), v.scale(expect), lambda: f"{name} on vacuum-like n={n}")
 
-    joint = VerificationReport("joint_eigenbasis", {"weight_cut2": weight_cut2})
-    with _Timer() as timer:
+    with VerificationReport("joint_eigenbasis", {"weight_cut2": weight_cut2}) as joint:
         for mono in enumerate_basis(weight_cut2):
             v = FockState.monomial(mono)
-            joint.cases_run += 1
-            if h0.apply(v) != v.scale(dg(mono)) or l0.apply(v) != v.scale(weight(mono)):
-                joint.record(
-                    witness=format_state(v),
-                    lhs=f"h0 -> {format_state(h0.apply(v))}; L0 -> {format_state(l0.apply(v))}",
-                    rhs=f"dg = {dg(mono)}, weight = {weight(mono)}",
-                )
-    joint.elapsed_ms = timer.ms
+            joint.expect(
+                (h0.apply(v), l0.apply(v)),
+                (v.scale(dg(mono)), v.scale(weight(mono))),
+                lambda: f"(h0, L0) on {format_state(v)}",
+            )
     return [report, joint]
 
 
@@ -371,26 +343,17 @@ def suite_iso(weight_cut2: int = 16, mmax: int = 4, max_index2: int = 15) -> lis
     transport.params.update({"max_index2": max_index2, "weight_cut2": weight_cut2})
 
     basis = enumerate_basis(weight_cut2)
-    intertwine = VerificationReport("heisenberg_intertwining", {"mmax": mmax, "weight_cut2": weight_cut2})
-    with _Timer() as timer:
+    with VerificationReport("heisenberg_intertwining", {"mmax": mmax, "weight_cut2": weight_cut2}) as intertwine:
         for n in range(-mmax, mmax + 1):
             hn = h_mode(n)
             han = ch.hA_mode(n)
             for mono in basis:
                 v = FockState.monomial(mono)
-                lhs = ch.to_charged(hn.apply(v))
-                rhs = han.apply(ch.to_charged(v))
-                intertwine.cases_run += 1
-                if lhs != rhs:
-                    intertwine.record(
-                        witness=f"h_{n} on {format_state(v)}",
-                        lhs=format_state(lhs),
-                        rhs=format_state(rhs),
-                    )
-    intertwine.elapsed_ms = timer.ms
+                intertwine.expect(
+                    ch.to_charged(hn.apply(v)), han.apply(ch.to_charged(v)), lambda: f"h_{n} on {format_state(v)}"
+                )
 
-    bij = VerificationReport("state_map_bijection", {"weight_cut2": weight_cut2})
-    with _Timer() as timer:
+    with VerificationReport("state_map_bijection", {"weight_cut2": weight_cut2}) as bij:
         images = {}
         for mono in basis:
             sign, image = ch.to_charged_monomial(mono)
@@ -414,7 +377,6 @@ def suite_iso(weight_cut2: int = 16, mmax: int = 4, max_index2: int = 15) -> lis
                 lhs=f"missing {missing} extra {extra}",
                 rhs="the charged basis at the same truncation",
             )
-    bij.elapsed_ms = timer.ms
     return [transport, intertwine, bij]
 
 
@@ -458,18 +420,15 @@ def suite_winf(kmax: int = 2, nmax: int = 3, weight_cut2: int = 16, mmax: int = 
     )
     reports.append(general)
 
-    charge_preserving = VerificationReport("j1_preserves_charge", {"weight_cut2": weight_cut2})
-    with _Timer() as timer:
+    with VerificationReport("j1_preserves_charge", {"weight_cut2": weight_cut2}) as charge_preserving:
         for mono in basis:
             v = FockState.monomial(mono)
             out = jk_mode_neutral(1, 1).apply(v) + jk_mode_neutral(1, -1).apply(v)
-            charge_preserving.cases_run += 1
-            charges = {dg(m) for m in out.terms}
-            if charges - {dg(mono)}:
-                charge_preserving.record(
-                    witness=format_state(v), lhs=f"charges {sorted(charges)}", rhs=str(dg(mono))
-                )
-    charge_preserving.elapsed_ms = timer.ms
+            charge_preserving.expect(
+                {dg(m) for m in out.terms} | {dg(mono)},
+                {dg(mono)},
+                lambda: f"charges of v and (J^1_1 + J^1_-1) v for v = {format_state(v)}",
+            )
     reports.append(charge_preserving)
     return reports
 

@@ -5,6 +5,13 @@ and basis vectors with exact rational arithmetic; a check fails on any
 nonzero defect, so there is no tolerance anywhere.  Failures are data, not
 exceptions, and carry a full witness (the basis vector plus both sides) so
 a red check is reproducible from its report alone.
+
+Every check reports through one :class:`VerificationReport`, used as a
+context manager that times its body.  ``report.expect(got, want, witness)``
+counts one case and records a failure when the two sides differ; the
+witness text and the rendered sides are built only then.  A case with
+several conditions counts ``cases_run`` and calls ``record`` itself, and
+:func:`merge_reports` folds sub-reports into one.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .fock import NEUTRAL, FockState, Space, format_state
 
 @dataclass
 class VerificationReport:
-    """Machine-readable outcome of one exact check."""
+    """Machine-readable outcome of one exact check; ``with`` times its body."""
 
     check: str
     params: dict
@@ -29,12 +36,30 @@ class VerificationReport:
     failures: list[dict] = field(default_factory=list)
     elapsed_ms: int = 0
 
+    def __enter__(self) -> "VerificationReport":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.elapsed_ms = int(1000 * (time.perf_counter() - self._start))
+
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def record(self, witness: str, lhs: str, rhs: str) -> None:
         self.failures.append({"witness": witness, "lhs": lhs, "rhs": rhs})
+
+    def expect(self, got, want, witness: Callable[[], str]) -> None:
+        """Count one case and record it when ``got != want``.
+
+        ``witness()`` names the case; it and the rendered sides (states by
+        :func:`format_state`, anything else by ``str``) are built only for a
+        failing case.
+        """
+        self.cases_run += 1
+        if got != want:
+            self.record(witness(), _render(got), _render(want))
 
     def to_dict(self) -> dict:
         return {
@@ -54,13 +79,19 @@ class VerificationReport:
         return f"{self.check}: {status} [{self.cases_run} cases, {self.elapsed_ms} ms] {params}"
 
 
-class _Timer:
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
+def _render(value) -> str:
+    return format_state(value) if isinstance(value, FockState) else str(value)
 
-    def __exit__(self, *exc):
-        self.ms = int(1000 * (time.perf_counter() - self.start))
+
+def merge_reports(name: str, params: dict, reports: Iterable[VerificationReport]) -> VerificationReport:
+    """One report over ``reports``: cases and time summed, witnesses tagged by check."""
+    out = VerificationReport(name, params)
+    for rep in reports:
+        out.cases_run += rep.cases_run
+        out.elapsed_ms += rep.elapsed_ms
+        for failure in rep.failures:
+            out.failures.append({**failure, "witness": f"[{rep.check}] {failure['witness']}"})
+    return out
 
 
 @dataclass(frozen=True)
@@ -93,9 +124,8 @@ def bracket_check(
     ``basis`` holds monomials of ``space``.
     """
     pairs = list(mode_pairs)
-    report = VerificationReport(spec.name, {})
     sign = 1 if spec.kind == "anticommutator" else -1
-    with _Timer() as timer:
+    with VerificationReport(spec.name, {"kind": spec.kind, "pairs": len(pairs), "basis": len(basis)}) as report:
         for m, n in pairs:
             left_m = spec.left(m)
             right_n = spec.right(n)
@@ -107,15 +137,7 @@ def bracket_check(
                 for c, op in ops:
                     if c:
                         rhs = rhs + op.apply(v).scale(c)
-                report.cases_run += 1
-                if lhs != rhs:
-                    report.record(
-                        witness=f"(m={m}, n={n}) on {format_state(v)}",
-                        lhs=format_state(lhs),
-                        rhs=format_state(rhs),
-                    )
-    report.elapsed_ms = timer.ms
-    report.params = {"kind": spec.kind, "pairs": len(pairs), "basis": len(basis)}
+                report.expect(lhs, rhs, lambda: f"(m={m}, n={n}) on {format_state(v)}")
     return report
 
 
@@ -130,21 +152,13 @@ def field_identity_check(
     """Assert ``left_mode(n) v == right_mode(n) v`` exactly over the grid of
     modes and monomials of ``space``."""
     modes = list(modes)
-    report = VerificationReport(name, {"modes": len(modes), "basis": len(basis)})
-    with _Timer() as timer:
+    with VerificationReport(name, {"modes": len(modes), "basis": len(basis)}) as report:
         for n in modes:
             a = left_mode(n)
             b = right_mode(n)
             for mono in basis:
                 v = FockState.monomial(mono, space=space)
-                lhs = a.apply(v)
-                rhs = b.apply(v)
-                report.cases_run += 1
-                if lhs != rhs:
-                    report.record(
-                        witness=f"(n={n}) on {format_state(v)}", lhs=format_state(lhs), rhs=format_state(rhs)
-                    )
-    report.elapsed_ms = timer.ms
+                report.expect(a.apply(v), b.apply(v), lambda: f"(n={n}) on {format_state(v)}")
     return report
 
 

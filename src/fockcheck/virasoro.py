@@ -121,7 +121,6 @@ def sugawara_family() -> OperatorFamily:
 
 def l1_tilde_family() -> OperatorFamily:
     """``n -> (1/2) L^{1/2}_{2n} + (1/32) delta(n)``."""
-    lhalf = l_half_family()
     return OperatorFamily(
         "L1~",
         lambda n: AffineOperator(

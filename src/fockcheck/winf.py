@@ -33,7 +33,7 @@ from .charged import (
 )
 from .fock import FockState, add_term, format_state
 from .modeops import apply_pair_to_monomial
-from .verify import VerificationReport, _Timer
+from .verify import VerificationReport
 
 Matrix = dict[tuple[int, int], Fraction]
 
@@ -128,10 +128,8 @@ def scalar_defect_check(
     a tested state is exact; an undersized window would surface as a
     non-scalar defect, never as a silent pass.
     """
-    report = VerificationReport(
-        "winf_scalar_defect", {"k1": k1, "n1": n1, "k2": k2, "n2": n2, "basis": len(basis)}
-    )
-    with _Timer() as timer:
+    params = {"k1": k1, "n1": n1, "k2": k2, "n2": n2, "basis": len(basis)}
+    with VerificationReport("winf_scalar_defect", params) as report:
         shift = abs(n1) + abs(n2) + k1 + k2
         inner = _max_slot(basis) + shift + 2
         radius = inner + shift + 2
@@ -145,22 +143,7 @@ def scalar_defect_check(
             v = FockState.monomial(mono, space=CHARGED)
             bracket = op1.apply(op2.apply(v)) - op2.apply(op1.apply(v))
             defect = bracket - lifted.apply(v)
-            report.cases_run += 1
-            found = defect.coefficient(mono)
-            if defect != v.scale(found):
-                report.record(
-                    witness=f"defect not scalar on {format_state(v)}",
-                    lhs=format_state(defect),
-                    rhs=f"{found} * state",
-                )
-                continue
             if scalar is None:
-                scalar = found
-            elif found != scalar:
-                report.record(
-                    witness=f"defect scalar varies on {format_state(v)}",
-                    lhs=str(found),
-                    rhs=str(scalar),
-                )
-    report.elapsed_ms = timer.ms
+                scalar = defect.coefficient(mono)
+            report.expect(defect, v.scale(scalar), lambda: f"defect against {scalar} * identity on {format_state(v)}")
     return report

@@ -158,3 +158,11 @@ def test_states_of_different_spaces_differ():
     assert FockState.zero() != FockState.zero(CHARGED)
     assert FockState.vacuum() != FockState.vacuum(CHARGED)
     assert to_charged(FockState.vacuum()) != FockState.vacuum()
+
+
+@pytest.mark.parametrize("combine", [lambda a, b: a + b, lambda a, b: a - b])
+def test_states_of_different_spaces_do_not_combine(combine):
+    with pytest.raises(ValueError):
+        combine(FockState.vacuum(), FockState.vacuum(CHARGED))
+    with pytest.raises(ValueError):
+        combine(FockState.zero(CHARGED), FockState.zero())

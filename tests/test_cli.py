@@ -187,3 +187,56 @@ def test_virasoro_family_selects_checks_by_name(capsys, family, checks):
     code, out, _ = run_cli(capsys, "verify", "virasoro", "--family", family, "--mmax", "1", "--weight-cut", "2", "--json")
     assert code == 0
     assert [json.loads(line)["check"] for line in out.strip().splitlines()] == checks
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "sectors", "--weight-cut", "4"),
+        ("verify", "characters", "--mmax", "2"),
+        ("verify", "eigenvalues", "--mmax", "2"),
+        ("verify", "sectors", "--max-index", "3/2"),
+        ("verify", "iso", "--kmax", "3", "--lambda", "1/3"),
+        ("verify", "clifford", "--family", "half"),
+        ("verify", "clifford", "--jobs", "2"),
+        ("verify", "virasoro", "--mmax", "2"),
+        ("verify", "virasoro", "--family", "half", "--lambda", "1/3"),
+        ("verify", "virasoro-lambda", "--b", "1/3"),
+        ("verify", "all", "--mmax", "2"),
+        ("verify", "all", "--jobs", "0"),
+        ("verify", "all", "--jobs", "-3"),
+    ],
+)
+def test_flags_a_target_does_not_take_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+def test_every_suite_has_a_flag_table_entry():
+    from fockcheck.cli import VERIFY_FLAGS
+    from fockcheck.suites import SUITES
+
+    assert {(name, None) for name in SUITES} <= set(VERIFY_FLAGS)
+
+
+def test_virasoro_lambda_family_honours_mmax(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "virasoro", "--family", "lambda", "--mmax", "1", "--weight-cut", "2", "--json"
+    )
+    assert code == 0
+    [record] = [json.loads(line) for line in out.strip().splitlines()]
+    assert record["params"]["pairs"] == "9" and record["params"]["mmax"] == "1"
+
+
+def test_pool_size_is_bounded_by_cpus_and_tasks(monkeypatch):
+    from fockcheck import cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli.pool_size(1, 14) == 1
+    assert cli.pool_size(3, 14) == 3
+    assert cli.pool_size(64, 14) == 4
+    assert cli.pool_size(64, 2) == 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli.pool_size(8, 14) == 1

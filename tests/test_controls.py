@@ -1,0 +1,97 @@
+"""Negative controls: each hand-written check goes red on one injected defect.
+
+Every control replaces one dependency of a check (through ``monkeypatch``)
+with a wrong variant and asserts that the check it feeds fails with a
+witness.  A check that stays green here could not fail at all.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from fockcheck import charged, heisenberg, qchar, suites, winf
+from fockcheck.fock import FockState
+from fockcheck.modeops import ModeOperator
+from fockcheck.verify import VerificationReport
+
+
+def plus_one(f):
+    return lambda *args: f(*args) + 1
+
+
+def shifted_charge(f):
+    return lambda n: f(n + 1)
+
+
+def sign_flipped(f):
+    def flipped(mono):
+        sign, image = f(mono)
+        return -sign, image
+
+    return flipped
+
+
+def doubled_factor(f):
+    return lambda z, qhalf, coeff, qmax_half: f(z, qhalf, 2 * coeff, qmax_half)
+
+
+CBASIS = charged.enumerate_charged_basis(6)
+
+# check name, owner of the dependency, its name, the defect, the reports to search
+CONTROLS = [
+    ("sector_dimensions", suites, "partition_count", plus_one, lambda: suites.suite_sectors(1, 3)),
+    ("partition_vectors", suites, "lemma_vector", lambda f: lambda parts: f(()), lambda: suites.suite_sectors(1, 3)),
+    ("eigenvalue_pins", suites, "vacuum_like", shifted_charge, lambda: suites.suite_eigenvalues(1, 4)),
+    ("joint_eigenbasis", suites, "dg", plus_one, lambda: suites.suite_eigenvalues(1, 4)),
+    ("heisenberg_intertwining", charged, "hA_mode", shifted_charge, lambda: suites.suite_iso(4, 1, 3)),
+    ("state_map_bijection", charged, "to_charged_monomial", sign_flipped, lambda: suites.suite_iso(4, 1, 3)),
+    (
+        "j1_preserves_charge",
+        suites,
+        "jk_mode_neutral",
+        lambda f: lambda k, n: ModeOperator(-1),
+        lambda: suites.suite_winf(kmax=0, nmax=0, weight_cut2=4, mmax=1),
+    ),
+    ("highest_weight", heisenberg, "vacuum_like", shifted_charge, lambda: [heisenberg.highest_weight_check(1, 2)]),
+    ("spanning", heisenberg, "partition_count", plus_one, lambda: [heisenberg.spanning_check(0, 3)]),
+    ("sector_refinement", qchar, "partition_count", plus_one, lambda: [qchar.sector_refinement_check(8)]),
+    ("character_triple", qchar, "binomial_factor", doubled_factor, lambda: [qchar.character_triple_check(8)]),
+    ("jacobi", qchar, "binomial_factor", doubled_factor, lambda: [qchar.jacobi_check("DA", 4)]),
+    ("jacobi", qchar, "binomial_factor", doubled_factor, lambda: [qchar.jacobi_check("A", 4)]),
+    ("virasoro_weights", qchar, "weight", plus_one, lambda: [qchar.virasoro_weight_check(1, 2)]),
+    ("winf_scalar_defect", winf, "_rising", plus_one, lambda: [winf.scalar_defect_check(1, 1, 1, -1, CBASIS)]),
+]
+
+
+@pytest.mark.parametrize(
+    "check,owner,name,defect,run", CONTROLS, ids=[f"{c[0]}-{c[2]}-{i}" for i, c in enumerate(CONTROLS)]
+)
+def test_injected_defect_turns_check_red(monkeypatch, check, owner, name, defect, run):
+    assert all(rep.passed for rep in run() if rep.check == check)
+    monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
+    [report] = [rep for rep in run() if rep.check == check]
+    assert not report.passed
+    assert report.cases_run > 0
+    assert all(failure["witness"] and failure["lhs"] != failure["rhs"] for failure in report.failures)
+
+
+def test_expect_counts_renders_and_builds_witness_only_on_failure():
+    calls = []
+
+    def witness():
+        calls.append(1)
+        return "the case"
+
+    with VerificationReport("demo", {}) as report:
+        report.expect(FockState.vacuum(), FockState.vacuum(), witness)
+        report.expect(3, 3, witness)
+        assert calls == [] and report.passed
+        report.expect(FockState.vacuum().scale(2), FockState.vacuum(), witness)
+        report.expect(Fraction(1, 2), 1, witness)
+    assert report.cases_run == 4
+    assert calls == [1, 1]
+    assert report.failures == [
+        {"witness": "the case", "lhs": "2 |0>", "rhs": "|0>"},
+        {"witness": "the case", "lhs": "1/2", "rhs": "1"},
+    ]
+    assert report.elapsed_ms >= 0
