@@ -40,6 +40,10 @@ from .winf import jk_mode_neutral
 USAGE_ERROR = 2
 
 
+class UsageError(Exception):
+    """A command line the program cannot run; reported as ``error:`` with exit status 2."""
+
+
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines)
     if out_path:
@@ -123,7 +127,7 @@ VERIFY_FLAGS: dict[tuple[str, str | None], dict[str, str]] = {
     ("eigenvalues", None): {"--weight-cut": "weight_cut2"},
     ("identities", None): _GRID,
     ("characters", None): {},
-    ("iso", None): {**_GRID, "--max-index": "max_index2"},
+    ("iso", None): _GRID,
     ("winf", None): {"--kmax": "kmax", "--mmax": "nmax", "--weight-cut": "weight_cut2"},  # the commutator grid
     ("charged", None): _GRID,
     ("virasoro", None): {},
@@ -138,7 +142,7 @@ def _verify_params(args) -> dict:
     """The keywords of ``verify``; a flag its target does not take is a usage error."""
     flags = VERIFY_FLAGS.get((args.target, args.family))
     if flags is None:
-        raise ValueError(f"verify {args.target} does not take --family")
+        raise UsageError(f"verify {args.target} does not take --family")
     params = {}
     for flag in _TUNING_FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"))
@@ -146,18 +150,9 @@ def _verify_params(args) -> dict:
             continue
         if flag not in flags:
             target = args.target if args.family is None else f"{args.target} --family {args.family}"
-            raise ValueError(f"verify {target} does not take {flag}")
+            raise UsageError(f"verify {target} does not take {flag}")
         params[flags[flag]] = value
     return params
-
-
-# ``verify virasoro --family F`` (F other than lambda): check name, family, central charge
-_FAMILIES = {
-    "half": ("virasoro_half", vir.l_half_family, Fraction(1, 2)),
-    "half~": ("virasoro_half_tilde", vir.l_half_tilde_family, Fraction(1, 2)),
-    "one": ("virasoro_one_sugawara", vir.sugawara_family, Fraction(1)),
-    "one~": ("virasoro_one_tilde", vir.l1_tilde_family, Fraction(1)),
-}
 
 
 def _run_virasoro(
@@ -168,12 +163,9 @@ def _run_virasoro(
         return [rep for suite in suites for rep in _suites.run_suite(suite)]
     basis = enumerate_basis(weight_cut2)
     if family == "lambda":
-        family_ops = vir.lambda_family(lam, b)
-        mmax = 3 if mmax is None else mmax
-        return [_suites.virasoro_bracket("virasoro_lambda", family_ops, vir.central_charge(lam), mmax, basis)]
+        return [_suites.lambda_bracket(lam, b, 3 if mmax is None else mmax, basis)]
     mmax = 4 if mmax is None else mmax
-    name, build, c = _FAMILIES[family]
-    reports = [_suites.virasoro_bracket(name, build(), c, mmax, basis)]
+    reports = [_suites.family_bracket(family, mmax, basis)]
     if family == "one~":
         reports.append(_suites.l1_tilde_relation(mmax, weight_cut2))
     return reports
@@ -190,7 +182,7 @@ def _worker(name: str) -> list[VerificationReport]:
 
 def _verify_all(jobs: int = 1) -> list[VerificationReport]:
     if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, not {jobs}")
+        raise UsageError(f"--jobs must be at least 1, not {jobs}")
     names = list(_suites.SUITES)
     size = pool_size(jobs, len(names))
     if size > 1:
@@ -288,7 +280,11 @@ def parse_expression(expr: str) -> FockState:
 
 
 def cmd_apply(args) -> int:
-    print(format_state(parse_expression(args.expression)))
+    try:
+        state = parse_expression(args.expression)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    print(format_state(state))
     return 0
 
 
@@ -304,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -136,12 +136,29 @@ def suite_decomposition(
     return [hw, span]
 
 
+# ``verify virasoro --family F`` (F other than lambda): check name, family builder, central charge
+VIRASORO_FAMILIES = {
+    "half": ("virasoro_half", vir.l_half_family, Fraction(1, 2)),
+    "half~": ("virasoro_half_tilde", vir.l_half_tilde_family, Fraction(1, 2)),
+    "one": ("virasoro_one_sugawara", vir.sugawara_family, Fraction(1)),
+    "one~": ("virasoro_one_tilde", vir.l1_tilde_family, Fraction(1)),
+}
+
+
+def family_bracket(key: str, mmax: int, basis) -> VerificationReport:
+    name, build, c = VIRASORO_FAMILIES[key]
+    return virasoro_bracket(name, build(), c, mmax, basis)
+
+
+def lambda_bracket(lam: Fraction, b: Fraction, mmax: int, basis) -> VerificationReport:
+    return virasoro_bracket("virasoro_lambda", vir.lambda_family(lam, b), vir.central_charge(lam), mmax, basis)
+
+
 def suite_virasoro_half(mmax: int = 4, weight_cut2: int = 20) -> list[VerificationReport]:
     basis = enumerate_basis(weight_cut2)
-    half = Fraction(1, 2)
     return [
-        virasoro_bracket("virasoro_half", vir.l_half_family(), half, mmax, basis),
-        virasoro_bracket("virasoro_half_tilde", vir.l_half_tilde_family(), half, mmax, basis),
+        family_bracket("half", mmax, basis),
+        family_bracket("half~", mmax, basis),
         field_identity_check(
             "half_tilde_is_flip",
             vir.l_half_tilde_family().mode,
@@ -165,10 +182,9 @@ def l1_tilde_relation(mmax: int, weight_cut2: int) -> VerificationReport:
 
 def suite_virasoro_one(mmax: int = 4, weight_cut2: int = 20) -> list[VerificationReport]:
     basis = enumerate_basis(weight_cut2)
-    one = Fraction(1)
     return [
-        virasoro_bracket("virasoro_one_sugawara", vir.sugawara_family(), one, mmax, basis),
-        virasoro_bracket("virasoro_one_tilde", vir.l1_tilde_family(), one, mmax, basis),
+        family_bracket("one", mmax, basis),
+        family_bracket("one~", mmax, basis),
         l1_tilde_relation(mmax, weight_cut2),
     ]
 
@@ -187,10 +203,7 @@ def suite_virasoro_lambda(
     weight_cut2: int = 16,
 ) -> list[VerificationReport]:
     basis = enumerate_basis(weight_cut2)
-    reports = []
-    for lam, b in pairs:
-        family = vir.lambda_family(lam, b)
-        reports.append(virasoro_bracket(f"virasoro_lambda", family, vir.central_charge(lam), mmax, basis))
+    reports = [lambda_bracket(lam, b, mmax, basis) for lam, b in pairs]
     reports.append(
         field_identity_check(
             "lambda_specialises_to_one",

@@ -129,6 +129,17 @@ def test_verification_failure_exits_one(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_value_error_in_a_check_is_not_a_usage_error(monkeypatch, capsys):
+    from fockcheck import suites
+
+    def defective_suite(**params):
+        raise ValueError("states of different spaces")
+
+    monkeypatch.setitem(suites.SUITES, "sectors", defective_suite)
+    with pytest.raises(ValueError):
+        main(["verify", "sectors"])
+
+
 def test_verify_winf_flag_mapping(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "winf", "--kmax", "1", "--mmax", "1", "--weight-cut", "3"
@@ -197,6 +208,7 @@ def test_virasoro_family_selects_checks_by_name(capsys, family, checks):
         ("verify", "eigenvalues", "--mmax", "2"),
         ("verify", "sectors", "--max-index", "3/2"),
         ("verify", "iso", "--kmax", "3", "--lambda", "1/3"),
+        ("verify", "iso", "--max-index", "3/2"),
         ("verify", "clifford", "--family", "half"),
         ("verify", "clifford", "--jobs", "2"),
         ("verify", "virasoro", "--mmax", "2"),
