@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .fock import NEUTRAL, FockState, Monomial, Space, add_term
+from .fock import NEUTRAL, FockState, Monomial, Space, add_term, increasing_tuples
 from .modeops import AffineOperator, OperatorFamily, QuadraticModeOperator, falling
 
 ChargedMonomial = tuple[tuple[int, ...], tuple[int, ...]]
@@ -102,28 +102,21 @@ def _find_pos(block: tuple[int, ...], m: int) -> int | None:
 
 
 def enumerate_charged_basis(weight_cut2: int) -> list[ChargedMonomial]:
-    """All charged monomials of transported twice-weight <= weight_cut2."""
-    out = []
-    for pweight, plus in _blocks(weight_cut2, 1):  # psi+_{-j-1} costs 4j+3
-        for _, minus in _blocks(weight_cut2 - pweight, 3):  # psi-_{-j-1} costs 4j+1
-            out.append((plus, minus))
+    """All charged monomials of transported twice-weight <= weight_cut2, in
+    :attr:`CHARGED.sort_key` order; each block is a tuple of
+    :func:`~fockcheck.fock.increasing_tuples` whose index ``j`` is the mode
+    ``-j-1``, costing ``4j + 3`` for ``psi+`` and ``4j + 1`` for ``psi-``."""
+
+    def modes(indices: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(-j - 1 for j in reversed(indices))
+
+    out = [
+        (modes(plus), modes(minus))
+        for pweight, plus in increasing_tuples(3, 4, weight_cut2)
+        for _, minus in increasing_tuples(1, 4, weight_cut2 - pweight)
+    ]
     out.sort(key=CHARGED.sort_key)
     return out
-
-
-def _blocks(budget: int, offset: int) -> list[tuple[int, tuple[int, ...]]]:
-    # strictly increasing tuples of modes -1, -2, ... with cost 4j + (4 - offset)
-    found: list[tuple[int, tuple[int, ...]]] = []
-
-    def extend(prefix: tuple[int, ...], j: int, used: int) -> None:
-        found.append((used, prefix))
-        jj = j
-        while 4 * jj + 4 - offset <= budget - used:
-            extend((-jj - 1,) + prefix, jj + 1, used + 4 * jj + 4 - offset)
-            jj += 1
-
-    extend((), 0, 0)
-    return found
 
 
 # -- mode bilinears ----------------------------------------------------------

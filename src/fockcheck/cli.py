@@ -16,7 +16,9 @@ lists the flags each target takes, and any other flag is a usage error.
 
 Exit status: 0 when every check passes, 1 on any verification failure,
 2 on a usage error.  Half-integer flags are written as ``p/2`` literals
-(``--weight-cut 15/2``); no decimal input is accepted anywhere.
+(``--weight-cut 15/2``); no decimal input is accepted anywhere.  Sizes
+below their floors (0 for ``--mmax``, ``--kmax``, ``--qmax``, ``--nmax`` and
+``--weight-cut``, 1/2 for ``--max-index``) are usage errors.
 """
 
 from __future__ import annotations
@@ -58,11 +60,30 @@ def _report_lines(reports: list[VerificationReport], as_json: bool) -> list[str]
     return [rep.summary() for rep in reports]
 
 
-def _half_flag(text: str) -> int:
+def _size_flag(text: str) -> int:
+    """A non-negative ``int`` size (``--mmax``, ``--kmax``, ``--qmax``, ``--nmax``)."""
     try:
-        return parse_half(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
+
+
+def _half_flag(floor2: int):
+    """A half-integer flag whose twice-encoded value is at least ``floor2``."""
+
+    def parse(text: str) -> int:
+        try:
+            value2 = parse_half(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        if value2 < floor2:
+            raise argparse.ArgumentTypeError(f"must be at least {Fraction(floor2, 2)}, not {Fraction(value2, 2)}")
+        return value2
+
+    return parse
 
 
 def _fraction_flag(text: str) -> Fraction:
@@ -78,10 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run an exact verification suite")
     ver.add_argument("target", choices=sorted(_suites.SUITES) + ["virasoro", "all"])
-    ver.add_argument("--weight-cut", type=_half_flag, default=None, metavar="p/2")
-    ver.add_argument("--max-index", type=_half_flag, default=None, metavar="p/2")
-    ver.add_argument("--mmax", type=int, default=None)
-    ver.add_argument("--kmax", type=int, default=None)
+    ver.add_argument("--weight-cut", type=_half_flag(0), default=None, metavar="p/2")
+    ver.add_argument("--max-index", type=_half_flag(1), default=None, metavar="p/2")
+    ver.add_argument("--mmax", type=_size_flag, default=None)
+    ver.add_argument("--kmax", type=_size_flag, default=None)
     ver.add_argument("--family", choices=["half", "half~", "one", "one~", "lambda"])
     ver.add_argument("--lambda", type=_fraction_flag, default=None, metavar="p/q")
     ver.add_argument("--b", type=_fraction_flag, default=None, metavar="p/q")
@@ -90,20 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out", default=None, metavar="FILE")
 
     cha = sub.add_parser("character", help="print a truncated graded dimension")
-    cha.add_argument("--qmax", type=int, required=True)
+    cha.add_argument("--qmax", type=_size_flag, required=True)
     cha.add_argument("--form", choices=["trace", "product", "sum"], default="trace")
     cha.add_argument("--json", action="store_true")
     cha.add_argument("--out", default=None, metavar="FILE")
 
     jac = sub.add_parser("jacobi", help="check a product/sum identity coefficient-exactly")
     jac.add_argument("--which", choices=["DA", "A"], required=True)
-    jac.add_argument("--qmax", type=int, required=True)
+    jac.add_argument("--qmax", type=_size_flag, required=True)
     jac.add_argument("--json", action="store_true")
     jac.add_argument("--out", default=None, metavar="FILE")
 
     dec = sub.add_parser("decompose", help="tabulate sector dimensions against p(k)")
-    dec.add_argument("--nmax", type=int, default=4)
-    dec.add_argument("--kmax", type=int, default=8)
+    dec.add_argument("--nmax", type=_size_flag, default=4)
+    dec.add_argument("--kmax", type=_size_flag, default=8)
     dec.add_argument("--json", action="store_true")
     dec.add_argument("--out", default=None, metavar="FILE")
 
@@ -262,20 +283,28 @@ _TOKEN_RES = [
 ]
 
 
+def _token_operator(token: str):
+    for pattern, build in _TOKEN_RES:
+        matched = pattern.match(token)
+        if matched:
+            return build(matched)
+    raise ValueError("unknown operator token")
+
+
 def parse_expression(expr: str) -> FockState:
-    """Apply whitespace-separated operator tokens, right to left, to ``|0>``."""
+    """Apply whitespace-separated operator tokens, right to left, to ``|0>``.
+
+    An error names the failing token and its position, e.g. ``token 2 of 3``.
+    """
     tokens = expr.split()
     if not tokens or tokens[-1] != "|0>":
         raise ValueError("expression must end in the state literal |0>")
     state = FockState.vacuum()
-    for token in reversed(tokens[:-1]):
-        for pattern, build in _TOKEN_RES:
-            matched = pattern.match(token)
-            if matched:
-                state = build(matched).apply(state)
-                break
-        else:
-            raise ValueError(f"unknown operator token {token!r}")
+    for pos in reversed(range(len(tokens) - 1)):
+        try:
+            state = _token_operator(tokens[pos]).apply(state)
+        except ValueError as exc:
+            raise ValueError(f"token {pos + 1} of {len(tokens)}, {tokens[pos]!r}: {exc}") from exc
     return state
 
 

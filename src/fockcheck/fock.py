@@ -227,26 +227,34 @@ def apply_mode(t: int, state: FockState) -> FockState:
     return FockState(acc, space)
 
 
+def increasing_tuples(first: int, step: int, budget: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Every strictly increasing tuple of indices 0, 1, ... whose costs sum to at
+    most ``budget``, index ``n`` costing ``first + step*n`` (both positive).
+
+    Returns ``(total cost, tuple)`` pairs in lexicographic order of the
+    tuples; both Fock bases and every charge sector are read off it.
+    """
+    found: list[tuple[int, tuple[int, ...]]] = []
+
+    def extend(prefix: tuple[int, ...], n: int, total: int) -> None:
+        found.append((total, prefix))
+        while total + first + step * n <= budget:
+            extend(prefix + (n,), n + 1, total + first + step * n)
+            n += 1
+
+    extend((), 0, 0)
+    return found
+
+
 def enumerate_basis(weight_cut2: int) -> list[Monomial]:
-    """All monomials of twice-weight at most ``weight_cut2``.
+    """All monomials of twice-weight at most ``weight_cut2`` (index ``n`` costs ``2n + 1``).
 
     Ordered by weight, then lexicographically on the index tuple, so reports
     and golden files are stable.
     """
     if weight_cut2 < 0:
         raise ValueError("weight cut must be non-negative")
-    found: list[Monomial] = []
-
-    def extend(prefix: tuple[int, ...], next_index: int, budget: int) -> None:
-        found.append(prefix)
-        n = next_index
-        while 2 * n + 1 <= budget:
-            extend(prefix + (n,), n + 1, budget - (2 * n + 1))
-            n += 1
-
-    extend((), 0, weight_cut2)
-    found.sort(key=NEUTRAL.sort_key)
-    return found
+    return [mono for _, mono in sorted(increasing_tuples(1, 2, weight_cut2))]
 
 
 # -- text form ---------------------------------------------------------------

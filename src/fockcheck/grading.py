@@ -18,12 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .fock import (
-    Monomial,
-    apply_mode_to_monomial,
-    weight,
-    weight2,
-)
+from .fock import Monomial, apply_mode_to_monomial, increasing_tuples, weight, weight2
 
 Partition = tuple[int, ...]
 
@@ -64,24 +59,13 @@ def grade_triple(mono: Monomial) -> tuple[int, int, int]:
 
 
 def sector_basis(n: int, k: int) -> list[Monomial]:
-    """All monomials with charge ``n`` and energy ``k``, in lexicographic order."""
+    """All monomials with charge ``n`` and energy ``k``, in lexicographic order:
+    the tuples of :func:`~fockcheck.fock.increasing_tuples` (index ``m`` costs
+    ``2m + 1``) of twice-weight exactly ``4k + weight2(v_n)`` and charge ``n``."""
     if k < 0:
         raise ValueError("energy grade must be non-negative")
     target2 = 4 * k + weight2(vacuum_like(n))
-    found: list[Monomial] = []
-
-    def extend(prefix: tuple[int, ...], next_index: int, budget: int) -> None:
-        if budget == 0:
-            if dg(prefix) == n:
-                found.append(prefix)
-            return
-        m = next_index
-        while 2 * m + 1 <= budget:
-            extend(prefix + (m,), m + 1, budget - (2 * m + 1))
-            m += 1
-
-    extend((), 0, target2)
-    return found
+    return [mono for total, mono in increasing_tuples(1, 2, target2) if total == target2 and dg(mono) == n]
 
 
 @lru_cache(maxsize=None)

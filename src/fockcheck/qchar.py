@@ -20,6 +20,7 @@ out of comparing them.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from .fock import FockState, enumerate_basis, weight2
 from .grading import dg, partition_count, partitions, vacuum_like, weight
@@ -44,10 +45,6 @@ class CharacterSeries:
     def one(cls, qmax_half: int) -> "CharacterSeries":
         return cls({(0, 0): 1}, qmax_half)
 
-    @classmethod
-    def term(cls, z: int, qhalf: int, coeff: int, qmax_half: int) -> "CharacterSeries":
-        return cls({(z, qhalf): coeff}, qmax_half)
-
     def coefficient(self, z: int, qhalf: int) -> int:
         if qhalf > self.qmax_half:
             raise ValueError(f"coefficient at q^{Fraction(qhalf, 2)} is beyond the truncation")
@@ -60,12 +57,6 @@ class CharacterSeries:
             if k[1] <= bound:
                 acc[k] = acc.get(k, 0) + c
         return CharacterSeries(acc, bound)
-
-    def __sub__(self, other: "CharacterSeries") -> "CharacterSeries":
-        return self + other.scale(-1)
-
-    def scale(self, factor: int) -> "CharacterSeries":
-        return CharacterSeries({k: factor * c for k, c in self.coeffs.items()}, self.qmax_half)
 
     def __mul__(self, other: "CharacterSeries") -> "CharacterSeries":
         bound = min(self.qmax_half, other.qmax_half)
@@ -120,93 +111,75 @@ def char_trace(weight_cut2: int) -> CharacterSeries:
     return CharacterSeries(acc, weight_cut2)
 
 
-def char_product_form(qmax_half: int) -> CharacterSeries:
-    """``prod_{i>=1} (1 + z q^{2i-1+1/2})(1 + z^{-1} q^{2i-2+1/2})`` truncated."""
+def _product(round_factors: Callable[[int], Sequence[tuple[int, int, int]]], qmax_half: int) -> CharacterSeries:
+    """``prod_{i>=1}`` of ``binomial_factor(z, qhalf, coeff)`` over the factors
+    ``(z, qhalf, coeff)`` of round ``i`` whose q-exponent is within the bound.
+
+    Every round ``i`` used here has exponents ``>= i - 1``, so rounds past
+    ``qmax_half + 1`` contribute nothing.
+    """
     out = CharacterSeries.one(qmax_half)
-    i = 1
-    while 4 * i - 3 <= qmax_half:  # the lighter factor of round i
-        if 4 * i - 1 <= qmax_half:
-            out = out * binomial_factor(1, 4 * i - 1, 1, qmax_half)
-        out = out * binomial_factor(-1, 4 * i - 3, 1, qmax_half)
-        i += 1
+    for i in range(1, qmax_half + 2):
+        for z, qh, coeff in round_factors(i):
+            if qh <= qmax_half:
+                out = out * binomial_factor(z, qh, coeff, qmax_half)
     return out
 
 
+def _theta(exponent: Callable[[int], int], sign: int, qmax_half: int) -> CharacterSeries:
+    """``sum_m sign^m z^m q^(exponent(m)/2)`` over all integers ``m``, truncated.
+
+    Every exponent used here satisfies ``exponent(m) >= |m| - 1``, so the
+    span ``|m| <= qmax_half + 1`` holds every term within the bound; the
+    series drops the rest of the span.
+    """
+    span = range(-qmax_half - 1, qmax_half + 2)
+    return CharacterSeries({(m, exponent(m)): sign ** (m % 2) for m in span}, qmax_half)
+
+
+# The two Jacobi identities, one row each: the factors (z, qhalf, coeff) of
+# round i of the product side, then the q^(1/2)-exponent of z^m and the sign
+# s of the sum side, where z^m carries s^m.
+JACOBI = {
+    "DA": (lambda i: ((0, 4 * i, -1), (1, 4 * i - 1, 1), (-1, 4 * i - 3, 1)), lambda m: m * (2 * m + 1), 1),
+    "A": (lambda i: ((0, 2 * i, -1), (1, 2 * i - 2, -1), (-1, 2 * i, -1)), lambda m: m * (m - 1), -1),
+}
+
+
+def char_product_form(qmax_half: int) -> CharacterSeries:
+    """``prod_{i>=1} (1 + z q^{2i-1+1/2})(1 + z^{-1} q^{2i-2+1/2})`` truncated."""
+    return _product(lambda i: ((1, 4 * i - 1, 1), (-1, 4 * i - 3, 1)), qmax_half)
+
+
 def char_sum_form(qmax_half: int) -> CharacterSeries:
-    """``(1/prod(1-q^{2i})) sum_n z^n q^{n/2} q^{n^2}`` truncated."""
+    """``(1/prod(1-q^{2i})) sum_n z^n q^{n/2} q^{n^2}`` truncated.
+
+    The theta series is the sum side of the ``DA`` Jacobi identity.
+    """
     euler = CharacterSeries.one(qmax_half)
-    i = 1
-    while 4 * i <= qmax_half:
-        euler = euler * geometric_factor(4 * i, qmax_half)
-        i += 1
-    theta: dict[tuple[int, int], int] = {}
-    n = 0
-    while True:
-        plus_qh = 2 * n * n + n
-        minus_qh = 2 * n * n - n
-        if min(plus_qh, minus_qh) > qmax_half and n > 0:
-            break
-        if plus_qh <= qmax_half:
-            theta[(n, plus_qh)] = 1
-        if n and minus_qh <= qmax_half:
-            theta[(-n, minus_qh)] = 1
-        n += 1
-    return euler * CharacterSeries(theta, qmax_half)
+    for qh in range(4, qmax_half + 1, 4):
+        euler = euler * geometric_factor(qh, qmax_half)
+    _, exponent, sign = JACOBI["DA"]
+    return euler * _theta(exponent, sign, qmax_half)
 
 
 def jacobi_check(which: str, qmax: int) -> VerificationReport:
-    """Coefficient-exact comparison of one of the two Jacobi identities.
+    """Coefficient-exact comparison of one of the two Jacobi identities (:data:`JACOBI`).
 
     ``DA``: prod (1-q^{2i})(1+z q^{2i-1/2})(1+z^{-1} q^{2i-3/2})
             = sum_m z^m q^{m(2m+1)/2}
     ``A``:  prod (1-q^i)(1-z q^{i-1})(1-z^{-1} q^i)
             = sum_m (-1)^m z^m q^{m(m-1)/2}   (the triple product)
     """
+    if which not in JACOBI:
+        raise ValueError(f"unknown identity {which!r}")
+    round_factors, exponent, sign = JACOBI[which]
     qmax_half = 2 * qmax
     with VerificationReport("jacobi", {"which": which, "qmax": qmax}) as report:
-        lhs = CharacterSeries.one(qmax_half)
-        rhs: dict[tuple[int, int], int] = {}
-        if which == "DA":
-            i = 1
-            while 4 * i - 3 <= qmax_half:
-                for z, qh in ((0, 4 * i), (1, 4 * i - 1), (-1, 4 * i - 3)):
-                    if qh <= qmax_half:
-                        lhs = lhs * binomial_factor(z, qh, 1 if z else -1, qmax_half)
-                i += 1
-            m = 0
-            while True:
-                hit = False
-                for mm in (m, -m) if m else (0,):
-                    qh = mm * (2 * mm + 1)
-                    if 0 <= qh <= qmax_half:
-                        rhs[(mm, qh)] = rhs.get((mm, qh), 0) + 1
-                        hit = True
-                if not hit and m > 0:
-                    break
-                m += 1
-        elif which == "A":
-            i = 1
-            while 2 * (i - 1) <= qmax_half:
-                for z, qh in ((0, 2 * i), (1, 2 * (i - 1)), (-1, 2 * i)):
-                    if qh <= qmax_half:
-                        lhs = lhs * binomial_factor(z, qh, -1, qmax_half)
-                i += 1
-            m = 0
-            while True:
-                hit = False
-                for mm in (m, -m) if m else (0,):
-                    qh = mm * (mm - 1)
-                    if 0 <= qh <= qmax_half:
-                        rhs[(mm, qh)] = rhs.get((mm, qh), 0) + (1 if mm % 2 == 0 else -1)
-                        hit = True
-                if not hit and m > 0:
-                    break
-                m += 1
-        else:
-            raise ValueError(f"unknown identity {which!r}")
-        rhs_series = CharacterSeries(rhs, qmax_half)
+        lhs = _product(round_factors, qmax_half)
+        rhs = _theta(exponent, sign, qmax_half)
         for qh in range(qmax_half + 1):
-            report.expect(lhs.at(qh), rhs_series.at(qh), lambda: f"z-coefficients of q^{Fraction(qh, 2)}")
+            report.expect(lhs.at(qh), rhs.at(qh), lambda: f"z-coefficients of q^{Fraction(qh, 2)}")
     return report
 
 

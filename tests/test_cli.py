@@ -1,10 +1,13 @@
 """End-to-end command line behaviour and the expression grammar."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from fockcheck.cli import main, parse_expression
+from fockcheck.cli import VERIFY_FLAGS, _verify_params, build_parser, main, parse_expression
 from fockcheck.fock import format_state, parse_state
 
 
@@ -48,9 +51,23 @@ def test_apply_supports_all_operator_tokens():
 
 def test_apply_rejects_garbage(capsys):
     code, _, err = run_cli(capsys, "apply", "junk |0>")
-    assert code == 2 and "unknown operator token" in err
+    assert code == 2 and "unknown operator token" in err and "token 1 of 2, 'junk'" in err
     code, _, err = run_cli(capsys, "apply", "h[1]")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "expr,where",
+    [
+        ("h[0] foo |0>", "token 2 of 3, 'foo': unknown operator token"),
+        ("Llb[1/0,0;1] h[-1] |0>", "token 1 of 3, 'Llb[1/0,0;1]': zero denominator"),
+        ("h[-1] phi[2/2] |0>", "token 2 of 3, 'phi[2/2]': fermion mode must be a half-integer"),
+    ],
+)
+def test_apply_errors_name_the_token_and_its_position(capsys, expr, where):
+    code, out, err = run_cli(capsys, "apply", expr)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and where in err and "Traceback" not in err
 
 
 def test_printed_states_reparse():
@@ -177,7 +194,7 @@ def test_zero_denominator_flags_are_usage_errors(capsys, argv):
 def test_zero_denominator_in_apply_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "apply", "Llb[1/0,0;1] |0>")
     assert code == 2
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and "Traceback" not in err and "token 1 of 2" in err
 
 
 def test_parse_state_rejects_zero_denominator():
@@ -252,3 +269,71 @@ def test_pool_size_is_bounded_by_cpus_and_tasks(monkeypatch):
     assert cli.pool_size(64, 2) == 2
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli.pool_size(8, 14) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "heisenberg", "--mmax", "-1", "--weight-cut", "2"),
+        ("verify", "heisenberg", "--weight-cut", "-2"),
+        ("verify", "sectors", "--kmax", "-2"),
+        ("verify", "clifford", "--max-index", "0"),
+        ("verify", "clifford", "--max-index", "-1/2"),
+        ("verify", "winf", "--kmax", "x"),
+        ("jacobi", "--which", "DA", "--qmax", "-1"),
+        ("decompose", "--nmax", "-1", "--kmax", "-1"),
+        ("decompose", "--kmax", "-1"),
+        ("character", "--qmax", "-1"),
+    ],
+)
+def test_negative_and_empty_sizes_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+SIZE_FLOORS = {"--weight-cut": "0", "--max-index": "1/2", "--mmax": "0", "--kmax": "0"}
+
+
+def _floor_argvs():
+    for (target, family), flags in VERIFY_FLAGS.items():
+        sized = [flag for flag in flags if flag in SIZE_FLOORS]
+        if sized:
+            selector = ("--family", family) if family else ()
+            yield ("verify", target, *selector, *(x for flag in sized for x in (flag, SIZE_FLOORS[flag])), "--json")
+    yield ("jacobi", "--which", "DA", "--qmax", "0", "--json")
+    yield ("jacobi", "--which", "A", "--qmax", "0", "--json")
+
+
+@pytest.mark.parametrize("argv", list(_floor_argvs()), ids=" ".join)
+def test_every_target_runs_cases_at_the_size_floors(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert records and all(record["cases_run"] >= 1 for record in records)
+
+
+def test_character_and_decompose_print_at_the_size_floors(capsys):
+    code, out, _ = run_cli(capsys, "character", "--qmax", "0", "--json")
+    assert code == 0 and [json.loads(line) for line in out.strip().splitlines()] == [{"coeff": 1, "qhalf": 0, "z": 0}]
+    code, out, _ = run_cli(capsys, "decompose", "--nmax", "0", "--kmax", "0")
+    assert code == 0 and out.strip() == "n=+0 k=0 dim=1 p(k)=1 match=True"
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("fockcheck ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        if args.command == "verify":
+            _verify_params(args)

@@ -1,22 +1,29 @@
-"""Negative controls: each hand-written check goes red on one injected defect.
+"""Negative controls: each check goes red on one injected defect.
 
 Every control replaces one dependency of a check (through ``monkeypatch``)
 with a wrong variant and asserts that the check it feeds fails with a
-witness.  A check that stays green here could not fail at all.
+witness.  A check that stays green here could not fail at all.  The
+hand-written checks get one control each; the bracket grids get controls at
+the operator level (a central charge, a constant, a shift, the mode
+dictionary, one sign of ``h_mode``).
 """
 
 from fractions import Fraction
 
 import pytest
 
-from fockcheck import charged, heisenberg, qchar, suites, winf
-from fockcheck.fock import FockState
-from fockcheck.modeops import ModeOperator
+from fockcheck import charged, heisenberg, qchar, suites, virasoro, winf
+from fockcheck.fock import FockState, enumerate_basis
+from fockcheck.modeops import ModeOperator, QuadraticModeOperator
 from fockcheck.verify import VerificationReport
 
 
 def plus_one(f):
     return lambda *args: f(*args) + 1
+
+
+def plus_half(f):
+    return lambda *args: f(*args) + Fraction(1, 2)
 
 
 def shifted_charge(f):
@@ -35,7 +42,41 @@ def doubled_factor(f):
     return lambda z, qhalf, coeff, qmax_half: f(z, qhalf, 2 * coeff, qmax_half)
 
 
+def without_shift(f):
+    return lambda base, c, N: f(base, 0, N)  # c = 0 drops the delta(n) shift
+
+
+def mode_plus_one(f):
+    def shifted(t):
+        species, m = f(t)
+        return species, m + 1
+
+    return shifted
+
+
+def first_summand_flipped(f):
+    def mode(n):
+        op = f(n)
+
+        def rule(i):
+            p, q, c = op.rule(i)
+            return p, q, -c if i == 0 else c
+
+        return QuadraticModeOperator(rule, op.support)
+
+    return mode
+
+
 CBASIS = charged.enumerate_charged_basis(6)
+
+
+def lambda_bracket():
+    return [suites.lambda_bracket(Fraction(1, 3), Fraction(2, 5), 2, enumerate_basis(2))]
+
+
+def charged_virasoro():
+    return suites.suite_charged(mmax_h=0, mmax=2, weight_cut2=2, lambdas=(Fraction(1, 3),), bs=(Fraction(0),))
+
 
 # check name, owner of the dependency, its name, the defect, the reports to search
 CONTROLS = [
@@ -60,6 +101,14 @@ CONTROLS = [
     ("jacobi", qchar, "binomial_factor", doubled_factor, lambda: [qchar.jacobi_check("A", 4)]),
     ("virasoro_weights", qchar, "weight", plus_one, lambda: [qchar.virasoro_weight_check(1, 2)]),
     ("winf_scalar_defect", winf, "_rising", plus_one, lambda: [winf.scalar_defect_check(1, 1, 1, -1, CBASIS)]),
+    # operator level; the central-charge term (m^3 - m)/12 needs |m| >= 2
+    ("virasoro_lambda", virasoro, "central_charge", plus_half, lambda_bracket),
+    ("charged_virasoro", virasoro, "central_charge", plus_half, charged_virasoro),
+    ("virasoro_lambda", virasoro, "lambda_b_constant", plus_one, lambda_bracket),
+    ("doubling_n2_gives_one_tilde", virasoro, "doubling_construct", without_shift, lambda: suites.suite_doubling(4)),
+    ("dictionary_clifford_transport", charged, "charged_mode_of", mode_plus_one, lambda: suites.suite_iso(4, 1, 3)),
+    ("heisenberg_bracket", suites, "h_mode", first_summand_flipped, lambda: suites.suite_heisenberg(2, 6)),
+    ("heisenberg_dual_construction", heisenberg, "h_mode", first_summand_flipped, lambda: suites.suite_heisenberg(2, 6)),
 ]
 
 

@@ -9,6 +9,7 @@ from fockcheck.fock import NEUTRAL, FockState, apply_mode, enumerate_basis, weig
 from fockcheck.modeops import (
     AffineOperator,
     FermionBilinear,
+    apply_pair_to_monomial,
     bilinear_mode,
     compose_families,
     normal_order_pair,
@@ -37,6 +38,20 @@ def test_contraction_equals_vacuum_expectation():
             plain = apply_mode(p, apply_mode(q, vac)).coefficient(())
             (_, _), _, contraction = normal_order_pair(p, q)
             assert contraction == plain, (p, q)
+
+
+def test_pair_action_is_the_normal_ordered_product():
+    # the suites order every pair inside apply_pair_to_monomial; it must act as
+    # sign * phi_p' phi_q' with (p', q') and sign from normal_order_pair
+    modes = range(-9, 10, 2)
+    for mono in enumerate_basis(8):
+        v = FockState.monomial(mono)
+        for p in modes:
+            for q in modes:
+                acc = {}
+                apply_pair_to_monomial(NEUTRAL.act, p, q, mono, acc, Fraction(1))
+                (p2, q2), sign, _ = normal_order_pair(p, q)
+                assert FockState(acc) == apply_mode(p2, apply_mode(q2, v)).scale(sign), (p, q, mono)
 
 
 def test_normal_ordered_pair_kills_vacuum():
