@@ -106,6 +106,8 @@ def enumerate_charged_basis(weight_cut2: int) -> list[ChargedMonomial]:
     :attr:`CHARGED.sort_key` order; each block is a tuple of
     :func:`~fockcheck.fock.increasing_tuples` whose index ``j`` is the mode
     ``-j-1``, costing ``4j + 3`` for ``psi+`` and ``4j + 1`` for ``psi-``."""
+    if weight_cut2 < 0:
+        raise ValueError("weight cut must be non-negative")
 
     def modes(indices: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(-j - 1 for j in reversed(indices))

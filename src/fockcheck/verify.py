@@ -11,7 +11,16 @@ context manager that times its body.  ``report.expect(got, want, witness)``
 counts one case and records a failure when the two sides differ; the
 witness text and the rendered sides are built only then.  A case with
 several conditions counts ``cases_run`` and calls ``record`` itself, and
-:func:`merge_reports` folds sub-reports into one.
+:func:`merge_reports` folds sub-reports into one.  A report counts every
+failure in ``failures_total`` but keeps only the first
+:data:`MAX_WITNESSES` witnesses, so a broken operator cannot write an
+unbounded report.
+
+Every operator checked here is quasi-finite: it sends a basis monomial to a
+finite combination of monomials, its *column*.  :func:`bracket_check`
+builds each mode operator once per side, computes each column once through
+the operator's own ``apply`` and composes every grid pair, and the expected
+side, from those columns.  The memo belongs to the call and dies with it.
 """
 
 from __future__ import annotations
@@ -25,15 +34,22 @@ from typing import Callable, Iterable, Sequence
 
 from .fock import NEUTRAL, FockState, Space, format_state
 
+MAX_WITNESSES = 20  # failures kept per report; failures_total counts them all
+
 
 @dataclass
 class VerificationReport:
-    """Machine-readable outcome of one exact check; ``with`` times its body."""
+    """Machine-readable outcome of one exact check; ``with`` times its body.
+
+    ``failures`` holds at most :data:`MAX_WITNESSES` witnesses, the first
+    ones recorded; ``failures_total`` counts every failure.
+    """
 
     check: str
     params: dict
     cases_run: int = 0
     failures: list[dict] = field(default_factory=list)
+    failures_total: int = 0
     elapsed_ms: int = 0
 
     def __enter__(self) -> "VerificationReport":
@@ -45,10 +61,12 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not self.failures_total
 
     def record(self, witness: str, lhs: str, rhs: str) -> None:
-        self.failures.append({"witness": witness, "lhs": lhs, "rhs": rhs})
+        self.failures_total += 1
+        if len(self.failures) < MAX_WITNESSES:
+            self.failures.append({"witness": witness, "lhs": lhs, "rhs": rhs})
 
     def expect(self, got, want, witness: Callable[[], str]) -> None:
         """Count one case and record it when ``got != want``.
@@ -59,7 +77,10 @@ class VerificationReport:
         """
         self.cases_run += 1
         if got != want:
-            self.record(witness(), _render(got), _render(want))
+            if len(self.failures) < MAX_WITNESSES:
+                self.record(witness(), _render(got), _render(want))
+            else:  # a witness past the cap would be dropped: skip rendering it
+                self.failures_total += 1
 
     def to_dict(self) -> dict:
         return {
@@ -67,6 +88,7 @@ class VerificationReport:
             "params": {k: str(v) for k, v in sorted(self.params.items())},
             "cases_run": self.cases_run,
             "failures": self.failures,
+            "failures_total": self.failures_total,
             "elapsed_ms": self.elapsed_ms,
         }
 
@@ -74,7 +96,7 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def summary(self) -> str:
-        status = "pass" if self.passed else f"FAIL ({len(self.failures)} defects)"
+        status = "pass" if self.passed else f"FAIL ({self.failures_total} defects)"
         params = " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.check}: {status} [{self.cases_run} cases, {self.elapsed_ms} ms] {params}"
 
@@ -84,12 +106,14 @@ def _render(value) -> str:
 
 
 def merge_reports(name: str, params: dict, reports: Iterable[VerificationReport]) -> VerificationReport:
-    """One report over ``reports``: cases and time summed, witnesses tagged by check."""
+    """One report over ``reports``: cases, failures and time summed, the first
+    :data:`MAX_WITNESSES` witnesses kept and tagged by check."""
     out = VerificationReport(name, params)
     for rep in reports:
         out.cases_run += rep.cases_run
         out.elapsed_ms += rep.elapsed_ms
-        for failure in rep.failures:
+        out.failures_total += rep.failures_total
+        for failure in rep.failures[: MAX_WITNESSES - len(out.failures)]:
             out.failures.append({**failure, "witness": f"[{rep.check}] {failure['witness']}"})
     return out
 
@@ -99,18 +123,65 @@ class BracketSpec:
     """A (anti)commutation relation ``[left_m, right_n]_± = expected(m, n)``.
 
     ``expected(m, n)`` returns ``(ops, scalar)`` with ``ops`` a finite list of
-    ``(coefficient, operator)`` summands and ``scalar`` the identity part.
+    ``(coefficient, k)`` summands, each standing for ``coefficient *
+    left(k)``, and ``scalar`` the identity part.  Naming the expected
+    operators by their mode index of ``left`` lets :func:`bracket_check`
+    read them from the same column memo as the left side.
     """
 
     name: str
     kind: str  # "commutator" | "anticommutator"
     left: Callable[[int], object]
     right: Callable[[int], object]
-    expected: Callable[[int, int], tuple[list[tuple[Fraction, object]], Fraction]]
+    expected: Callable[[int, int], tuple[list[tuple[Fraction, int]], Fraction]]
 
     def __post_init__(self):
         if self.kind not in ("commutator", "anticommutator"):
             raise ValueError(f"unknown bracket kind {self.kind!r}")
+
+
+Column = tuple[tuple[object, Fraction], ...]
+
+
+class _Columns:
+    """The columns of one side's mode operators, memoised for one check.
+
+    ``mode(i)`` is built once per index and ``column(i, mono)`` is its
+    ``apply`` on the one-monomial state, computed once per monomial.
+    Monomials and coefficients are interned in ``canon``, which both sides
+    of a check share, so equal values cached many times are stored once.
+    """
+
+    def __init__(self, mode: Callable[[int], object], space: Space, canon: dict):
+        self.mode = mode
+        self.space = space
+        self.canon = canon
+        self.memo: dict[int, tuple[object, dict[object, Column]]] = {}
+
+    def column(self, i: int, mono) -> Column:
+        entry = self.memo.get(i)
+        if entry is None:
+            entry = self.memo[i] = (self.mode(i), {})
+        op, cols = entry
+        col = cols.get(mono)
+        if col is None:
+            intern = self.canon.setdefault
+            out = op.apply(FockState({mono: Fraction(1)}, self.space))
+            col = cols[intern(mono, mono)] = tuple((intern(m, m), intern(c, c)) for m, c in out.terms.items())
+        return col
+
+    def compose(self, i: int, col: Column, sign: int, acc: dict) -> None:
+        """Accumulate ``sign * mode(i)`` (``sign`` is 1 or -1) applied to the
+        vector ``col`` into ``acc``."""
+        for mid, c in col:
+            if sign < 0:
+                c = -c
+            for out, d in self.column(i, mid):
+                acc[out] = acc.get(out, 0) + c * d
+
+
+def _state(acc: dict, space: Space) -> FockState:
+    return FockState({m: c for m, c in acc.items() if c}, space)
 
 
 def bracket_check(
@@ -121,23 +192,34 @@ def bracket_check(
 ) -> VerificationReport:
     """Evaluate a bracket relation on every (mode pair, basis vector).
 
-    ``basis`` holds monomials of ``space``.
+    ``basis`` holds monomials of ``space``.  Both sides and the expected
+    operators are composed from per-check column memos (:class:`_Columns`),
+    so each operator acts on each monomial once however many pairs use it.
     """
     pairs = list(mode_pairs)
+    for mono in basis:
+        if not space.is_canonical(mono):
+            raise ValueError(f"not a canonical {space.name} monomial: {mono}")
     sign = 1 if spec.kind == "anticommutator" else -1
+    canon: dict = {}
+    left = _Columns(spec.left, space, canon)
+    right = left if spec.right is spec.left else _Columns(spec.right, space, canon)
     with VerificationReport(spec.name, {"kind": spec.kind, "pairs": len(pairs), "basis": len(basis)}) as report:
         for m, n in pairs:
-            left_m = spec.left(m)
-            right_n = spec.right(n)
             ops, scalar = spec.expected(m, n)
             for mono in basis:
-                v = FockState.monomial(mono, space=space)
-                lhs = left_m.apply(right_n.apply(v)) + right_n.apply(left_m.apply(v)).scale(sign)
-                rhs = v.scale(scalar)
-                for c, op in ops:
+                lhs: dict = {}
+                left.compose(m, right.column(n, mono), 1, lhs)
+                right.compose(n, left.column(m, mono), sign, lhs)
+                rhs: dict = {mono: scalar}
+                for c, k in ops:
                     if c:
-                        rhs = rhs + op.apply(v).scale(c)
-                report.expect(lhs, rhs, lambda: f"(m={m}, n={n}) on {format_state(v)}")
+                        left.compose(k, ((mono, c),), 1, rhs)
+                report.expect(
+                    _state(lhs, space),
+                    _state(rhs, space),
+                    lambda: f"(m={m}, n={n}) on {format_state(FockState.monomial(mono, space=space))}",
+                )
     return report
 
 

@@ -79,25 +79,56 @@ def weight2_field(variant: int) -> OperatorFamily:
     return OperatorFamily(f"w2.{variant}", lambda n: bilinear_mode(bil, -n - 2))
 
 
-@lru_cache(maxsize=None)
-def _sugawara_on_monomial(n: int, mono: Monomial) -> tuple[tuple[Monomial, Fraction], ...]:
-    acc: dict[Monomial, Fraction] = {}
+# Entries of each memo below.  The five neutral bracket-grid suites at their
+# default cut-offs fill 3045 Sugawara and 4692 h columns; 8192 holds both
+# with room, and bounds the memory of larger runs.
+MEMO_SIZE = 8192
+
+
+def sugawara_window(n: int, mono: Monomial) -> range:
+    """Every ``k`` whose term ``:h_{n-k} h_k:`` can act nonzero on ``mono``.
+
+    ``h_k`` lowers the twice-weight ``w`` by ``4k``, so it kills ``mono``
+    when ``k > w//4``; in the normal order the larger of ``k`` and ``n - k``
+    acts first, which leaves ``n - w//4 <= k <= w//4``.
+    """
     bound = weight2(mono) // 4
-    v = FockState.monomial(mono, Fraction(1, 2))
-    for k in range(n - bound, bound + 1):
-        a, b = sorted((n - k, k))
-        out = h_mode(a).apply(h_mode(b).apply(v))
-        for m, c in out.terms.items():
-            add_term(acc, m, c)
-    return tuple(sorted(acc.items()))
+    return range(n - bound, bound + 1)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _h_column(k: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """``2 h_k mono`` as ``(monomial, int)`` pairs: every coefficient of
+    ``h_k`` on a monomial is a multiple of 1/2."""
+    out = h_mode(k).apply(FockState.monomial(mono, 2))
+    if any(c.denominator != 1 for c in out.terms.values()):
+        raise ArithmeticError(f"h_{k} on {mono} has a coefficient outside (1/2)Z")
+    return tuple((m, c.numerator) for m, c in out.terms.items())
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _sugawara_on_monomial(n: int, mono: Monomial) -> tuple[tuple[Monomial, Fraction], ...]:
+    acc: dict[Monomial, int] = {}
+    for k in sugawara_window(n, mono):
+        if 2 * k < n:
+            continue  # the term at n - k is the same product
+        twice = 1 if 2 * k == n else 2
+        for mid, c in _h_column(k, mono):
+            for out, d in _h_column(n - k, mid):
+                acc[out] = acc.get(out, 0) + twice * c * d
+    # each doubled h column carries a factor 2, and L^1 a factor 1/2
+    return tuple(sorted((m, Fraction(c, 8)) for m, c in acc.items() if c))
 
 
 class SugawaraOperator:
     """``L^1_n = (1/2) sum_k :h_{n-k} h_k:`` with lazily bounded support.
 
-    ``h_k`` kills any state of weight below ``2k``, so on a monomial of
-    twice-weight ``w`` only ``n - w//4 <= k <= w//4`` contribute.  The
-    action on a monomial is pure and is memoised across bracket grids.
+    On a monomial only the ``k`` of :func:`sugawara_window` contribute, and
+    the terms at ``k`` and ``n - k`` are one product counted twice.  Each
+    product is composed from memoised ``h`` columns, kept as doubled
+    integers and divided by 8 once per column of ``L^1_n``.  The action on a
+    monomial is pure and is memoised across bracket grids; both memos are
+    bounded LRU caches.
     """
 
     def __init__(self, n: int):

@@ -160,6 +160,13 @@ def test_states_of_different_spaces_differ():
     assert to_charged(FockState.vacuum()) != FockState.vacuum()
 
 
+@pytest.mark.parametrize("enumerate_cut", [enumerate_basis, enumerate_charged_basis])
+def test_negative_weight_cut_is_rejected_in_both_spaces(enumerate_cut):
+    assert enumerate_cut(0) == [enumerate_cut(0)[0]]  # the vacuum alone
+    with pytest.raises(ValueError):
+        enumerate_cut(-1)
+
+
 @pytest.mark.parametrize("combine", [lambda a, b: a + b, lambda a, b: a - b])
 def test_states_of_different_spaces_do_not_combine(combine):
     with pytest.raises(ValueError):

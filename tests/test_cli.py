@@ -88,8 +88,8 @@ def test_verify_json_schema(capsys):
     assert code == 0
     for line in out.strip().splitlines():
         record = json.loads(line)
-        assert set(record) == {"check", "params", "cases_run", "failures", "elapsed_ms"}
-        assert record["failures"] == []
+        assert set(record) == {"check", "params", "cases_run", "failures", "failures_total", "elapsed_ms"}
+        assert record["failures"] == [] and record["failures_total"] == 0
 
 
 def test_jacobi_command(capsys):

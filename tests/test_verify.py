@@ -1,18 +1,25 @@
-"""The relation-checking harness itself: determinism, witnesses, rank."""
+"""The relation-checking harness itself: determinism, witnesses, rank, memo."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
-from fockcheck.fock import enumerate_basis
+import pytest
+
+from fockcheck import virasoro
+from fockcheck.fock import FockState, enumerate_basis
 from fockcheck.heisenberg import h_mode
-from fockcheck.modeops import AffineOperator
+from fockcheck.modeops import AffineOperator, FermionBilinear
 from fockcheck.verify import (
+    MAX_WITNESSES,
     BracketSpec,
+    VerificationReport,
     bracket_check,
     field_identity_check,
     fraction_free_rank,
+    merge_reports,
 )
-from fockcheck.suites import heisenberg_expected, square_grid
+from fockcheck.suites import heisenberg_expected, square_grid, virasoro_bracket, virasoro_expected
 
 
 def test_bracket_check_passes_heisenberg():
@@ -30,6 +37,12 @@ def test_bracket_check_flags_corruption():
     report = bracket_check(spec, [(1, -1)], enumerate_basis(6))
     assert not report.passed
     assert all({"witness", "lhs", "rhs"} <= set(f) for f in report.failures)
+
+
+def test_bracket_check_rejects_a_non_canonical_basis_monomial():
+    spec = BracketSpec("h", "commutator", h_mode, h_mode, heisenberg_expected)
+    with pytest.raises(ValueError, match="not a canonical neutral monomial"):
+        bracket_check(spec, [(1, -1)], [(), (1, 0)])
 
 
 def test_field_identity_trivial_and_corrupt():
@@ -51,7 +64,103 @@ def test_report_serialisation_deterministic():
     da.pop("elapsed_ms"), db.pop("elapsed_ms")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
     parsed = json.loads(a.to_json())
-    assert set(parsed) == {"check", "params", "cases_run", "failures", "elapsed_ms"}
+    assert set(parsed) == {"check", "params", "cases_run", "failures", "failures_total", "elapsed_ms"}
+
+
+class CountingOperator:
+    """Wraps an operator and counts its ``apply`` calls per input monomial."""
+
+    def __init__(self, op, side, mode, calls):
+        self.op, self.side, self.mode, self.calls = op, side, mode, calls
+
+    def apply(self, state):
+        [mono] = state.terms
+        self.calls[self.side, self.mode, mono] += 1
+        return self.op.apply(state)
+
+
+def counting_side(family_mode, side, calls, built):
+    def mode(i):
+        built[side, i] += 1
+        return CountingOperator(family_mode(i), side, i, calls)
+
+    return mode
+
+
+def test_bracket_check_builds_each_operator_and_column_once():
+    basis = enumerate_basis(8)
+    grid = square_grid(2)
+    calls, built = Counter(), Counter()
+    left = counting_side(virasoro.l_half_mode, "left", calls, built)
+    right = counting_side(virasoro.l_half_mode, "right", calls, built)
+    spec = BracketSpec("half", "commutator", left, right, virasoro_expected(Fraction(1, 2)))
+    report = bracket_check(spec, grid, basis)
+    assert report.passed and report.cases_run == len(grid) * len(basis)
+    assert set(built.values()) == {1}
+    assert {i for side, i in built if side == "right"} == set(range(-2, 3))
+    # left also serves the expected side (m - n) L_{m+n}; m + n = ±4 only has m - n = 0
+    assert {i for side, i in built if side == "left"} == set(range(-3, 4))
+    assert set(calls.values()) == {1}
+    assert {(n, mono) for n in range(-2, 3) for mono in basis} <= {(i, mono) for side, i, mono in calls if side == "right"}
+
+    # one callable on both sides is one memo
+    calls.clear(), built.clear()
+    shared = counting_side(virasoro.l_half_mode, "both", calls, built)
+    spec = BracketSpec("half", "commutator", shared, shared, virasoro_expected(Fraction(1, 2)))
+    assert bracket_check(spec, grid, basis).passed
+    assert set(built.values()) == {1} and set(calls.values()) == {1}
+
+
+def test_bracket_check_memo_dies_with_the_check(monkeypatch):
+    basis = enumerate_basis(8)
+    family = virasoro.l_half_family()
+    assert virasoro_bracket("half", family, Fraction(1, 2), 2, basis).passed
+    # the same family object, now built from a doubled field: L' = 2L breaks the bracket
+    monkeypatch.setattr(virasoro, "L_HALF_BILINEAR", FermionBilinear(Fraction(1), 0, 1, 0, 1, 1))
+    report = virasoro_bracket("half", family, Fraction(1, 2), 2, basis)
+    assert not report.passed and report.failures
+
+
+def test_failure_list_keeps_a_bounded_number_of_witnesses():
+    with VerificationReport("defects", {}) as report:
+        for i in range(1000):
+            report.expect(i, i + 1, lambda: f"case {i}")
+    assert report.cases_run == 1000
+    assert report.failures_total == 1000 and not report.passed
+    assert len(report.failures) == MAX_WITNESSES == 20
+    assert report.failures[-1]["witness"] == "case 19"
+    assert report.to_dict()["failures_total"] == 1000
+    assert "FAIL (1000 defects)" in report.summary()
+
+    merged = merge_reports("all", {}, [report, report])
+    assert merged.failures_total == 2000 and len(merged.failures) == MAX_WITNESSES
+    assert not merged.passed
+
+
+def test_sugawara_columns_match_the_uncached_normal_ordered_sum():
+    # (1/2) sum_k :h_{n-k} h_k:, the larger mode acting first, over a k range
+    # wider than any window; h_k kills twice-weight below 4k
+    for mono in enumerate_basis(12):
+        v = FockState.monomial(mono, Fraction(1, 2))
+        for n in range(-4, 5):
+            want = FockState.zero()
+            for k in range(-20, 21):
+                a, b = sorted((n - k, k))
+                want = want + h_mode(a).apply(h_mode(b).apply(v))
+            assert FockState(dict(virasoro._sugawara_on_monomial(n, mono))) == want, (n, mono)
+
+
+def test_sugawara_window_is_sound():
+    # every k within 3 outside the window gives :h_{n-k} h_k: v = 0
+    for mono in enumerate_basis(12):
+        v = FockState.monomial(mono)
+        for n in range(-4, 5):
+            window = virasoro.sugawara_window(n, mono)
+            for k in range(window.start - 3, window.stop + 3):
+                if k in window:
+                    continue
+                a, b = sorted((n - k, k))
+                assert h_mode(a).apply(h_mode(b).apply(v)).is_zero, (n, k, mono)
 
 
 def gaussian_rank_oracle(rows):
