@@ -13,7 +13,6 @@ from .charged import (
     CHARGED,
     enumerate_charged_basis,
     from_charged,
-    hA_family,
     lA_family,
     to_charged,
 )
@@ -32,7 +31,7 @@ from .heisenberg import h_family, h_mode, highest_weight_check, spanning_check
 from .modeops import FermionBilinear, OperatorFamily, bilinear_mode, normal_order_pair
 from .qchar import CharacterSeries, char_product_form, char_sum_form, char_trace, jacobi_check
 from .suites import SUITES, run_suite
-from .verify import BracketSpec, VerificationReport, bracket_check, field_identity_check
+from .verify import VerificationReport, bracket_check, field_identity_check
 from .virasoro import (
     central_charge,
     doubling_construct,

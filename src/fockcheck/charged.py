@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .fock import NEUTRAL, FockState, Monomial, Space, add_term, increasing_tuples
+from .fock import NEUTRAL, FockState, Monomial, Space, add_term, creation, increasing_tuples
 from .modeops import AffineOperator, OperatorFamily, QuadraticModeOperator, falling
 
 ChargedMonomial = tuple[tuple[int, ...], tuple[int, ...]]
@@ -175,10 +175,6 @@ def hA_mode(n: int) -> QuadraticModeOperator:
     return charged_bilinear_mode(H_CHARGED_BILINEAR, -n - 1)
 
 
-def hA_family() -> OperatorFamily:
-    return OperatorFamily("hA", hA_mode)
-
-
 def lA_mode(lam: Fraction, n: int) -> AffineOperator:
     """Mode n of ``(1-lam):(d psi+) psi-: + lam :(d psi-) psi+:``."""
     lam = Fraction(lam)
@@ -223,13 +219,6 @@ def neutral_mode_of(species: int, m: int) -> int:
     return 4 * m + 1 if species == PLUS else 4 * m + 3
 
 
-def _charged_factor_of_index(n: int) -> tuple[int, int]:
-    # creation of neutral index n, as a charged creation factor
-    if n % 2:
-        return PLUS, -(n - 1) // 2 - 1
-    return MINUS, -n // 2 - 1
-
-
 def _perm_sign(seq: Sequence, key: Callable) -> int:
     ranked = [key(x) for x in seq]
     inversions = sum(
@@ -245,7 +234,7 @@ def to_charged_monomial(mono: Monomial) -> tuple[int, ChargedMonomial]:
     sorted into the charged canonical order, every swap of the mutually
     anticommuting creation factors contributing a sign.
     """
-    factors = [_charged_factor_of_index(n) for n in reversed(mono)]
+    factors = [charged_mode_of(creation(n)) for n in reversed(mono)]
     plus = tuple(sorted(m for sp, m in factors if sp == PLUS))
     minus = tuple(sorted(m for sp, m in factors if sp == MINUS))
     # canonical rank: psi+ block (by mode) then psi- block (by mode)

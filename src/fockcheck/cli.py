@@ -15,10 +15,12 @@ eigenvalues, identities, characters, iso, winf, charged), ``virasoro``
 lists the flags each target takes, and any other flag is a usage error.
 
 Exit status: 0 when every check passes, 1 on any verification failure,
-2 on a usage error.  Half-integer flags are written as ``p/2`` literals
-(``--weight-cut 15/2``); no decimal input is accepted anywhere.  Sizes
-below their floors (0 for ``--mmax``, ``--kmax``, ``--qmax``, ``--nmax`` and
-``--weight-cut``, 1/2 for ``--max-index``) are usage errors.
+2 on a usage error, including an ``--out`` path that cannot be written (it
+is opened before any check runs).  Half-integer flags are written as
+``p/2`` literals (``--weight-cut 15/2``); no decimal input is accepted
+anywhere.  Sizes below their floors (0 for ``--mmax``, ``--kmax``,
+``--qmax``, ``--nmax`` and ``--weight-cut``, 1/2 for ``--max-index``) are
+usage errors.
 """
 
 from __future__ import annotations
@@ -46,10 +48,17 @@ class UsageError(Exception):
     """A command line the program cannot run; reported as ``error:`` with exit status 2."""
 
 
+def _open_out(path: str, mode: str):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines)
     if out_path:
-        with open(out_path, "w") as handle:
+        with _open_out(out_path, "w") as handle:
             handle.write(text + "\n")
     print(text)
 
@@ -328,6 +337,10 @@ def main(argv: list[str] | None = None) -> int:
         "apply": cmd_apply,
     }
     try:
+        if getattr(args, "out", None):
+            # before any check runs; appending leaves an existing file as it is
+            # when a usage error turns up later
+            _open_out(args.out, "a").close()
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

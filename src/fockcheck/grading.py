@@ -15,7 +15,6 @@ raises ``deg_h`` by exactly ``m`` and the sector of charge ``n`` and energy
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from .fock import Monomial, apply_mode_to_monomial, increasing_tuples, weight, weight2
@@ -68,19 +67,15 @@ def sector_basis(n: int, k: int) -> list[Monomial]:
     return [mono for total, mono in increasing_tuples(1, 2, target2) if total == target2 and dg(mono) == n]
 
 
-@lru_cache(maxsize=None)
 def partition_count(k: int) -> int:
     """Number of partitions of ``k`` into non-increasing positive parts."""
     if k < 0:
         raise ValueError("partition argument must be non-negative")
-
-    @lru_cache(maxsize=None)
-    def count(rest: int, largest: int) -> int:
-        if rest == 0:
-            return 1
-        return sum(count(rest - part, part) for part in range(min(rest, largest), 0, -1))
-
-    return count(k, k)
+    counts = [1] + [0] * k  # counts[t]: partitions of t into the parts seen so far
+    for part in range(1, k + 1):
+        for total in range(part, k + 1):
+            counts[total] += counts[total - part]
+    return counts[k]
 
 
 def partitions(k: int) -> Iterator[Partition]:

@@ -16,7 +16,6 @@ guards the sign conventions.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 from .fock import FockState, Monomial, format_state
@@ -25,7 +24,6 @@ from .modeops import FermionBilinear, OperatorFamily, QuadraticModeOperator, bil
 from .verify import VerificationReport, fraction_free_rank
 
 
-@lru_cache(maxsize=None)
 def h_mode(n: int) -> QuadraticModeOperator:
     """The mode h_n as its explicit alternating pair sum."""
     T = -2 * n - 1  # the two paper-style indices of each summand add to T

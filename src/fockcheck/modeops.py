@@ -96,16 +96,6 @@ class QuadraticModeOperator:
                     apply_pair_to_monomial(act, p, q, mono, acc, w * c)
         return FockState(acc, state.space)
 
-    def apply_term(self, i: int, state: FockState) -> FockState:
-        """Action of the single summand ``i``; used to probe support soundness."""
-        act = state.space.act
-        acc: dict = {}
-        p, q, w = self.rule(i)
-        if w:
-            for mono, c in state.terms.items():
-                apply_pair_to_monomial(act, p, q, mono, acc, w * c)
-        return FockState(acc, state.space)
-
 
 def zero_operator() -> QuadraticModeOperator:
     return QuadraticModeOperator(lambda i: (1, 1, Fraction(0)), lambda mono: ())
@@ -200,27 +190,6 @@ class OperatorFamily:
 
     name: str
     mode: Callable[[int], object]
-
-
-def compose_families(
-    name: str,
-    parts: Sequence[tuple[Callable[[int], Fraction] | Fraction | int, OperatorFamily]],
-    scalar: Callable[[int], Fraction] | None = None,
-) -> OperatorFamily:
-    """Pointwise affine combination of families.
-
-    Coefficients may be constants or functions of the mode index; ``scalar``
-    supplies an optional identity part per mode (e.g. a delta at mode zero).
-    """
-    coerced = [(c if callable(c) else (lambda n, c=Fraction(c): c), fam) for c, fam in parts]
-
-    def mode(n: int) -> AffineOperator:
-        return AffineOperator(
-            [(c(n), fam.mode(n)) for c, fam in coerced],
-            scalar(n) if scalar else 0,
-        )
-
-    return OperatorFamily(name, mode)
 
 
 def parity_flip(family: OperatorFamily) -> OperatorFamily:

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 from . import charged as ch
 from . import virasoro as vir
-from .fock import FockState, enumerate_basis, format_state, iter_modes, weight
+from .fock import NEUTRAL, FockState, Space, enumerate_basis, format_state, iter_modes, weight
 from .grading import (
     dg,
     lemma_vector,
@@ -29,7 +29,7 @@ from .heisenberg import (
     spanning_check,
 )
 from .modeops import AffineOperator, FermionBilinear, ModeOperator, OperatorFamily, bilinear_mode, zero_operator
-from .verify import BracketSpec, VerificationReport, bracket_check, field_identity_check, merge_reports
+from .verify import VerificationReport, bracket_check, field_identity_check, merge_reports
 from .winf import jk_mode_charged, jk_mode_neutral, scalar_defect_check
 
 
@@ -50,14 +50,40 @@ def virasoro_expected(c: Fraction) -> Callable:
 
 
 def heisenberg_expected(m: int, n: int):
+    """``[h_m, h_n] = m delta(m+n)``."""
     return [], Fraction(m) if m == -n else Fraction(0)
 
 
-def virasoro_bracket(name: str, family: OperatorFamily, c: Fraction, mmax: int, basis) -> VerificationReport:
-    spec = BracketSpec(name, "commutator", family.mode, family.mode, virasoro_expected(c))
-    report = bracket_check(spec, square_grid(mmax), basis)
-    report.params.update({"family": family.name, "c": str(Fraction(c)), "mmax": mmax})
-    return report
+def clifford_expected(s: int, t: int):
+    """``{phi_s, phi_t} = delta(s, -t)`` for twice-encoded modes."""
+    return [], Fraction(1) if s == -t else Fraction(0)
+
+
+# Each algebra's bracket grid, declared once for both Fock spaces.
+
+
+def clifford_bracket(
+    name: str, mode: Callable, max_index2: int, basis, space: Space = NEUTRAL, **params
+) -> VerificationReport:
+    modes = list(iter_modes(max_index2))
+    grid = [(s, t) for s in modes for t in modes]
+    params["max_index2"] = max_index2
+    return bracket_check(name, "anticommutator", mode, clifford_expected, grid, basis, space, **params)
+
+
+def heisenberg_bracket(
+    name: str, mode: Callable, mmax: int, basis, space: Space = NEUTRAL, **params
+) -> VerificationReport:
+    grid = square_grid(mmax)
+    return bracket_check(name, "commutator", mode, heisenberg_expected, grid, basis, space, mmax=mmax, **params)
+
+
+def virasoro_bracket(
+    name: str, family: OperatorFamily, c: Fraction, mmax: int, basis, space: Space = NEUTRAL
+) -> VerificationReport:
+    expected, grid = virasoro_expected(c), square_grid(mmax)
+    params = {"family": family.name, "c": c, "mmax": mmax}
+    return bracket_check(name, "commutator", family.mode, expected, grid, basis, space, **params)
 
 
 # -- suites ------------------------------------------------------------------
@@ -66,25 +92,13 @@ def virasoro_bracket(name: str, family: OperatorFamily, c: Fraction, mmax: int, 
 def suite_clifford(max_index2: int = 15, weight_cut2: int = 16) -> list[VerificationReport]:
     """{phi_m, phi_n} = delta(m, -n) over all mode pairs in range."""
     basis = enumerate_basis(weight_cut2)
-    modes = list(iter_modes(max_index2))
-    spec = BracketSpec(
-        "clifford_anticommutator",
-        "anticommutator",
-        ModeOperator,
-        ModeOperator,
-        lambda s, t: ([], Fraction(1) if s == -t else Fraction(0)),
-    )
-    report = bracket_check(spec, [(s, t) for s in modes for t in modes], basis)
-    report.params.update({"max_index2": max_index2, "weight_cut2": weight_cut2})
-    return [report]
+    return [clifford_bracket("clifford_anticommutator", ModeOperator, max_index2, basis, weight_cut2=weight_cut2)]
 
 
 def suite_heisenberg(mmax: int = 5, weight_cut2: int = 20) -> list[VerificationReport]:
     """[h_m, h_n] = m delta(m+n) plus equality of the two h constructions."""
     basis = enumerate_basis(weight_cut2)
-    spec = BracketSpec("heisenberg_bracket", "commutator", h_mode, h_mode, heisenberg_expected)
-    bracket = bracket_check(spec, square_grid(mmax), basis)
-    bracket.params.update({"mmax": mmax, "weight_cut2": weight_cut2})
+    bracket = heisenberg_bracket("heisenberg_bracket", h_mode, mmax, basis, weight_cut2=weight_cut2)
     dual = field_identity_check(
         "heisenberg_dual_construction",
         h_family().mode,
@@ -341,36 +355,25 @@ def suite_characters(qmax_half: int = 19, jac_qmax: int = 12) -> list[Verificati
 def suite_iso(weight_cut2: int = 16, mmax: int = 4, max_index2: int = 15) -> list[VerificationReport]:
     """Dictionary transport, Heisenberg intertwining, basis bijectivity."""
     cbasis = ch.enumerate_charged_basis(weight_cut2)
-    modes = list(iter_modes(max_index2))
 
     def transported(t: int) -> ModeOperator:
         return ModeOperator(ch.charged_code(*ch.charged_mode_of(t)))
 
-    spec = BracketSpec(
-        "dictionary_clifford_transport",
-        "anticommutator",
-        transported,
-        transported,
-        lambda s, t: ([], Fraction(1) if s == -t else Fraction(0)),
+    transport = clifford_bracket(
+        "dictionary_clifford_transport", transported, max_index2, cbasis, ch.CHARGED, weight_cut2=weight_cut2
     )
-    transport = bracket_check(
-        spec,
-        [(s, t) for s in modes for t in modes],
-        cbasis,
-        space=ch.CHARGED,
-    )
-    transport.params.update({"max_index2": max_index2, "weight_cut2": weight_cut2})
 
     basis = enumerate_basis(weight_cut2)
-    with VerificationReport("heisenberg_intertwining", {"mmax": mmax, "weight_cut2": weight_cut2}) as intertwine:
-        for n in range(-mmax, mmax + 1):
-            hn = h_mode(n)
-            han = ch.hA_mode(n)
-            for mono in basis:
-                v = FockState.monomial(mono)
-                intertwine.expect(
-                    ch.to_charged(hn.apply(v)), han.apply(ch.to_charged(v)), lambda: f"h_{n} on {format_state(v)}"
-                )
+    # from_charged inverts to_charged exactly: this asserts to_charged(h_n v) = hA_n to_charged(v)
+    intertwine = field_identity_check(
+        "heisenberg_intertwining",
+        h_mode,
+        lambda n: ch.ConjugatedOperator(ch.hA_mode(n)),
+        range(-mmax, mmax + 1),
+        basis,
+        mmax=mmax,
+        weight_cut2=weight_cut2,
+    )
 
     with VerificationReport("state_map_bijection", {"weight_cut2": weight_cut2}) as bij:
         images = {}
@@ -422,7 +425,7 @@ def suite_winf(kmax: int = 2, nmax: int = 3, weight_cut2: int = 16, mmax: int = 
     central = merge_reports(
         "j0_central_column",
         {"mmax": mmax},
-        [scalar_defect_check(0, m, 0, -m, cbasis, expected_scalar=Fraction(m)) for m in range(1, mmax + 1)],
+        [scalar_defect_check(0, m, 0, -m, cbasis) for m in range(1, mmax + 1)],
     )
     reports.append(central)
     grid = [
@@ -460,23 +463,14 @@ def suite_charged(
     bs: Sequence[Fraction] = (Fraction(0), Fraction(1, 3)),
 ) -> list[VerificationReport]:
     cbasis = ch.enumerate_charged_basis(weight_cut2)
-    spec = BracketSpec(
-        "charged_heisenberg_bracket", "commutator", ch.hA_mode, ch.hA_mode, heisenberg_expected
+    hrep = heisenberg_bracket(
+        "charged_heisenberg_bracket", ch.hA_mode, mmax_h, cbasis, ch.CHARGED, weight_cut2=weight_cut2
     )
-    hrep = bracket_check(spec, square_grid(mmax_h), cbasis, space=ch.CHARGED)
-    hrep.params.update({"mmax": mmax_h, "weight_cut2": weight_cut2})
-    reports = [hrep]
-    for lam in lambdas:
-        for b in bs:
-            family = ch.lA_family(lam, b)
-            spec = BracketSpec(
-                f"charged_virasoro", "commutator", family.mode, family.mode,
-                virasoro_expected(vir.central_charge(lam)),
-            )
-            rep = bracket_check(spec, square_grid(mmax), cbasis, space=ch.CHARGED)
-            rep.params.update({"family": family.name, "c": str(vir.central_charge(lam)), "mmax": mmax})
-            reports.append(rep)
-    return reports
+    return [hrep] + [
+        virasoro_bracket("charged_virasoro", ch.lA_family(lam, b), vir.central_charge(lam), mmax, cbasis, ch.CHARGED)
+        for lam in lambdas
+        for b in bs
+    ]
 
 
 SUITES: dict[str, Callable[..., list[VerificationReport]]] = {

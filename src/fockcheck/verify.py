@@ -18,9 +18,10 @@ unbounded report.
 
 Every operator checked here is quasi-finite: it sends a basis monomial to a
 finite combination of monomials, its *column*.  :func:`bracket_check`
-builds each mode operator once per side, computes each column once through
-the operator's own ``apply`` and composes every grid pair, and the expected
-side, from those columns.  The memo belongs to the call and dies with it.
+builds each mode operator once, computes each column once through the
+operator's own ``apply`` and composes both orders of every grid pair, and
+the expected side, from those columns.  The memo belongs to the call and
+dies with it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .fock import NEUTRAL, FockState, Space, format_state
 
@@ -118,47 +119,25 @@ def merge_reports(name: str, params: dict, reports: Iterable[VerificationReport]
     return out
 
 
-@dataclass(frozen=True)
-class BracketSpec:
-    """A (anti)commutation relation ``[left_m, right_n]_± = expected(m, n)``.
-
-    ``expected(m, n)`` returns ``(ops, scalar)`` with ``ops`` a finite list of
-    ``(coefficient, k)`` summands, each standing for ``coefficient *
-    left(k)``, and ``scalar`` the identity part.  Naming the expected
-    operators by their mode index of ``left`` lets :func:`bracket_check`
-    read them from the same column memo as the left side.
-    """
-
-    name: str
-    kind: str  # "commutator" | "anticommutator"
-    left: Callable[[int], object]
-    right: Callable[[int], object]
-    expected: Callable[[int, int], tuple[list[tuple[Fraction, int]], Fraction]]
-
-    def __post_init__(self):
-        if self.kind not in ("commutator", "anticommutator"):
-            raise ValueError(f"unknown bracket kind {self.kind!r}")
-
-
 Column = tuple[tuple[object, Fraction], ...]
 
 
 class _Columns:
-    """The columns of one side's mode operators, memoised for one check.
+    """The columns of a check's mode operators, memoised for that check.
 
     ``mode(i)`` is built once per index and ``column(i, mono)`` is its
     ``apply`` on the one-monomial state, computed once per monomial.
-    Monomials and coefficients are interned in ``canon``, which both sides
-    of a check share, so equal values cached many times are stored once.
+    Monomials and coefficients are interned in ``canon``, so equal values
+    cached many times are stored once.  A mode index is any hashable.
     """
 
-    def __init__(self, mode: Callable[[int], object], space: Space, canon: dict):
+    def __init__(self, mode: Callable[[Hashable], object], space: Space):
         self.mode = mode
         self.space = space
-        self.canon = canon
-        self.memo: dict[int, tuple[object, dict[object, Column]]] = {}
+        self.canon: dict = {}
+        self.memo: dict[Hashable, tuple[object, dict[object, Column]]] = {}
 
-    def column(self, i: int, mono) -> Column:
+    def column(self, i: Hashable, mono) -> Column:
         entry = self.memo.get(i)
         if entry is None:
             entry = self.memo[i] = (self.mode(i), {})
@@ -170,7 +149,7 @@ class _Columns:
             col = cols[intern(mono, mono)] = tuple((intern(m, m), intern(c, c)) for m, c in out.terms.items())
         return col
 
-    def compose(self, i: int, col: Column, sign: int, acc: dict) -> None:
+    def compose(self, i: Hashable, col: Column, sign: int, acc: dict) -> None:
         """Accumulate ``sign * mode(i)`` (``sign`` is 1 or -1) applied to the
         vector ``col`` into ``acc``."""
         for mid, c in col:
@@ -184,37 +163,49 @@ def _state(acc: dict, space: Space) -> FockState:
     return FockState({m: c for m, c in acc.items() if c}, space)
 
 
+Expected = Callable[[Hashable, Hashable], tuple[list[tuple[Fraction, Hashable]], Fraction]]
+
+
 def bracket_check(
-    spec: BracketSpec,
-    mode_pairs: Iterable[tuple[int, int]],
+    name: str,
+    kind: str,
+    mode: Callable[[Hashable], object],
+    expected: Expected,
+    pairs: Iterable[tuple[Hashable, Hashable]],
     basis: Sequence,
     space: Space = NEUTRAL,
+    **params,
 ) -> VerificationReport:
-    """Evaluate a bracket relation on every (mode pair, basis vector).
+    """Evaluate ``[mode(m), mode(n)]_± = expected(m, n)`` on every (mode
+    pair, basis vector).
 
-    ``basis`` holds monomials of ``space``.  Both sides and the expected
-    operators are composed from per-check column memos (:class:`_Columns`),
-    so each operator acts on each monomial once however many pairs use it.
+    ``kind`` is ``"commutator"`` or ``"anticommutator"``.  ``expected(m, n)``
+    returns ``(ops, scalar)``: ``ops`` is a finite list of ``(coefficient,
+    k)`` summands, each standing for ``coefficient * mode(k)``, and
+    ``scalar`` the identity part.  ``basis`` holds monomials of ``space``.
+    Both sides and the expected operators are composed from one column
+    memo (:class:`_Columns`), so each operator acts on each monomial once
+    however many pairs use it.  ``params`` are added to the report's.
     """
-    pairs = list(mode_pairs)
+    if kind not in ("commutator", "anticommutator"):
+        raise ValueError(f"unknown bracket kind {kind!r}")
+    pairs = list(pairs)
     for mono in basis:
         if not space.is_canonical(mono):
             raise ValueError(f"not a canonical {space.name} monomial: {mono}")
-    sign = 1 if spec.kind == "anticommutator" else -1
-    canon: dict = {}
-    left = _Columns(spec.left, space, canon)
-    right = left if spec.right is spec.left else _Columns(spec.right, space, canon)
-    with VerificationReport(spec.name, {"kind": spec.kind, "pairs": len(pairs), "basis": len(basis)}) as report:
+    sign = 1 if kind == "anticommutator" else -1
+    cols = _Columns(mode, space)
+    with VerificationReport(name, {"kind": kind, "pairs": len(pairs), "basis": len(basis), **params}) as report:
         for m, n in pairs:
-            ops, scalar = spec.expected(m, n)
+            ops, scalar = expected(m, n)
             for mono in basis:
                 lhs: dict = {}
-                left.compose(m, right.column(n, mono), 1, lhs)
-                right.compose(n, left.column(m, mono), sign, lhs)
+                cols.compose(m, cols.column(n, mono), 1, lhs)
+                cols.compose(n, cols.column(m, mono), sign, lhs)
                 rhs: dict = {mono: scalar}
                 for c, k in ops:
                     if c:
-                        left.compose(k, ((mono, c),), 1, rhs)
+                        cols.compose(k, ((mono, c),), 1, rhs)
                 report.expect(
                     _state(lhs, space),
                     _state(rhs, space),
@@ -230,11 +221,12 @@ def field_identity_check(
     modes: Iterable[int],
     basis: Sequence,
     space: Space = NEUTRAL,
+    **params,
 ) -> VerificationReport:
     """Assert ``left_mode(n) v == right_mode(n) v`` exactly over the grid of
-    modes and monomials of ``space``."""
+    modes and monomials of ``space``; ``params`` are added to the report's."""
     modes = list(modes)
-    with VerificationReport(name, {"modes": len(modes), "basis": len(basis)}) as report:
+    with VerificationReport(name, {"modes": len(modes), "basis": len(basis), **params}) as report:
         for n in modes:
             a = left_mode(n)
             b = right_mode(n)

@@ -23,13 +23,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .fock import FockState, Monomial, add_term, weight2
-from .heisenberg import h_family, h_mode
+from .heisenberg import h_mode
 from .modeops import (
     AffineOperator,
     FermionBilinear,
     OperatorFamily,
     bilinear_mode,
-    compose_families,
     parity_flip,
     zero_operator,
 )
@@ -191,14 +190,11 @@ def lambda_family(lam: Fraction, b: Fraction) -> OperatorFamily:
     lam, b = Fraction(lam), Fraction(b)
     M = lambda_b_constant(lam, b)
 
-    def h_coeff(n: int) -> Fraction:
-        return -(Fraction(1, 2) - lam) * Fraction(2 * n + 1, 2) - b
+    def mode(n: int) -> AffineOperator:
+        h_coeff = -(Fraction(1, 2) - lam) * Fraction(2 * n + 1, 2) - b
+        return AffineOperator([(1, sugawara_l1_mode(n)), (h_coeff, h_mode(n))], M if n == 0 else 0)
 
-    return compose_families(
-        f"L({lam},{b})",
-        [(Fraction(1), sugawara_family()), (h_coeff, h_family())],
-        scalar=lambda n: M if n == 0 else Fraction(0),
-    )
+    return OperatorFamily(f"L({lam},{b})", mode)
 
 
 def doubling_construct(base: OperatorFamily, c: Fraction, N: int) -> OperatorFamily:

@@ -12,8 +12,9 @@ generator is the window matrix
     J^k_n  =  sum_j  j (j+1) ... (j+k-1)  E_{j-n, j}
 
 and lifting ``E_{r,s}`` to the normal-ordered bilinear ``:psi+_{-r} psi-_{s-1}:``
-reproduces the Fock operators exactly modulo a central scalar, which is what
-the defect check certifies.
+reproduces the Fock operators exactly modulo a central scalar.  The defect
+check pins that scalar to the gl_infinity cocycle of the two window
+matrices, computed without the Fock space.
 """
 
 from __future__ import annotations
@@ -88,6 +89,23 @@ def matrix_commutator(a: Matrix, b: Matrix, radius: int) -> Matrix:
     return out
 
 
+def glinf_cocycle(a: Matrix, b: Matrix) -> Fraction:
+    """The gl_infinity 2-cocycle ``sum_{i <= 0 < j} (a_ij b_ji - b_ij a_ji)``.
+
+    Only entries whose row and column straddle the cut between 0 and 1
+    contribute, and for a shift matrix they lie within the shift of the cut,
+    so a :func:`glinf_matrix` window at least that wide gives the exact value.
+    """
+    out = Fraction(0)
+    for (i, j), x in a.items():
+        if i <= 0 < j:
+            out += x * b.get((j, i), 0)
+    for (i, j), y in b.items():
+        if i <= 0 < j:
+            out -= y * a.get((j, i), 0)
+    return out
+
+
 class MatrixLift:
     """Fock-space lift ``E_{r,s} -> :psi+_{-r} psi-_{s-1}:`` of a window matrix."""
 
@@ -119,10 +137,10 @@ def scalar_defect_check(
     k2: int,
     n2: int,
     basis: Sequence[ChargedMonomial],
-    expected_scalar: Fraction | None = None,
 ) -> VerificationReport:
     """Certify that ``[J1, J2]`` on the Fock space differs from the lifted
-    matrix commutator by one scalar across the whole tested basis.
+    matrix commutator by the scalar :func:`glinf_cocycle` of the two window
+    matrices, on every monomial of the tested basis.
 
     The window is sized from the basis so every matrix entry that can touch
     a tested state is exact; an undersized window would surface as a
@@ -138,12 +156,10 @@ def scalar_defect_check(
         lifted = MatrixLift(matrix_commutator(m1, m2, inner))
         op1 = jk_mode_charged(k1, n1)
         op2 = jk_mode_charged(k2, n2)
-        scalar = expected_scalar
+        scalar = glinf_cocycle(m1, m2)
         for mono in basis:
             v = FockState.monomial(mono, space=CHARGED)
             bracket = op1.apply(op2.apply(v)) - op2.apply(op1.apply(v))
             defect = bracket - lifted.apply(v)
-            if scalar is None:
-                scalar = defect.coefficient(mono)
             report.expect(defect, v.scale(scalar), lambda: f"defect against {scalar} * identity on {format_state(v)}")
     return report

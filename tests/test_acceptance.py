@@ -3,12 +3,20 @@
 Each test prints one ``ACCEPTANCE n PASS|FAIL`` line (visible with
 ``pytest -s``); the cutoffs below bound only the tested set, since the
 operators act lazily on the untruncated space.
+
+Criterion n runs the n-th suite of ``SUITES`` at its default cut-offs, so
+its reports must be, check by check, the matching rows of the
+``verify all`` record in ``perfbench/expected.json``: a dropped, renamed,
+added or resized check fails here too.
 """
 
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from fockcheck.suites import (
+    SUITES,
     run_suite,
     suite_charged,
     suite_clifford,
@@ -26,6 +34,22 @@ from fockcheck.suites import (
 )
 
 
+VERIFY_ALL = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text())["verify-all"]
+REPORTS_PER_SUITE = dict(zip(SUITES, (1, 2, 2, 2, 3, 3, 6, 4, 2, 4, 4, 3, 5, 7)))
+
+
+def expected_rows(number):
+    """The ``[check, cases_run]`` rows of the ``number``-th suite in the ``verify all`` record."""
+    names = list(SUITES)
+    start = sum(REPORTS_PER_SUITE[name] for name in names[: number - 1])
+    return VERIFY_ALL[start : start + REPORTS_PER_SUITE[names[number - 1]]]
+
+
+def test_suite_rows_partition_the_verify_all_record():
+    assert len(REPORTS_PER_SUITE) == len(SUITES) == 14
+    assert sum(REPORTS_PER_SUITE.values()) == len(VERIFY_ALL) == 48
+
+
 def run_criterion(number, description, reports):
     ok = all(r.passed for r in reports)
     elapsed = sum(r.elapsed_ms for r in reports) / 1000
@@ -36,6 +60,7 @@ def run_criterion(number, description, reports):
         for failure in r.failures[:3]:
             print(f"    defect in {r.check}: {failure}")
     assert ok, f"criterion {number} failed: {description}"
+    assert [[r.check, r.cases_run] for r in reports] == expected_rows(number)
 
 
 def test_criterion_01_clifford():

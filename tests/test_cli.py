@@ -130,6 +130,36 @@ def test_out_file(tmp_path, capsys):
     assert path.read_text().strip() == out.strip()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "sectors"),
+        ("character", "--qmax", "1"),
+        ("jacobi", "--which", "A", "--qmax", "1"),
+        ("decompose", "--nmax", "0", "--kmax", "0"),
+    ],
+)
+def test_unwritable_out_is_a_usage_error_before_any_check(monkeypatch, tmp_path, capsys, argv):
+    from fockcheck import suites
+
+    def must_not_run(**params):
+        raise AssertionError("a check ran before --out was opened")
+
+    monkeypatch.setitem(suites.SUITES, "sectors", must_not_run)
+    for path in (tmp_path / "missing" / "report.txt", tmp_path):
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --out ") and str(path) in err
+
+
+def test_usage_error_leaves_an_existing_out_file_as_it_was(tmp_path, capsys):
+    path = tmp_path / "report.txt"
+    path.write_text("kept\n")
+    code, _, err = run_cli(capsys, "verify", "heisenberg", "--kmax", "1", "--out", str(path))
+    assert code == 2 and "does not take --kmax" in err
+    assert path.read_text() == "kept\n"
+
+
 def test_verification_failure_exits_one(monkeypatch, capsys):
     from fockcheck import suites
     from fockcheck.verify import VerificationReport

@@ -74,6 +74,10 @@ def lambda_bracket():
     return [suites.lambda_bracket(Fraction(1, 3), Fraction(2, 5), 2, enumerate_basis(2))]
 
 
+def central_term_check():
+    return [winf.scalar_defect_check(1, 2, 0, -2, CBASIS)]  # the cocycle is 3 here
+
+
 def charged_virasoro():
     return suites.suite_charged(mmax_h=0, mmax=2, weight_cut2=2, lambdas=(Fraction(1, 3),), bs=(Fraction(0),))
 
@@ -109,6 +113,8 @@ CONTROLS = [
     ("dictionary_clifford_transport", charged, "charged_mode_of", mode_plus_one, lambda: suites.suite_iso(4, 1, 3)),
     ("heisenberg_bracket", suites, "h_mode", first_summand_flipped, lambda: suites.suite_heisenberg(2, 6)),
     ("heisenberg_dual_construction", heisenberg, "h_mode", first_summand_flipped, lambda: suites.suite_heisenberg(2, 6)),
+    # a wrong central term at n1 = -n2, where the cocycle can be nonzero
+    ("winf_scalar_defect", winf, "glinf_cocycle", plus_one, central_term_check),
 ]
 
 

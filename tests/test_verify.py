@@ -12,7 +12,6 @@ from fockcheck.heisenberg import h_mode
 from fockcheck.modeops import AffineOperator, FermionBilinear
 from fockcheck.verify import (
     MAX_WITNESSES,
-    BracketSpec,
     VerificationReport,
     bracket_check,
     field_identity_check,
@@ -23,26 +22,29 @@ from fockcheck.suites import heisenberg_expected, square_grid, virasoro_bracket,
 
 
 def test_bracket_check_passes_heisenberg():
-    spec = BracketSpec("h", "commutator", h_mode, h_mode, heisenberg_expected)
     basis = enumerate_basis(10)
-    report = bracket_check(spec, square_grid(2), basis)
+    report = bracket_check("h", "commutator", h_mode, heisenberg_expected, square_grid(2), basis, mmax=2)
     assert report.passed
     assert report.cases_run == 25 * len(basis)
+    assert report.params == {"kind": "commutator", "pairs": 25, "basis": len(basis), "mmax": 2}
 
 
 def test_bracket_check_flags_corruption():
-    # doubling one side breaks the central term: failures carry witnesses
+    # doubling the modes quadruples the central term: failures carry witnesses
     corrupt = lambda n: AffineOperator([(Fraction(2), h_mode(n))])
-    spec = BracketSpec("h_corrupt", "commutator", corrupt, h_mode, heisenberg_expected)
-    report = bracket_check(spec, [(1, -1)], enumerate_basis(6))
+    report = bracket_check("h_corrupt", "commutator", corrupt, heisenberg_expected, [(1, -1)], enumerate_basis(6))
     assert not report.passed
     assert all({"witness", "lhs", "rhs"} <= set(f) for f in report.failures)
 
 
 def test_bracket_check_rejects_a_non_canonical_basis_monomial():
-    spec = BracketSpec("h", "commutator", h_mode, h_mode, heisenberg_expected)
     with pytest.raises(ValueError, match="not a canonical neutral monomial"):
-        bracket_check(spec, [(1, -1)], [(), (1, 0)])
+        bracket_check("h", "commutator", h_mode, heisenberg_expected, [(1, -1)], [(), (1, 0)])
+
+
+def test_bracket_check_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown bracket kind 'bracket'"):
+        bracket_check("h", "bracket", h_mode, heisenberg_expected, [(1, -1)], [()])
 
 
 def test_field_identity_trivial_and_corrupt():
@@ -56,10 +58,9 @@ def test_field_identity_trivial_and_corrupt():
 
 
 def test_report_serialisation_deterministic():
-    spec = BracketSpec("h", "commutator", h_mode, h_mode, heisenberg_expected)
     basis = enumerate_basis(8)
-    a = bracket_check(spec, square_grid(1), basis)
-    b = bracket_check(spec, square_grid(1), basis)
+    a = bracket_check("h", "commutator", h_mode, heisenberg_expected, square_grid(1), basis)
+    b = bracket_check("h", "commutator", h_mode, heisenberg_expected, square_grid(1), basis)
     da, db = a.to_dict(), b.to_dict()
     da.pop("elapsed_ms"), db.pop("elapsed_ms")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
@@ -70,19 +71,19 @@ def test_report_serialisation_deterministic():
 class CountingOperator:
     """Wraps an operator and counts its ``apply`` calls per input monomial."""
 
-    def __init__(self, op, side, mode, calls):
-        self.op, self.side, self.mode, self.calls = op, side, mode, calls
+    def __init__(self, op, mode, calls):
+        self.op, self.mode, self.calls = op, mode, calls
 
     def apply(self, state):
         [mono] = state.terms
-        self.calls[self.side, self.mode, mono] += 1
+        self.calls[self.mode, mono] += 1
         return self.op.apply(state)
 
 
-def counting_side(family_mode, side, calls, built):
+def counting_mode(family_mode, calls, built):
     def mode(i):
-        built[side, i] += 1
-        return CountingOperator(family_mode(i), side, i, calls)
+        built[i] += 1
+        return CountingOperator(family_mode(i), i, calls)
 
     return mode
 
@@ -91,24 +92,14 @@ def test_bracket_check_builds_each_operator_and_column_once():
     basis = enumerate_basis(8)
     grid = square_grid(2)
     calls, built = Counter(), Counter()
-    left = counting_side(virasoro.l_half_mode, "left", calls, built)
-    right = counting_side(virasoro.l_half_mode, "right", calls, built)
-    spec = BracketSpec("half", "commutator", left, right, virasoro_expected(Fraction(1, 2)))
-    report = bracket_check(spec, grid, basis)
+    mode = counting_mode(virasoro.l_half_mode, calls, built)
+    report = bracket_check("half", "commutator", mode, virasoro_expected(Fraction(1, 2)), grid, basis)
     assert report.passed and report.cases_run == len(grid) * len(basis)
     assert set(built.values()) == {1}
-    assert {i for side, i in built if side == "right"} == set(range(-2, 3))
-    # left also serves the expected side (m - n) L_{m+n}; m + n = ±4 only has m - n = 0
-    assert {i for side, i in built if side == "left"} == set(range(-3, 4))
+    # one memo also serves the expected side (m - n) L_{m+n}; m + n = ±4 only has m - n = 0
+    assert set(built) == set(range(-3, 4))
     assert set(calls.values()) == {1}
-    assert {(n, mono) for n in range(-2, 3) for mono in basis} <= {(i, mono) for side, i, mono in calls if side == "right"}
-
-    # one callable on both sides is one memo
-    calls.clear(), built.clear()
-    shared = counting_side(virasoro.l_half_mode, "both", calls, built)
-    spec = BracketSpec("half", "commutator", shared, shared, virasoro_expected(Fraction(1, 2)))
-    assert bracket_check(spec, grid, basis).passed
-    assert set(built.values()) == {1} and set(calls.values()) == {1}
+    assert {(n, mono) for n in range(-2, 3) for mono in basis} <= set(calls)
 
 
 def test_bracket_check_memo_dies_with_the_check(monkeypatch):
