@@ -189,7 +189,12 @@ def lA_mode(lam: Fraction, n: int) -> AffineOperator:
 
 def lA_lambda_b_mode(lam: Fraction, b: Fraction, n: int) -> AffineOperator:
     """Two-parameter charged Virasoro mode; the ``b`` terms shift by the
-    current and a constant ``b(b - 2 lam + 1)/2`` at mode zero."""
+    current and a constant ``b(b - 2 lam + 1)/2`` at mode zero.
+
+    It is the image of the neutral family under the state isomorphism with
+    ``b`` shifted: ``LA(lam, b)`` corresponds to
+    ``virasoro.lambda_family(lam, b + K)`` with ``K = (1 - 2 lam)/4``.
+    """
     lam, b = Fraction(lam), Fraction(b)
     parts: list[tuple[Fraction, object]] = [(Fraction(1), lA_mode(lam, n))]
     if b:

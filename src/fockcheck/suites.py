@@ -30,7 +30,7 @@ from .heisenberg import (
 )
 from .modeops import AffineOperator, FermionBilinear, ModeOperator, OperatorFamily, bilinear_mode, zero_operator
 from .verify import VerificationReport, bracket_check, field_identity_check, merge_reports
-from .winf import jk_mode_charged, jk_mode_neutral, scalar_defect_check
+from .winf import jk_mode_charged, jk_mode_neutral, scalar_defect_check, winf_expected
 
 
 def square_grid(mmax: int) -> list[tuple[int, int]]:
@@ -429,18 +429,26 @@ def suite_winf(kmax: int = 2, nmax: int = 3, weight_cut2: int = 16, mmax: int = 
     )
     reports.append(central)
     grid = [
-        (k1, n1, k2, n2)
+        ((k1, n1), (k2, n2))
         for k1 in range(kmax + 1)
         for k2 in range(k1 + 1)
         for n1 in range(-nmax, nmax + 1)
         for n2 in range(-nmax, nmax + 1)
     ]
-    general = merge_reports(
-        "winf_matrix_defects",
-        {"kmax": kmax, "nmax": nmax, "weight_cut2": weight_cut2},
-        [scalar_defect_check(k1, n1, k2, n2, cbasis) for k1, n1, k2, n2 in grid],
+    reports.append(
+        bracket_check(
+            "winf_matrix_defects",
+            "commutator",
+            lambda i: jk_mode_charged(*i),
+            winf_expected,
+            grid,
+            cbasis,
+            ch.CHARGED,
+            kmax=kmax,
+            nmax=nmax,
+            weight_cut2=weight_cut2,
+        )
     )
-    reports.append(general)
 
     with VerificationReport("j1_preserves_charge", {"weight_cut2": weight_cut2}) as charge_preserving:
         for mono in basis:

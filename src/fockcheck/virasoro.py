@@ -186,7 +186,13 @@ def lambda_b_constant(lam: Fraction, b: Fraction) -> Fraction:
 
 
 def lambda_family(lam: Fraction, b: Fraction) -> OperatorFamily:
-    """The deformation ``L^1_n - (1/2-lam)((2n+1)/2) h_n - b h_n + M delta(n)``."""
+    """The deformation ``L^1_n - (1/2-lam)((2n+1)/2) h_n - b h_n + M delta(n)``.
+
+    The state isomorphism carries it to the charged family with a shifted
+    ``b``: ``to_charged(L^{lam,b}_n v) = LA(lam, b - K)_n to_charged(v)`` with
+    ``K = (1 - 2 lam)/4``, the ``K`` of :func:`lambda_b_constant`
+    (see :func:`fockcheck.charged.lA_lambda_b_mode`).
+    """
     lam, b = Fraction(lam), Fraction(b)
     M = lambda_b_constant(lam, b)
 

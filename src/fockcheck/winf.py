@@ -11,10 +11,16 @@ generator is the window matrix
 
     J^k_n  =  sum_j  j (j+1) ... (j+k-1)  E_{j-n, j}
 
-and lifting ``E_{r,s}`` to the normal-ordered bilinear ``:psi+_{-r} psi-_{s-1}:``
-reproduces the Fock operators exactly modulo a central scalar.  The defect
-check pins that scalar to the gl_infinity cocycle of the two window
-matrices, computed without the Fock space.
+so the bracket closes in closed form: ``[J^{k1}_{n1}, J^{k2}_{n2}]`` is
+``sum_k a_k J^k_{n1+n2}`` with the :func:`structure_constants` ``a_k`` read
+off the rising factorials, plus a central scalar, the gl_infinity cocycle of
+the two window matrices (:func:`winf_expected`).  The bracket grid is
+checked against that closed form on the Fock space.
+
+Lifting ``E_{r,s}`` to the normal-ordered bilinear ``:psi+_{-r} psi-_{s-1}:``
+reproduces the Fock operators exactly modulo the same scalar;
+:func:`scalar_defect_check` compares the Fock bracket with the lifted matrix
+commutator, and stays as the evidence for that lift.
 """
 
 from __future__ import annotations
@@ -58,6 +64,43 @@ def _rising(j: int, k: int) -> int:
     for step in range(k):
         out *= j + step
     return out
+
+
+def structure_constants(k1: int, n1: int, k2: int, n2: int) -> list[Fraction]:
+    """The coefficients ``a_0, ..., a_{k1+k2}`` of ``[J^{k1}_{n1}, J^{k2}_{n2}]
+    = sum_k a_k J^k_{n1+n2}`` modulo the centre.
+
+    The commutator of the window matrices has the entry
+    ``P(j) = r(j,k2) r(j-n2,k1) - r(j,k1) r(j-n1,k2)`` at ``(j-n1-n2, j)``,
+    with ``r`` the rising factorial; ``P`` is expanded in the basis
+    ``r(j, k)``.  Since ``r(-t, k) = 0`` for ``k > t``, the values at
+    ``j = 0, -1, ..., -(k1+k2)`` give the ``a_k`` by a triangular solve.
+    """
+    out: list[Fraction] = []
+    for t in range(k1 + k2 + 1):
+        j = -t
+        p = _rising(j, k2) * _rising(j - n2, k1) - _rising(j, k1) * _rising(j - n1, k2)
+        rest = p - sum(a * _rising(j, k) for k, a in enumerate(out))
+        out.append(Fraction(rest, _rising(j, t)))
+    return out
+
+
+def winf_expected(m: tuple[int, int], n: tuple[int, int]):
+    """The closed-form bracket of ``J^{k1}_{n1}`` and ``J^{k2}_{n2}`` for
+    :func:`~fockcheck.verify.bracket_check`, with ``m = (k1, n1)`` and
+    ``n = (k2, n2)``.
+
+    The operator part is ``sum_k a_k J^k_{n1+n2}``.  The scalar is the
+    :func:`glinf_cocycle` of the two window matrices at radius
+    ``R = |n1| + |n2| + 1``, which is exact: a straddling entry ``i <= 0 < j``
+    of a shift-``n`` matrix has ``0 < j <= |n|``, and the entry of the other
+    matrix it pairs with sits in column ``i = j - n``, ``|i| < |n|``, so every
+    entry the cocycle reads lies within ``R``.
+    """
+    (k1, n1), (k2, n2) = m, n
+    ops = [(a, (k, n1 + n2)) for k, a in enumerate(structure_constants(k1, n1, k2, n2)) if a]
+    radius = abs(n1) + abs(n2) + 1
+    return ops, glinf_cocycle(glinf_matrix(k1, n1, radius), glinf_matrix(k2, n2, radius))
 
 
 def glinf_matrix(k: int, n: int, radius: int) -> Matrix:

@@ -133,7 +133,7 @@ def test_criterion_12_isomorphism():
 
 def test_criterion_13_winf():
     reports = suite_winf(kmax=2, nmax=3, weight_cut2=16, mmax=4)
-    run_criterion(13, "J0 = current on both spaces; defects against window matrices scalar", reports)
+    run_criterion(13, "J0 = current on both spaces; bracket grid in closed form; J0 lift defect scalar", reports)
 
 
 def test_criterion_14_charged_virasoro():

@@ -7,6 +7,7 @@ import pytest
 from fockcheck.charged import (
     CHARGED,
     MINUS,
+    ConjugatedOperator,
     PLUS,
     charge,
     charged_code,
@@ -17,6 +18,7 @@ from fockcheck.charged import (
     from_charged_monomial,
     hA_mode,
     lA_family,
+    lA_lambda_b_mode,
     neutral_mode_of,
     to_charged,
     to_charged_monomial,
@@ -24,7 +26,9 @@ from fockcheck.charged import (
 from fockcheck.fock import FockState, annihilation, apply_mode, creation, enumerate_basis, format_state
 from fockcheck.grading import dg
 from fockcheck.heisenberg import h_mode
-from fockcheck.virasoro import central_charge
+from fockcheck.suites import LAMBDA_PAIRS
+from fockcheck.verify import field_identity_check, merge_reports
+from fockcheck.virasoro import central_charge, lambda_family
 
 CBASIS = enumerate_charged_basis(16)
 NBASIS = enumerate_basis(16)
@@ -173,3 +177,35 @@ def test_states_of_different_spaces_do_not_combine(combine):
         combine(FockState.vacuum(), FockState.vacuum(CHARGED))
     with pytest.raises(ValueError):
         combine(FockState.zero(CHARGED), FockState.zero())
+
+
+def lambda_intertwining(shift):
+    """``to_charged(L^{lam,b}_n v)`` against ``LA(lam, b - shift(lam))_n to_charged(v)``
+    on the four acceptance pairs, |n| <= 3 and twice-weight <= 16."""
+    return merge_reports(
+        "lambda_intertwining",
+        {},
+        [
+            field_identity_check(
+                "lambda_intertwining",
+                lambda_family(lam, b).mode,
+                lambda n, lam=lam, b=b: ConjugatedOperator(lA_lambda_b_mode(lam, b - shift(lam), n)),
+                range(-3, 4),
+                NBASIS,
+            )
+            for lam, b in LAMBDA_PAIRS
+        ],
+    )
+
+
+def test_isomorphism_intertwines_the_lambda_families():
+    # from_charged inverts to_charged exactly, so this is to_charged(L v) = LA to_charged(v)
+    report = lambda_intertwining(lambda lam: (1 - 2 * lam) / 4)
+    assert report.passed, report.failures[:2]
+    assert report.cases_run == 4 * 7 * len(NBASIS) == 924
+
+
+def test_lambda_intertwining_needs_the_shifted_b():
+    report = lambda_intertwining(lambda lam: 0)
+    assert report.cases_run == 924
+    assert report.failures_total == 570

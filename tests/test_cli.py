@@ -188,10 +188,18 @@ def test_value_error_in_a_check_is_not_a_usage_error(monkeypatch, capsys):
 
 
 def test_verify_winf_flag_mapping(capsys):
+    from fockcheck.charged import enumerate_charged_basis
+
     code, out, _ = run_cli(
-        capsys, "verify", "winf", "--kmax", "1", "--mmax", "1", "--weight-cut", "3"
+        capsys, "verify", "winf", "--kmax", "1", "--mmax", "1", "--weight-cut", "3", "--json"
     )
     assert code == 0
+    [record] = [r for r in map(json.loads, out.strip().splitlines()) if r["check"] == "winf_matrix_defects"]
+    # --mmax is the shift bound nmax; --weight-cut 3 is twice-weight 6
+    params = record["params"]
+    assert (params["kmax"], params["nmax"], params["weight_cut2"]) == ("1", "1", "6")
+    assert params["pairs"] == "27"  # (k1, k2) in {(0,0), (1,0), (1,1)} times 3 x 3 shifts
+    assert record["cases_run"] == 27 * len(enumerate_charged_basis(6))
 
 
 def test_usage_error_exit_code():

@@ -5,7 +5,8 @@ with a wrong variant and asserts that the check it feeds fails with a
 witness.  A check that stays green here could not fail at all.  The
 hand-written checks get one control each; the bracket grids get controls at
 the operator level (a central charge, a constant, a shift, the mode
-dictionary, one sign of ``h_mode``).
+dictionary, one sign of ``h_mode``, a W_{1+infinity} structure constant and
+central term).
 """
 
 from fractions import Fraction
@@ -74,6 +75,18 @@ def lambda_bracket():
     return [suites.lambda_bracket(Fraction(1, 3), Fraction(2, 5), 2, enumerate_basis(2))]
 
 
+def first_entry_plus_one(f):
+    def shifted(*args):
+        head, *rest = f(*args)
+        return [head + 1, *rest]
+
+    return shifted
+
+
+def winf_grid():
+    return suites.suite_winf(kmax=1, nmax=2, weight_cut2=6, mmax=1)
+
+
 def central_term_check():
     return [winf.scalar_defect_check(1, 2, 0, -2, CBASIS)]  # the cocycle is 3 here
 
@@ -115,6 +128,9 @@ CONTROLS = [
     ("heisenberg_dual_construction", heisenberg, "h_mode", first_summand_flipped, lambda: suites.suite_heisenberg(2, 6)),
     # a wrong central term at n1 = -n2, where the cocycle can be nonzero
     ("winf_scalar_defect", winf, "glinf_cocycle", plus_one, central_term_check),
+    # the closed-form W_{1+infinity} grid: one structure constant, then the central term
+    ("winf_matrix_defects", winf, "structure_constants", first_entry_plus_one, winf_grid),
+    ("winf_matrix_defects", winf, "glinf_cocycle", plus_one, winf_grid),
 ]
 
 

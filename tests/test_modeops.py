@@ -18,6 +18,7 @@ from fockcheck.modeops import (
 )
 from fockcheck.heisenberg import h_family, h_mode
 from fockcheck.virasoro import l_half_family
+from fockcheck.winf import jk_mode_charged
 
 
 def test_normal_order_pair_cases():
@@ -126,6 +127,10 @@ def test_support_bound_is_sound():
                 for e in range(-6, 3):
                     op = charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, left, a, right, b), e)
                     assert out_of_support_summands(op, cbasis, CHARGED), (left, a, right, b, e)
+    # the W_{1+infinity} generators at the orders and shifts the closed-form grid reaches
+    for k in range(4):
+        for n in range(-6, 7):
+            assert out_of_support_summands(jk_mode_charged(k, n), cbasis, CHARGED), (k, n)
 
 
 def test_weight_homogeneity():

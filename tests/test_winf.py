@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fockcheck.charged import CHARGED, enumerate_charged_basis, hA_mode
-from fockcheck.fock import FockState, enumerate_basis
+from fockcheck.fock import FockState, add_term, enumerate_basis
 from fockcheck.grading import dg
 from fockcheck.heisenberg import h_mode
 from fockcheck.winf import (
@@ -16,6 +16,7 @@ from fockcheck.winf import (
     jk_mode_neutral,
     matrix_commutator,
     scalar_defect_check,
+    structure_constants,
 )
 
 CBASIS = enumerate_charged_basis(16)
@@ -107,3 +108,41 @@ def test_general_defects_are_scalar(k1, k2):
         for n2 in range(-3, 4):
             report = scalar_defect_check(k1, n1, k2, n2, CBASIS)
             assert report.passed, (k1, n1, k2, n2, report.failures[:1])
+
+
+def closed_form(k1, n1, k2, n2, radius):
+    out = {}
+    for k, a in enumerate(structure_constants(k1, n1, k2, n2)):
+        for key, x in glinf_matrix(k, n1 + n2, radius).items():
+            add_term(out, key, a * x)
+    return out
+
+
+def test_structure_constants_match_the_matrix_commutator():
+    # every intermediate column of an entry with |r|, |s| <= inner lies within inner + 3
+    inner = 8
+    radius = inner + 3
+    tuples = 0
+    for k1 in range(3):
+        for k2 in range(3):
+            for n1 in range(-3, 4):
+                for n2 in range(-3, 4):
+                    got = matrix_commutator(glinf_matrix(k1, n1, radius), glinf_matrix(k2, n2, radius), inner)
+                    want = {
+                        (r, s): x
+                        for (r, s), x in closed_form(k1, n1, k2, n2, radius).items()
+                        if abs(r) <= inner and abs(s) <= inner
+                    }
+                    assert got == want, (k1, n1, k2, n2)
+                    # the cocycle's window R = |n1| + |n2| + 1 already sees every straddling entry
+                    window = abs(n1) + abs(n2) + 1
+                    assert cocycle(k1, n1, k2, n2, window) == cocycle(k1, n1, k2, n2, window + 10)
+                    tuples += 1
+    assert tuples == 441
+
+
+def test_structure_constants_examples():
+    # [J^1_1, J^1_-1] = 2 J^1_0 (a Witt bracket); shifts commute modulo the centre
+    assert structure_constants(1, 1, 1, -1) == [0, 2, 0]
+    assert structure_constants(0, 2, 0, -2) == [0]
+    assert structure_constants(2, 1, 1, -2) == [0, 2, 5, 0]
