@@ -141,10 +141,11 @@ def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> QuadraticModeO
 
     Fields expand as ``X(z) = sum_n X_n z^{-n-1}``; with
     ``T = -exponent + zshift - 2 - dleft - dright`` the summand at free index
-    ``a`` pairs ``X_a`` with ``Y_{T-a}``.
+    ``a`` pairs ``X_a`` with ``Y_{T-a}``; its coefficient is an ``int``
+    numerator over the prefactor's denominator.
     """
     T = -exponent + bil.zshift - 2 - bil.dleft - bil.dright
-    pref, a_ord, b_ord = bil.prefactor, bil.dleft, bil.dright
+    pref, a_ord, b_ord = bil.prefactor.numerator, bil.dleft, bil.dright
     sp_l, sp_r = bil.left_species, bil.right_species
     l_bit, r_bit = charged_code(sp_l, 0), charged_code(sp_r, 0)  # charged_code(sp, a) == 2*a + bit
 
@@ -164,7 +165,7 @@ def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> QuadraticModeO
             hits.add(T + 1 + x)  # right factor annihilates
         return sorted(hits)
 
-    return QuadraticModeOperator(rule, support)
+    return QuadraticModeOperator(rule, support, bil.prefactor.denominator)
 
 
 H_CHARGED_BILINEAR = ChargedBilinear(Fraction(1), 0, PLUS, 0, MINUS, 0)
@@ -274,10 +275,12 @@ def from_charged(state: FockState) -> FockState:
 
 class ConjugatedOperator:
     """A charged operator pulled back to the neutral space through the
-    state isomorphism."""
+    state isomorphism; the isomorphism has unit signs, so the denominator is
+    the charged operator's."""
 
     def __init__(self, charged_op):
         self.charged_op = charged_op
+        self.denominator = charged_op.denominator
 
     def apply(self, state):
         return from_charged(self.charged_op.apply(to_charged(state)))

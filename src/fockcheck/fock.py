@@ -21,12 +21,16 @@ Neutral mode indices are half-integers.  They are encoded throughout as
 index ``n = (-t-1)//2``, positive ``t`` annihilates ``n = (t-1)//2``.  The
 modes satisfy the Clifford relations ``{phi_m, phi_n} = delta(m, -n)``.
 
-Coefficients are ``fractions.Fraction``; no floating point exists anywhere
-in this package.
+A state's coefficients are ``fractions.Fraction``; no floating point exists
+anywhere in this package.  Operators act in ``int`` numerators instead: a
+state hands them its coefficients as numerators over one common denominator
+(:meth:`FockState.numerators`), and their result is built back, one
+``Fraction`` per term, by :meth:`FockState.over`.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -157,6 +161,18 @@ class FockState:
     @classmethod
     def vacuum(cls, space: Space = NEUTRAL) -> "FockState":
         return cls({space.vacuum: Fraction(1)}, space)
+
+    @classmethod
+    def over(cls, numerators: dict, denominator: int, space: Space = NEUTRAL) -> "FockState":
+        """The state ``sum (n / denominator) mono`` of the int numerators
+        ``{mono: n}``; zero numerators are dropped."""
+        return cls({m: Fraction(n, denominator) for m, n in numerators.items() if n}, space)
+
+    def numerators(self) -> tuple[int, list[tuple[Any, int]]]:
+        """``(d, [(mono, n), ...])`` with ``d`` the lcm of the coefficient
+        denominators and each coefficient ``n / d``; the inverse of :meth:`over`."""
+        d = math.lcm(*(c.denominator for c in self.terms.values()))
+        return d, [(m, c.numerator * (d // c.denominator)) for m, c in self.terms.items()]
 
     @property
     def is_zero(self) -> bool:

@@ -25,12 +25,11 @@ from .verify import VerificationReport, fraction_free_rank
 
 
 def h_mode(n: int) -> QuadraticModeOperator:
-    """The mode h_n as its explicit alternating pair sum."""
+    """The mode h_n as its explicit alternating pair sum, in numerators ``-+1`` over 2."""
     T = -2 * n - 1  # the two paper-style indices of each summand add to T
 
     def rule(i: int):
-        c = Fraction(-1, 2) if i % 2 == 0 else Fraction(1, 2)
-        return -(2 * i + 1), -(2 * (T - i) + 1), c
+        return -(2 * i + 1), -(2 * (T - i) + 1), -1 if i % 2 == 0 else 1
 
     def support(mono: Monomial) -> Iterable[int]:
         hits = set(range(0, T + 1))
@@ -39,7 +38,7 @@ def h_mode(n: int) -> QuadraticModeOperator:
             hits.add(T + m + 1)
         return sorted(hits)
 
-    return QuadraticModeOperator(rule, support)
+    return QuadraticModeOperator(rule, support, 2)
 
 
 HEISENBERG_BILINEAR = FermionBilinear(Fraction(1, 2), 0, 0, 0, 1, -1)

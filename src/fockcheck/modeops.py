@@ -15,6 +15,15 @@ of the space of the state acted on (see :mod:`fockcheck.fock`), and the
 pair action reads the single-mode action from that state's space.  Only
 the constructors differ, because the two field expansions differ.
 
+Every operator declares a ``denominator`` D: each coefficient of its action
+on a basis monomial lies in ``(1/D)Z``.  A quadratic operator's rule yields
+``int`` numerators over its D, and its ``apply`` works in ``int``
+numerators throughout, building one ``Fraction`` per output term; the
+states it takes and returns hold ``Fraction`` coefficients.  An affine
+combination declares the lcm of its parts' denominators, and
+:func:`fockcheck.verify.bracket_check` raises ``ArithmeticError`` on a
+coefficient outside the declared ``(1/D)Z``.
+
 Normal ordering of a pair subtracts the vacuum expectation.  As an action
 this means: when the left factor annihilates and the right one creates, the
 pair acts as minus the swapped product; in every other arrangement it acts
@@ -28,13 +37,14 @@ has integer powers of ``z`` only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .fock import FockState, Monomial, add_term, apply_mode, check_mode
 
-Pair = tuple[int, int, Fraction]  # left mode code, right mode code, coefficient
+Pair = tuple[int, int, int]  # left mode code, right mode code, coefficient numerator
 
 
 def normal_order_pair(p: int, q: int) -> tuple[tuple[int, int], int, Fraction]:
@@ -52,7 +62,7 @@ def normal_order_pair(p: int, q: int) -> tuple[tuple[int, int], int, Fraction]:
     return (p, q), 1, Fraction(0)
 
 
-def apply_pair_to_monomial(act: Callable, p: int, q: int, mono, acc: dict, coeff: Fraction) -> None:
+def apply_pair_to_monomial(act: Callable, p: int, q: int, mono, acc: dict, coeff: Fraction | int) -> None:
     """Accumulate ``coeff * :X_p X_q: mono`` into ``acc``.
 
     ``act`` is the single-mode action of the space the mode codes ``p`` and
@@ -74,31 +84,40 @@ def apply_pair_to_monomial(act: Callable, p: int, q: int, mono, acc: dict, coeff
 
 
 class QuadraticModeOperator:
-    """Lazy sum ``sum_i c_i :X_{p_i} Y_{q_i}:`` with finite action.
+    """Lazy sum ``sum_i (w_i / D) :X_{p_i} Y_{q_i}:`` with finite action.
 
-    ``rule(i)`` yields the ``i``-th summand; ``support(mono)`` yields every
-    ``i`` whose summand can act nonzero on ``mono`` (a finite, possibly
-    overcomplete, set).  All summands must shift weight by the same amount
-    so the operator is homogeneous.
+    ``rule(i)`` yields the ``i``-th summand ``(p, q, w)`` with the ``int``
+    numerator ``w`` over the declared ``denominator`` D; ``support(mono)``
+    yields every ``i`` whose summand can act nonzero on ``mono`` (a finite,
+    possibly overcomplete, set).  All summands must shift weight by the same
+    amount so the operator is homogeneous.
     """
 
-    def __init__(self, rule: Callable[[int], Pair], support: Callable[[object], Iterable[int]]):
+    def __init__(self, rule: Callable[[int], Pair], support: Callable[[object], Iterable[int]], denominator: int):
         self.rule = rule
         self.support = support
+        self.denominator = denominator
+
+    def accumulate(self, act: Callable, mono, k: int, acc: dict) -> None:
+        """Add ``k * D * self`` on ``mono`` into ``acc``, in ``int`` numerators;
+        ``act`` is the single-mode action of the space of ``mono``."""
+        rule = self.rule
+        for i in self.support(mono):
+            p, q, w = rule(i)
+            if w:
+                apply_pair_to_monomial(act, p, q, mono, acc, w * k)
 
     def apply(self, state: FockState) -> FockState:
-        act, rule, support = state.space.act, self.rule, self.support
+        act = state.space.act
+        d, terms = state.numerators()
         acc: dict = {}
-        for mono, c in state.terms.items():
-            for i in support(mono):
-                p, q, w = rule(i)
-                if w:
-                    apply_pair_to_monomial(act, p, q, mono, acc, w * c)
-        return FockState(acc, state.space)
+        for mono, k in terms:
+            self.accumulate(act, mono, k, acc)
+        return FockState.over(acc, d * self.denominator, state.space)
 
 
 def zero_operator() -> QuadraticModeOperator:
-    return QuadraticModeOperator(lambda i: (1, 1, Fraction(0)), lambda mono: ())
+    return QuadraticModeOperator(lambda i: (1, 1, 0), lambda mono: (), 1)
 
 
 @dataclass(frozen=True)
@@ -132,10 +151,11 @@ def bilinear_mode(bil: FermionBilinear, exponent: int) -> QuadraticModeOperator:
 
     With ``T = exponent - zshift + dleft + dright`` the summand at free index
     ``i`` pairs the modes ``-i-1/2`` and ``-(T-i)-1/2``; its coefficient
-    collects the derivative falling factorials and the evaluation signs.
+    collects the derivative falling factorials and the evaluation signs, over
+    the prefactor's denominator.
     """
     T = exponent - bil.zshift + bil.dleft + bil.dright
-    pref, a, b = bil.prefactor, bil.dleft, bil.dright
+    pref, a, b = bil.prefactor.numerator, bil.dleft, bil.dright
     sl, sr = bil.sleft, bil.sright
 
     def rule(i: int) -> Pair:
@@ -154,15 +174,22 @@ def bilinear_mode(bil: FermionBilinear, exponent: int) -> QuadraticModeOperator:
             hits.add(T + n + 1)  # right factor annihilates n
         return sorted(hits)
 
-    return QuadraticModeOperator(rule, support)
+    return QuadraticModeOperator(rule, support, bil.prefactor.denominator)
 
 
 class AffineOperator:
-    """Finite combination ``sum_j c_j * op_j + scalar * Id`` acting by linearity."""
+    """Finite combination ``sum_j c_j * op_j + scalar * Id`` acting by linearity.
+
+    Its ``denominator`` is the lcm of ``c_j * D_j`` over the parts and of the
+    scalar's denominator.
+    """
 
     def __init__(self, parts: Sequence[tuple[Fraction | int, object]], scalar: Fraction | int = 0):
         self.parts = [(Fraction(c), op) for c, op in parts if c]
         self.scalar = Fraction(scalar)
+        self.denominator = math.lcm(
+            self.scalar.denominator, *(c.denominator * op.denominator for c, op in self.parts)
+        )
 
     def apply(self, state: FockState) -> FockState:
         out = state.scale(self.scalar) if self.scalar else FockState.zero(state.space)
@@ -176,6 +203,8 @@ class ModeOperator:
 
     The code ``t`` is read, and checked, in the space of the state it acts on.
     """
+
+    denominator = 1
 
     def __init__(self, t: int):
         self.t = t

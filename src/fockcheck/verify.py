@@ -22,6 +22,14 @@ builds each mode operator once, computes each column once through the
 operator's own ``apply`` and composes both orders of every grid pair, and
 the expected side, from those columns.  The memo belongs to the call and
 dies with it.
+
+States hold ``Fraction`` coefficients, but operators act in ``int``
+numerators over the ``denominator`` each one declares (see
+:mod:`fockcheck.modeops`).  A column is kept as ``int`` numerators over its
+operator's denominator, and a coefficient outside that ``(1/D)Z`` raises
+``ArithmeticError``, so a wrong declaration is never a quiet pass.  Each
+grid pair is compared as ``int`` numerators over one common denominator,
+and states are built from them only for a failing witness.
 """
 
 from __future__ import annotations
@@ -119,15 +127,17 @@ def merge_reports(name: str, params: dict, reports: Iterable[VerificationReport]
     return out
 
 
-Column = tuple[tuple[object, Fraction], ...]
+Column = tuple[tuple[object, int], ...]  # int numerators over the operator's denominator
 
 
 class _Columns:
     """The columns of a check's mode operators, memoised for that check.
 
     ``mode(i)`` is built once per index and ``column(i, mono)`` is its
-    ``apply`` on the one-monomial state, computed once per monomial.
-    Monomials and coefficients are interned in ``canon``, so equal values
+    ``apply`` on the one-monomial state, computed once per monomial and kept
+    as ``int`` numerators over the operator's declared ``denominator``; a
+    coefficient outside ``(1/denominator)Z`` raises ``ArithmeticError``.
+    Monomials and numerators are interned in ``canon``, so equal values
     cached many times are stored once.  A mode index is any hashable.
     """
 
@@ -137,30 +147,64 @@ class _Columns:
         self.canon: dict = {}
         self.memo: dict[Hashable, tuple[object, dict[object, Column]]] = {}
 
-    def column(self, i: Hashable, mono) -> Column:
+    def operator(self, i: Hashable):
         entry = self.memo.get(i)
         if entry is None:
             entry = self.memo[i] = (self.mode(i), {})
-        op, cols = entry
+        return entry
+
+    def denominator(self, i: Hashable) -> int:
+        return self.operator(i)[0].denominator
+
+    def column(self, i: Hashable, mono) -> Column:
+        op, cols = self.operator(i)
         col = cols.get(mono)
         if col is None:
             intern = self.canon.setdefault
-            out = op.apply(FockState({mono: Fraction(1)}, self.space))
-            col = cols[intern(mono, mono)] = tuple((intern(m, m), intern(c, c)) for m, c in out.terms.items())
+            d, terms = op.apply(FockState({mono: Fraction(1)}, self.space)).numerators()
+            scale, rest = divmod(op.denominator, d)
+            if rest:
+                raise ArithmeticError(
+                    f"mode {i} on {mono} has a coefficient over {d}, outside (1/{op.denominator})Z"
+                    " of its declared denominator"
+                )
+            scaled = ((m, n * scale) for m, n in terms)
+            col = cols[intern(mono, mono)] = tuple((intern(m, m), intern(n, n)) for m, n in scaled)
         return col
 
-    def compose(self, i: Hashable, col: Column, sign: int, acc: dict) -> None:
-        """Accumulate ``sign * mode(i)`` (``sign`` is 1 or -1) applied to the
-        vector ``col`` into ``acc``."""
+    def compose(self, i: Hashable, col: Column, factor: int, acc: dict) -> None:
+        """Accumulate ``factor * D_i * mode(i)`` applied to the vector ``col``
+        into ``acc``, with ``D_i`` the denominator of ``mode(i)``."""
+        cols = self.operator(i)[1]
         for mid, c in col:
-            if sign < 0:
-                c = -c
-            for out, d in self.column(i, mid):
+            c *= factor
+            known = cols.get(mid)
+            for out, d in self.column(i, mid) if known is None else known:
                 acc[out] = acc.get(out, 0) + c * d
 
 
-def _state(acc: dict, space: Space) -> FockState:
-    return FockState({m: c for m, c in acc.items() if c}, space)
+def _scaled(c: Fraction | int, denominator: int) -> int:
+    """``c * denominator``, an int because ``denominator`` is a multiple of ``c``'s."""
+    return c.numerator * (denominator // c.denominator)
+
+
+class _Side:
+    """One side of a bracket case: ``int`` numerators over a denominator
+    shared by both sides, so equality compares the numerators.  The state is
+    built and rendered (by ``str``) only for a failing witness."""
+
+    __slots__ = ("terms", "denominator", "space")
+
+    def __init__(self, acc: dict, denominator: int, space: Space):
+        self.terms = {m: c for m, c in acc.items() if c}
+        self.denominator = denominator
+        self.space = space
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Side) and self.terms == other.terms
+
+    def __str__(self) -> str:
+        return format_state(FockState.over(self.terms, self.denominator, self.space))
 
 
 Expected = Callable[[Hashable, Hashable], tuple[list[tuple[Fraction, Hashable]], Fraction]]
@@ -185,7 +229,10 @@ def bracket_check(
     ``scalar`` the identity part.  ``basis`` holds monomials of ``space``.
     Both sides and the expected operators are composed from one column
     memo (:class:`_Columns`), so each operator acts on each monomial once
-    however many pairs use it.  ``params`` are added to the report's.
+    however many pairs use it.  Each grid pair is compared in ``int``
+    numerators over one common denominator: the lcm of ``D_m * D_n``, of
+    ``coefficient.denominator * D_k`` for every summand and of the scalar's
+    denominator.  ``params`` are added to the report's.
     """
     if kind not in ("commutator", "anticommutator"):
         raise ValueError(f"unknown bracket kind {kind!r}")
@@ -198,17 +245,22 @@ def bracket_check(
     with VerificationReport(name, {"kind": kind, "pairs": len(pairs), "basis": len(basis), **params}) as report:
         for m, n in pairs:
             ops, scalar = expected(m, n)
+            ops = [(c, k) for c, k in ops if c]
+            product = cols.denominator(m) * cols.denominator(n)
+            den = math.lcm(product, scalar.denominator, *(c.denominator * cols.denominator(k) for c, k in ops))
+            factor = den // product
+            scalar = _scaled(scalar, den)
+            ops = [(_scaled(c, den // cols.denominator(k)), k) for c, k in ops]
             for mono in basis:
                 lhs: dict = {}
-                cols.compose(m, cols.column(n, mono), 1, lhs)
-                cols.compose(n, cols.column(m, mono), sign, lhs)
+                cols.compose(m, cols.column(n, mono), factor, lhs)
+                cols.compose(n, cols.column(m, mono), sign * factor, lhs)
                 rhs: dict = {mono: scalar}
                 for c, k in ops:
-                    if c:
-                        cols.compose(k, ((mono, c),), 1, rhs)
+                    cols.compose(k, ((mono, c),), 1, rhs)
                 report.expect(
-                    _state(lhs, space),
-                    _state(rhs, space),
+                    _Side(lhs, den, space),
+                    _Side(rhs, den, space),
                     lambda: f"(m={m}, n={n}) on {format_state(FockState.monomial(mono, space=space))}",
                 )
     return report

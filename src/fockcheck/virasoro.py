@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .fock import FockState, Monomial, add_term, weight2
+from .fock import NEUTRAL, FockState, Monomial, weight2
 from .heisenberg import h_mode
 from .modeops import (
     AffineOperator,
@@ -97,16 +97,17 @@ def sugawara_window(n: int, mono: Monomial) -> range:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _h_column(k: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
-    """``2 h_k mono`` as ``(monomial, int)`` pairs: every coefficient of
-    ``h_k`` on a monomial is a multiple of 1/2."""
-    out = h_mode(k).apply(FockState.monomial(mono, 2))
-    if any(c.denominator != 1 for c in out.terms.values()):
-        raise ArithmeticError(f"h_{k} on {mono} has a coefficient outside (1/2)Z")
-    return tuple((m, c.numerator) for m, c in out.terms.items())
+    """``h_k mono`` as ``(monomial, int)`` pairs, numerators over the 2 that
+    :func:`~fockcheck.heisenberg.h_mode` declares."""
+    acc: dict[Monomial, int] = {}
+    h_mode(k).accumulate(NEUTRAL.act, mono, 1, acc)
+    return tuple(acc.items())
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _sugawara_on_monomial(n: int, mono: Monomial) -> tuple[tuple[Monomial, Fraction], ...]:
+def _sugawara_on_monomial(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """``L^1_n mono`` as ``(monomial, int)`` pairs, numerators over
+    :attr:`SugawaraOperator.denominator`."""
     acc: dict[Monomial, int] = {}
     for k in sugawara_window(n, mono):
         if 2 * k < n:
@@ -115,8 +116,8 @@ def _sugawara_on_monomial(n: int, mono: Monomial) -> tuple[tuple[Monomial, Fract
         for mid, c in _h_column(k, mono):
             for out, d in _h_column(n - k, mid):
                 acc[out] = acc.get(out, 0) + twice * c * d
-    # each doubled h column carries a factor 2, and L^1 a factor 1/2
-    return tuple(sorted((m, Fraction(c, 8)) for m, c in acc.items() if c))
+    # each h column is over 2, and L^1 carries a factor 1/2: over 8 in all
+    return tuple(sorted((m, c) for m, c in acc.items() if c))
 
 
 class SugawaraOperator:
@@ -124,21 +125,26 @@ class SugawaraOperator:
 
     On a monomial only the ``k`` of :func:`sugawara_window` contribute, and
     the terms at ``k`` and ``n - k`` are one product counted twice.  Each
-    product is composed from memoised ``h`` columns, kept as doubled
-    integers and divided by 8 once per column of ``L^1_n``.  The action on a
+    product is composed from memoised ``h`` columns in ``int`` numerators
+    over 2, so a column of ``L^1_n`` has numerators over 8.  The action on a
     monomial is pure and is memoised across bracket grids; both memos are
-    bounded LRU caches.
+    bounded LRU caches.  It acts on the neutral space only.
     """
+
+    denominator = 8
 
     def __init__(self, n: int):
         self.n = n
 
     def apply(self, state: FockState) -> FockState:
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in state.terms.items():
+        if state.space is not NEUTRAL:
+            raise ValueError(f"L^1 acts on the neutral space, not on a {state.space.name} state")
+        d, terms = state.numerators()
+        acc: dict[Monomial, int] = {}
+        for mono, k in terms:
             for m, c in _sugawara_on_monomial(self.n, mono):
-                add_term(acc, m, coeff * c)
-        return FockState(acc)
+                acc[m] = acc.get(m, 0) + k * c
+        return FockState.over(acc, d * self.denominator, state.space)
 
 
 def sugawara_l1_mode(n: int) -> SugawaraOperator:

@@ -49,6 +49,26 @@ def test_apply_supports_all_operator_tokens():
         parse_expression(expr)  # must not raise
 
 
+APPLY_ALL_TOKENS = "Llb[1/3,2/5;-1] J[2,1] L1[-2] h[-1] Lhalf[-3] phi[-5/2] |0>"
+APPLY_ALL_TOKENS_OUT = (
+    "20144/15 phi[-19/2] phi[-3/2] phi[-1/2] |0>"
+    " + 6038/15 phi[-15/2] phi[-7/2] phi[-1/2] |0>"
+    " - 6922/15 phi[-15/2] phi[-5/2] phi[-3/2] |0>"
+    " + 1194/5 phi[-13/2] phi[-7/2] phi[-3/2] |0>"
+    " - 428/15 phi[-11/2] phi[-9/2] phi[-3/2] |0>"
+    " + 76/3 phi[-11/2] phi[-7/2] phi[-5/2] |0>"
+    " + 55076/15 phi[-23/2] |0>"
+)
+
+
+def test_apply_through_every_operator_class_prints_the_pinned_state(capsys):
+    # multi-term states with non-unit coefficients through the mode, quadratic,
+    # Sugawara, conjugated and affine operators
+    code, out, err = run_cli(capsys, "apply", APPLY_ALL_TOKENS)
+    assert code == 0 and not err
+    assert out == APPLY_ALL_TOKENS_OUT + "\n"
+
+
 def test_apply_rejects_garbage(capsys):
     code, _, err = run_cli(capsys, "apply", "junk |0>")
     assert code == 2 and "unknown operator token" in err and "token 1 of 2, 'junk'" in err

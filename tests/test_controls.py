@@ -63,7 +63,7 @@ def first_summand_flipped(f):
             p, q, c = op.rule(i)
             return p, q, -c if i == 0 else c
 
-        return QuadraticModeOperator(rule, op.support)
+        return QuadraticModeOperator(rule, op.support, op.denominator)
 
     return mode
 

@@ -4,11 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from fockcheck.charged import CHARGED, MINUS, PLUS, ChargedBilinear, charged_bilinear_mode, enumerate_charged_basis
+from fockcheck import virasoro
+from fockcheck.charged import (
+    CHARGED,
+    MINUS,
+    PLUS,
+    ChargedBilinear,
+    charged_bilinear_mode,
+    enumerate_charged_basis,
+    lA_lambda_b_mode,
+)
 from fockcheck.fock import NEUTRAL, FockState, apply_mode, enumerate_basis, weight2
 from fockcheck.modeops import (
     AffineOperator,
     FermionBilinear,
+    ModeOperator,
     QuadraticModeOperator,
     apply_pair_to_monomial,
     bilinear_mode,
@@ -16,9 +26,11 @@ from fockcheck.modeops import (
     parity_flip,
     zero_operator,
 )
-from fockcheck.heisenberg import h_family, h_mode
+from fockcheck.heisenberg import h_family, h_mode, h_mode_bilinear
+from fockcheck.suites import LAMBDA_PAIRS, heisenberg_expected, square_grid, virasoro_expected
+from fockcheck.verify import bracket_check
 from fockcheck.virasoro import l_half_family
-from fockcheck.winf import jk_mode_charged
+from fockcheck.winf import jk_mode_charged, jk_mode_neutral
 
 
 def test_normal_order_pair_cases():
@@ -101,7 +113,7 @@ def out_of_support_summands(op, basis, space):
         for i in margin:
             if i in inside:
                 continue
-            assert QuadraticModeOperator(op.rule, lambda mono: (i,)).apply(v).is_zero, (mono, i)
+            assert QuadraticModeOperator(op.rule, lambda mono: (i,), op.denominator).apply(v).is_zero, (mono, i)
             probed += 1
     return probed
 
@@ -131,6 +143,101 @@ def test_support_bound_is_sound():
     for k in range(4):
         for n in range(-6, 7):
             assert out_of_support_summands(jk_mode_charged(k, n), cbasis, CHARGED), (k, n)
+
+
+def off_denominator_coefficients(op, basis, space):
+    """Every coefficient ``c`` of ``op`` on ``basis`` with ``c * op.denominator``
+    not an integer, and the number of coefficients probed."""
+    bad, probed = [], 0
+    for mono in basis:
+        for out, c in op.apply(FockState.monomial(mono, space=space)).terms.items():
+            probed += 1
+            if (c * op.denominator).denominator != 1:
+                bad.append((mono, out, c))
+    return bad, probed
+
+
+def declared_operators():
+    """``(label, operator, space)`` for every constructor a bracket grid or a
+    CLI ``apply`` token builds, over the modes the suites reach."""
+    for n in range(-3, 4):
+        yield ("h", n), h_mode(n), NEUTRAL
+        yield ("h(bilinear)", n), h_mode_bilinear(n), NEUTRAL
+        yield ("L1", n), virasoro.sugawara_l1_mode(n), NEUTRAL
+        yield ("L1~", n), virasoro.l1_tilde_family().mode(n), NEUTRAL
+        yield ("L1/2 flip", n), virasoro.l_half_tilde_family_flip().mode(n), NEUTRAL
+        for lam, b in LAMBDA_PAIRS:
+            yield ("L(lam,b)", lam, b, n), virasoro.lambda_family(lam, b).mode(n), NEUTRAL
+            yield ("LA(lam,b)", lam, b, n), lA_lambda_b_mode(lam, b, n), CHARGED
+        for N in (1, 2, 3):
+            family = virasoro.doubling_construct(l_half_family(), Fraction(1, 2), N)
+            yield ("doubling", N, n), family.mode(n), NEUTRAL
+        for k in range(4):
+            yield ("J", k, n), jk_mode_charged(k, n), CHARGED
+        for k in range(3):
+            yield ("J neutral", k, n), jk_mode_neutral(k, n), NEUTRAL
+    for e in range(-5, 2):
+        for a, b in ORDERS:
+            for sl in (1, -1):
+                for sr in (1, -1):
+                    bil = FermionBilinear(Fraction(3, 4), 0, a, b, sl, sr)
+                    yield ("bilinear", a, b, sl, sr, e), bilinear_mode(bil, e), NEUTRAL
+            for left in (PLUS, MINUS):
+                for right in (PLUS, MINUS):
+                    bil = ChargedBilinear(Fraction(-2, 3), 0, left, a, right, b)
+                    yield ("charged bilinear", left, a, right, b, e), charged_bilinear_mode(bil, e), CHARGED
+    for t in (-3, -1, 1, 3):
+        yield ("phi", t), ModeOperator(t), NEUTRAL
+
+
+def test_declared_denominator_is_sound():
+    # every coefficient of apply on a monomial of twice-weight <= 10 lies in (1/D)Z
+    bases = {NEUTRAL: enumerate_basis(10), CHARGED: enumerate_charged_basis(10)}
+    probed = 0
+    for label, op, space in declared_operators():
+        bad, count = off_denominator_coefficients(op, bases[space], space)
+        assert not bad, (label, op.denominator, bad[:3])
+        probed += count
+    assert probed > 5000
+
+
+class Declared:
+    """An operator re-declared with another denominator; its action is unchanged."""
+
+    def __init__(self, op, denominator):
+        self.op, self.denominator = op, denominator
+
+    def apply(self, state):
+        return self.op.apply(state)
+
+
+def test_undersized_denominator_raises_in_bracket_check():
+    # L^{1/2}_0 phi[-1/2]|0> = (1/2) phi[-1/2]|0>, so the family needs its declared 2
+    basis = enumerate_basis(6)
+    grid = square_grid(1)
+    expected = virasoro_expected(Fraction(1, 2))
+
+    def declared(d):
+        return lambda n: Declared(virasoro.l_half_mode(n), d)
+
+    assert bracket_check("half", "commutator", declared(2), expected, grid, basis).passed
+    with pytest.raises(ArithmeticError, match=r"over 2, outside \(1/1\)Z"):
+        bracket_check("half", "commutator", declared(1), expected, grid, basis)
+    # the undersized declaration is caught inside an affine combination too
+    affine = lambda n: AffineOperator([(Fraction(1), declared(1)(n))])
+    with pytest.raises(ArithmeticError):
+        bracket_check("half", "commutator", affine, expected, grid, basis)
+    # h_mode acts with integer coefficients (summands i and T - i give one term
+    # twice), so its declared 2 is an upper bound and 1 would be sound as well
+    h_one = lambda n: Declared(h_mode(n), 1)
+    assert bracket_check("h", "commutator", h_one, heisenberg_expected, grid, basis).passed
+
+
+def test_affine_denominator_is_the_lcm_of_its_parts():
+    op = AffineOperator([(Fraction(1, 3), h_mode(1)), (Fraction(5, 4), ModeOperator(1))], Fraction(1, 10))
+    assert op.denominator == 60  # lcm(3 * 2, 4 * 1, 10)
+    assert AffineOperator([]).denominator == 1
+    assert zero_operator().denominator == 1
 
 
 def test_weight_homogeneity():

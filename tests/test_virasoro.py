@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from fockcheck.fock import FockState, enumerate_basis, weight
+from fockcheck.charged import CHARGED, to_charged
+from fockcheck.fock import NEUTRAL, FockState, enumerate_basis, weight
 from fockcheck.grading import vacuum_like
 from fockcheck.heisenberg import h_mode
 from fockcheck.modeops import AffineOperator
@@ -222,3 +223,21 @@ def test_even_modes_only_for_charge_one_field():
             v = FockState.monomial(mono)
             out = v1.mode(m).apply(v) + v2.mode(m).apply(v)
             assert out.is_zero, (m, mono)
+
+
+def test_sugawara_rejects_a_charged_state():
+    charged = to_charged(FockState.monomial((0, 1)))
+    assert charged.space is CHARGED
+    with pytest.raises(ValueError, match="neutral space, not on a charged state"):
+        sugawara_l1_mode(0).apply(charged)
+
+
+def test_sugawara_acts_linearly_on_fraction_coefficients():
+    v = FockState.monomial((0, 1), Fraction(2, 3)) + FockState.monomial((2,), Fraction(-5, 7))
+    for n in range(-2, 3):
+        op = sugawara_l1_mode(n)
+        out = op.apply(v)
+        assert out.space is NEUTRAL
+        want = op.apply(FockState.monomial((0, 1))).scale(Fraction(2, 3))
+        want = want + op.apply(FockState.monomial((2,))).scale(Fraction(-5, 7))
+        assert out == want, n
