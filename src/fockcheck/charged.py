@@ -261,7 +261,7 @@ def _transport(state: FockState, signed_image: Callable, space: Space) -> FockSt
     for mono, c in state.terms.items():
         sign, image = signed_image(mono)
         add_term(acc, image, sign * c)
-    return FockState(acc, space)
+    return FockState(acc, state.denominator, space)
 
 
 def to_charged(state: FockState) -> FockState:

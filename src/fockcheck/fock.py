@@ -21,11 +21,12 @@ Neutral mode indices are half-integers.  They are encoded throughout as
 index ``n = (-t-1)//2``, positive ``t`` annihilates ``n = (t-1)//2``.  The
 modes satisfy the Clifford relations ``{phi_m, phi_n} = delta(m, -n)``.
 
-A state's coefficients are ``fractions.Fraction``; no floating point exists
-anywhere in this package.  Operators act in ``int`` numerators instead: a
-state hands them its coefficients as numerators over one common denominator
-(:meth:`FockState.numerators`), and their result is built back, one
-``Fraction`` per term, by :meth:`FockState.over`.
+A state holds its coefficients as ``int`` numerators over one positive
+``denominator``, in lowest terms, so operators act on the numerators and
+multiply the denominator by their own.  ``fractions.Fraction`` appears only
+at the edges: :meth:`FockState.coefficient`, rendering, parsing and the
+factor of :meth:`FockState.scale`.  No floating point exists anywhere in
+this package.
 """
 
 from __future__ import annotations
@@ -136,19 +137,30 @@ NEUTRAL = Space(
 class FockState:
     """Finite linear combination of monomials with exact rational coefficients.
 
-    Zero coefficients are never stored; the empty map is the zero state.
-    Instances are treated as immutable values.
+    ``terms`` maps each monomial to an ``int`` numerator over the shared
+    positive ``denominator``.  The constructor drops zero numerators and
+    reduces to lowest terms, so equal states have equal ``terms`` and
+    ``denominator``; the zero state is the empty map over 1.  Instances are
+    treated as immutable values.
     """
 
-    __slots__ = ("terms", "space")
+    __slots__ = ("terms", "denominator", "space")
 
-    def __init__(self, terms: dict[Any, Fraction] | None = None, space: Space = NEUTRAL):
-        self.terms = terms if terms is not None else {}
+    def __init__(self, terms: dict[Any, int] | None = None, denominator: int = 1, space: Space = NEUTRAL):
+        if denominator <= 0:
+            raise ValueError(f"state denominator must be positive, got {denominator}")
+        terms = {m: c for m, c in terms.items() if c} if terms else {}
+        g = math.gcd(denominator, *terms.values())
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+            denominator //= g
+        self.terms = terms
+        self.denominator = denominator
         self.space = space
 
     @classmethod
     def zero(cls, space: Space = NEUTRAL) -> "FockState":
-        return cls({}, space)
+        return cls({}, 1, space)
 
     @classmethod
     def monomial(cls, mono: Iterable, coeff: Fraction | int = 1, space: Space = NEUTRAL) -> "FockState":
@@ -156,71 +168,57 @@ class FockState:
         if not space.is_canonical(mono):
             raise ValueError(f"not a canonical {space.name} monomial: {mono}")
         coeff = Fraction(coeff)
-        return cls({mono: coeff} if coeff else {}, space)
+        return cls({mono: coeff.numerator}, coeff.denominator, space)
 
     @classmethod
     def vacuum(cls, space: Space = NEUTRAL) -> "FockState":
-        return cls({space.vacuum: Fraction(1)}, space)
-
-    @classmethod
-    def over(cls, numerators: dict, denominator: int, space: Space = NEUTRAL) -> "FockState":
-        """The state ``sum (n / denominator) mono`` of the int numerators
-        ``{mono: n}``; zero numerators are dropped."""
-        return cls({m: Fraction(n, denominator) for m, n in numerators.items() if n}, space)
-
-    def numerators(self) -> tuple[int, list[tuple[Any, int]]]:
-        """``(d, [(mono, n), ...])`` with ``d`` the lcm of the coefficient
-        denominators and each coefficient ``n / d``; the inverse of :meth:`over`."""
-        d = math.lcm(*(c.denominator for c in self.terms.values()))
-        return d, [(m, c.numerator * (d // c.denominator)) for m, c in self.terms.items()]
+        return cls({space.vacuum: 1}, 1, space)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, mono) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+        return Fraction(self.terms.get(tuple(mono), 0), self.denominator)
 
-    def _check_space(self, other: "FockState") -> None:
+    def _combine(self, other: "FockState", sign: int) -> "FockState":
+        """``self + sign * other`` over the lcm of the two denominators."""
         if other.space is not self.space:
             raise ValueError(f"cannot combine a {self.space.name} state with a {other.space.name} state")
+        den = math.lcm(self.denominator, other.denominator)
+        mine, theirs = den // self.denominator, sign * (den // other.denominator)
+        acc = {m: mine * c for m, c in self.terms.items()}
+        for mono, c in other.terms.items():
+            acc[mono] = acc.get(mono, 0) + theirs * c
+        return FockState(acc, den, self.space)
 
     def __add__(self, other: "FockState") -> "FockState":
-        self._check_space(other)
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            add_term(acc, mono, c)
-        return FockState(acc, self.space)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "FockState") -> "FockState":
-        self._check_space(other)
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            add_term(acc, mono, -c)
-        return FockState(acc, self.space)
+        return self._combine(other, -1)
 
     def scale(self, factor: Fraction | int) -> "FockState":
-        factor = Fraction(factor)
-        if not factor:
-            return FockState({}, self.space)
-        return FockState({m: factor * c for m, c in self.terms.items()}, self.space)
+        num = factor.numerator
+        return FockState({m: num * c for m, c in self.terms.items()}, self.denominator * factor.denominator, self.space)
 
     __rmul__ = scale
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockState):
             return NotImplemented
-        return self.space is other.space and self.terms == other.terms
+        return self.space is other.space and self.denominator == other.denominator and self.terms == other.terms
 
     def __repr__(self) -> str:
         return f"FockState({format_state(self)!r}, {self.space.name})"
 
     def sorted_terms(self) -> list[tuple[Any, Fraction]]:
-        key = self.space.sort_key
-        return sorted(self.terms.items(), key=lambda item: key(item[0]))
+        """``(monomial, coefficient)`` pairs in the space's report order."""
+        key, den = self.space.sort_key, self.denominator
+        return sorted(((m, Fraction(c, den)) for m, c in self.terms.items()), key=lambda item: key(item[0]))
 
 
-def add_term(acc: dict, mono, coeff: Fraction) -> None:
+def add_term(acc: dict, mono, coeff: int) -> None:
     """Accumulate ``coeff * mono`` into ``acc``, dropping exact zeros."""
     new = acc.get(mono, 0) + coeff
     if new:
@@ -240,7 +238,7 @@ def apply_mode(t: int, state: FockState) -> FockState:
         if hit is not None:
             sign, out = hit
             add_term(acc, out, sign * c)
-    return FockState(acc, space)
+    return FockState(acc, state.denominator, space)
 
 
 def increasing_tuples(first: int, step: int, budget: int) -> list[tuple[int, tuple[int, ...]]]:

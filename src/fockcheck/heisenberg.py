@@ -90,7 +90,7 @@ def spanning_check(n: int, k: int) -> VerificationReport:
         vn = FockState.monomial(vacuum_like(n))
         for parts in partitions(k):
             vec = raising_string(parts, vn)
-            row = [Fraction(0)] * len(basis)
+            row = [0] * len(basis)
             for mono, c in vec.terms.items():
                 if mono not in index:
                     report.record(

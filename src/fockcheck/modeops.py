@@ -17,10 +17,10 @@ the constructors differ, because the two field expansions differ.
 
 Every operator declares a ``denominator`` D: each coefficient of its action
 on a basis monomial lies in ``(1/D)Z``.  A quadratic operator's rule yields
-``int`` numerators over its D, and its ``apply`` works in ``int``
-numerators throughout, building one ``Fraction`` per output term; the
-states it takes and returns hold ``Fraction`` coefficients.  An affine
-combination declares the lcm of its parts' denominators, and
+``int`` numerators over its D, so its ``apply`` multiplies the state's
+``int`` numerators by them and its denominator by D.  An affine
+combination declares the lcm of its parts' denominators and combines their
+states, whose arithmetic is ``int`` arithmetic too;
 :func:`fockcheck.verify.bracket_check` raises ``ArithmeticError`` on a
 coefficient outside the declared ``(1/D)Z``.
 
@@ -62,7 +62,7 @@ def normal_order_pair(p: int, q: int) -> tuple[tuple[int, int], int, Fraction]:
     return (p, q), 1, Fraction(0)
 
 
-def apply_pair_to_monomial(act: Callable, p: int, q: int, mono, acc: dict, coeff: Fraction | int) -> None:
+def apply_pair_to_monomial(act: Callable, p: int, q: int, mono, acc: dict, coeff: int) -> None:
     """Accumulate ``coeff * :X_p X_q: mono`` into ``acc``.
 
     ``act`` is the single-mode action of the space the mode codes ``p`` and
@@ -109,11 +109,10 @@ class QuadraticModeOperator:
 
     def apply(self, state: FockState) -> FockState:
         act = state.space.act
-        d, terms = state.numerators()
         acc: dict = {}
-        for mono, k in terms:
+        for mono, k in state.terms.items():
             self.accumulate(act, mono, k, acc)
-        return FockState.over(acc, d * self.denominator, state.space)
+        return FockState(acc, state.denominator * self.denominator, state.space)
 
 
 def zero_operator() -> QuadraticModeOperator:

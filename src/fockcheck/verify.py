@@ -23,13 +23,13 @@ operator's own ``apply`` and composes both orders of every grid pair, and
 the expected side, from those columns.  The memo belongs to the call and
 dies with it.
 
-States hold ``Fraction`` coefficients, but operators act in ``int``
-numerators over the ``denominator`` each one declares (see
-:mod:`fockcheck.modeops`).  A column is kept as ``int`` numerators over its
-operator's denominator, and a coefficient outside that ``(1/D)Z`` raises
-``ArithmeticError``, so a wrong declaration is never a quiet pass.  Each
-grid pair is compared as ``int`` numerators over one common denominator,
-and states are built from them only for a failing witness.
+States are ``int`` numerators over one denominator, and every operator
+declares the ``denominator`` of its action (see :mod:`fockcheck.modeops`).
+A column is kept as ``int`` numerators over its operator's denominator, and
+a coefficient outside that ``(1/D)Z`` raises ``ArithmeticError``, so a
+wrong declaration is never a quiet pass.  Each grid pair is composed in
+``int`` numerators over one common denominator, and both sides of a case
+are compared as the states they stand for.
 """
 
 from __future__ import annotations
@@ -161,14 +161,14 @@ class _Columns:
         col = cols.get(mono)
         if col is None:
             intern = self.canon.setdefault
-            d, terms = op.apply(FockState({mono: Fraction(1)}, self.space)).numerators()
-            scale, rest = divmod(op.denominator, d)
+            out = op.apply(FockState({mono: 1}, 1, self.space))
+            scale, rest = divmod(op.denominator, out.denominator)
             if rest:
                 raise ArithmeticError(
-                    f"mode {i} on {mono} has a coefficient over {d}, outside (1/{op.denominator})Z"
-                    " of its declared denominator"
+                    f"mode {i} on {mono} has a coefficient over {out.denominator},"
+                    f" outside (1/{op.denominator})Z of its declared denominator"
                 )
-            scaled = ((m, n * scale) for m, n in terms)
+            scaled = ((m, n * scale) for m, n in out.terms.items())
             col = cols[intern(mono, mono)] = tuple((intern(m, m), intern(n, n)) for m, n in scaled)
         return col
 
@@ -188,26 +188,7 @@ def _scaled(c: Fraction | int, denominator: int) -> int:
     return c.numerator * (denominator // c.denominator)
 
 
-class _Side:
-    """One side of a bracket case: ``int`` numerators over a denominator
-    shared by both sides, so equality compares the numerators.  The state is
-    built and rendered (by ``str``) only for a failing witness."""
-
-    __slots__ = ("terms", "denominator", "space")
-
-    def __init__(self, acc: dict, denominator: int, space: Space):
-        self.terms = {m: c for m, c in acc.items() if c}
-        self.denominator = denominator
-        self.space = space
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Side) and self.terms == other.terms
-
-    def __str__(self) -> str:
-        return format_state(FockState.over(self.terms, self.denominator, self.space))
-
-
-Expected = Callable[[Hashable, Hashable], tuple[list[tuple[Fraction, Hashable]], Fraction]]
+Expected = Callable[[Hashable, Hashable], tuple[list[tuple[Fraction, Hashable]], Fraction | int]]
 
 
 def bracket_check(
@@ -229,7 +210,7 @@ def bracket_check(
     ``scalar`` the identity part.  ``basis`` holds monomials of ``space``.
     Both sides and the expected operators are composed from one column
     memo (:class:`_Columns`), so each operator acts on each monomial once
-    however many pairs use it.  Each grid pair is compared in ``int``
+    however many pairs use it.  Each grid pair is composed in ``int``
     numerators over one common denominator: the lcm of ``D_m * D_n``, of
     ``coefficient.denominator * D_k`` for every summand and of the scalar's
     denominator.  ``params`` are added to the report's.
@@ -259,8 +240,8 @@ def bracket_check(
                 for c, k in ops:
                     cols.compose(k, ((mono, c),), 1, rhs)
                 report.expect(
-                    _Side(lhs, den, space),
-                    _Side(rhs, den, space),
+                    FockState(lhs, den, space),
+                    FockState(rhs, den, space),
                     lambda: f"(m={m}, n={n}) on {format_state(FockState.monomial(mono, space=space))}",
                 )
     return report
@@ -288,7 +269,7 @@ def field_identity_check(
     return report
 
 
-def fraction_free_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def fraction_free_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Exact rank over the rationals by fraction-free (Bareiss) elimination."""
     mat = []
     for row in rows:

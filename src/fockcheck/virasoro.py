@@ -139,12 +139,11 @@ class SugawaraOperator:
     def apply(self, state: FockState) -> FockState:
         if state.space is not NEUTRAL:
             raise ValueError(f"L^1 acts on the neutral space, not on a {state.space.name} state")
-        d, terms = state.numerators()
         acc: dict[Monomial, int] = {}
-        for mono, k in terms:
+        for mono, k in state.terms.items():
             for m, c in _sugawara_on_monomial(self.n, mono):
                 acc[m] = acc.get(m, 0) + k * c
-        return FockState.over(acc, d * self.denominator, state.space)
+        return FockState(acc, state.denominator * self.denominator, state.space)
 
 
 def sugawara_l1_mode(n: int) -> SugawaraOperator:

@@ -42,7 +42,7 @@ from .fock import FockState, add_term, format_state
 from .modeops import apply_pair_to_monomial
 from .verify import VerificationReport
 
-Matrix = dict[tuple[int, int], Fraction]
+Matrix = dict[tuple[int, int], int]
 
 
 def jk_mode_charged(k: int, n: int):
@@ -113,7 +113,7 @@ def glinf_matrix(k: int, n: int, radius: int) -> Matrix:
     for j in range(-radius, radius + 1):
         c = _rising(j, k)
         if c:
-            out[(j - n, j)] = Fraction(c)
+            out[(j - n, j)] = c
     return out
 
 
@@ -132,14 +132,14 @@ def matrix_commutator(a: Matrix, b: Matrix, radius: int) -> Matrix:
     return out
 
 
-def glinf_cocycle(a: Matrix, b: Matrix) -> Fraction:
+def glinf_cocycle(a: Matrix, b: Matrix) -> int:
     """The gl_infinity 2-cocycle ``sum_{i <= 0 < j} (a_ij b_ji - b_ij a_ji)``.
 
     Only entries whose row and column straddle the cut between 0 and 1
     contribute, and for a shift matrix they lie within the shift of the cut,
     so a :func:`glinf_matrix` window at least that wide gives the exact value.
     """
-    out = Fraction(0)
+    out = 0
     for (i, j), x in a.items():
         if i <= 0 < j:
             out += x * b.get((j, i), 0)
@@ -157,11 +157,11 @@ class MatrixLift:
 
     def apply(self, state: FockState) -> FockState:
         act = state.space.act
-        acc: dict[ChargedMonomial, Fraction] = {}
+        acc: dict[ChargedMonomial, int] = {}
         for mono, c in state.terms.items():
             for p, q, w in self.pairs:
                 apply_pair_to_monomial(act, p, q, mono, acc, w * c)
-        return FockState(acc, state.space)
+        return FockState(acc, state.denominator, state.space)
 
 
 def _max_slot(basis: Sequence[ChargedMonomial]) -> int:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockcheck.charged import CHARGED
 from fockcheck.fock import (
     FockState,
     annihilation,
@@ -106,7 +107,7 @@ def test_action_matches_clifford_oracle(word_len):
     for word in words:
         expected = clifford_reduce(word, memo)
         got = chain_apply(word)
-        assert got.terms == {m: Fraction(c) for m, c in expected.items()}, word
+        assert dict(got.sorted_terms()) == {m: Fraction(c) for m, c in expected.items()}, word
 
 
 def test_anticommutator_on_monomials_small_grid():
@@ -205,3 +206,56 @@ def test_round_trip_over_basis_states():
         for coeff in (Fraction(1), Fraction(-1), Fraction(7, 3), Fraction(-2, 5)):
             state = FockState.monomial(mono, coeff)
             assert parse_state(format_state(state)) == state
+
+
+# -- the exact representation: int numerators over one denominator -----------
+
+
+def test_state_is_kept_in_lowest_terms():
+    m = (0, 2)
+    state = FockState({m: 2}, 4)
+    assert state == FockState({m: 1}, 2)
+    assert state.denominator == 2 and state.terms == {m: 1}
+    half = FockState.vacuum().scale(Fraction(1, 2))
+    whole = half + half
+    assert whole.denominator == 1 and whole == FockState.vacuum()
+    # a common factor of every numerator cancels too, not only of the first
+    assert FockState({(): 6, (1,): -9}, 15) == FockState({(): 2, (1,): -3}, 5)
+
+
+def test_zero_state_is_the_empty_map_over_one():
+    a = FockState({(0,): 3, (1,): -1}, 7)
+    for zero in (a - a, a.scale(0), FockState({(0,): 0}, 5), FockState.zero()):
+        assert zero.terms == {} and zero.denominator == 1 and zero.is_zero
+        assert zero == FockState.zero()
+
+
+def test_zero_numerators_are_dropped():
+    state = FockState({(0,): 0, (1,): 4, (2,): 0}, 6)
+    assert state.terms == {(1,): 2} and state.denominator == 3
+    b = FockState({(0,): 1, (1,): 1}, 2)
+    c = FockState({(0,): 1, (1,): -1}, 2)
+    assert (b + c).terms == {(0,): 1} and (b + c).denominator == 1
+
+
+def test_coefficient_is_a_fraction():
+    state = FockState({(1,): 3}, 4)
+    assert state.coefficient((1,)) == Fraction(3, 4)
+    assert isinstance(state.coefficient((1,)), Fraction)
+    assert isinstance(state.coefficient((0,)), Fraction) and state.coefficient((0,)) == 0
+
+
+def test_states_of_different_spaces_do_not_combine():
+    neutral, charged = FockState.vacuum(), FockState.vacuum(CHARGED)
+    with pytest.raises(ValueError, match="cannot combine"):
+        neutral + charged
+    with pytest.raises(ValueError, match="cannot combine"):
+        charged - neutral
+
+
+@pytest.mark.parametrize("denominator", [0, -1, -6])
+def test_nonpositive_denominator_raises(denominator):
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        FockState({(0,): 1}, denominator)
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        FockState({}, denominator)

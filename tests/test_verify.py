@@ -37,6 +37,15 @@ def test_bracket_check_flags_corruption():
     assert all({"witness", "lhs", "rhs"} <= set(f) for f in report.failures)
 
 
+def test_red_bracket_witness_renders_fractional_sides():
+    # central charge 7/5 is wrong for L^{1/3,2/5}; both sides of the first
+    # failing case are rationals with distinct denominators
+    family = virasoro.lambda_family(Fraction(1, 3), Fraction(2, 5))
+    report = virasoro_bracket("x", family, Fraction(7, 5), 2, enumerate_basis(8))
+    assert (report.cases_run, report.failures_total) == (225, 18)
+    assert report.failures[0] == {"witness": "(m=-2, n=2) on |0>", "lhs": "-149/200 |0>", "rhs": "-667/600 |0>"}
+
+
 def test_bracket_check_rejects_a_non_canonical_basis_monomial():
     with pytest.raises(ValueError, match="not a canonical neutral monomial"):
         bracket_check("h", "commutator", h_mode, heisenberg_expected, [(1, -1)], [(), (1, 0)])
@@ -140,7 +149,7 @@ def test_sugawara_columns_match_the_uncached_normal_ordered_sum():
                 a, b = sorted((n - k, k))
                 want = want + h_mode(a).apply(h_mode(b).apply(v))
             column = dict(virasoro._sugawara_on_monomial(n, mono))  # int numerators over 8
-            assert FockState.over(column, virasoro.SugawaraOperator.denominator) == want, (n, mono)
+            assert FockState(column, virasoro.SugawaraOperator.denominator) == want, (n, mono)
 
 
 def test_sugawara_window_is_sound():
