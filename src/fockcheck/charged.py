@@ -4,15 +4,24 @@ map from the neutral-fermion space.
 Two species of modes ``psi+_n`` and ``psi-_n`` (n integer) satisfy
 ``{psi+_m, psi-_n} = delta(m+n+1)`` with all same-species anticommutators
 zero; modes with ``n <= -1`` create, ``n >= 0`` annihilate the vacuum.
-A monomial is a pair of strictly increasing tuples of negative integers
-``(plus, minus)`` standing for the product with every ``psi+`` factor left
-of every ``psi-`` factor and each block ordered by increasing mode index.
+
+A monomial is a pair ``(plus, minus)`` of neutral monomials (see
+:mod:`fockcheck.fock`): strictly increasing tuples of indices ``j >= 0``,
+where ``j`` in a block stands for the mode ``-j-1`` of that block's species.
+It is the product with every ``psi+`` factor left of every ``psi-`` factor
+and, as in the neutral space, the largest index of each block leftmost.
 
 States and operators are the shared ones of :mod:`fockcheck.fock` and
 :mod:`fockcheck.modeops`; this module supplies the space :data:`CHARGED`.
 A charged mode is encoded as the ``int`` ``2*n`` for ``psi+_n`` and
 ``2*n + 1`` for ``psi-_n`` (:func:`charged_code`), so that, as in the
-neutral space, a code is negative exactly when the mode creates.
+neutral space, a code is negative exactly when the mode creates.  A mode
+acts on one block as the neutral mode ``code | 1`` acts on a neutral
+monomial: a ``psi+`` creator or a ``psi-`` annihilator on the ``psi+``
+block, a ``psi-`` creator or a ``psi+`` annihilator on the ``psi-`` block
+with the extra sign ``(-1)**len(plus)`` for passing the ``psi+`` block.
+The Clifford sign rule thus lives once, in
+:func:`fockcheck.fock.apply_mode_to_monomial`.
 
 The neutral space maps onto this one by the mode dictionary
 
@@ -20,20 +29,22 @@ The neutral space maps onto this one by the mode dictionary
     even neutral index 2j    <->  psi-_{-j-1}
 
 extended to annihilators so that all anticommutators transport exactly.
-Under the dictionary the neutral charge grading becomes the particle-number
-charge ``len(plus) - len(minus)``, and weights match when ``psi+_{-j-1}``
-and ``psi-_{-j-1}`` are weighted ``2j + 3/2`` and ``2j + 1/2``.
+On monomials the isomorphism splits the neutral indices into odd and even
+ones, with the sign of moving every ``psi+`` factor left of every ``psi-``
+factor.  Under the dictionary the neutral charge grading becomes the
+particle-number charge ``len(plus) - len(minus)``, and weights match when
+``psi+_{-j-1}`` and ``psi-_{-j-1}`` are weighted ``2j + 3/2`` and
+``2j + 1/2``.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .fock import NEUTRAL, FockState, Monomial, Space, add_term, creation, increasing_tuples
+from .fock import NEUTRAL, FockState, Monomial, Space, add_term, apply_mode_to_monomial, creation, increasing_tuples
 from .modeops import AffineOperator, OperatorFamily, QuadraticModeOperator, falling
 
 ChargedMonomial = tuple[tuple[int, ...], tuple[int, ...]]
@@ -50,7 +61,7 @@ def charge(mono: ChargedMonomial) -> int:
 def cweight2(mono: ChargedMonomial) -> int:
     """Twice the weight transported from the neutral space."""
     plus, minus = mono
-    return sum(-4 * p - 1 for p in plus) + sum(-4 * q - 3 for q in minus)
+    return sum(4 * j + 3 for j in plus) + sum(4 * j + 1 for j in minus)
 
 
 def charged_code(species: int, m: int) -> int:
@@ -61,59 +72,31 @@ def charged_code(species: int, m: int) -> int:
 def apply_charged_mode_to_monomial(code: int, mono: ChargedMonomial) -> tuple[int, ChargedMonomial] | None:
     """Signed action of the charged mode ``code`` on a monomial, or None when zero.
 
-    Signs count the factors the moving operator anticommutes past in the
-    canonical product: a ``psi-`` factor or annihilator passes the whole
-    ``psi+`` block first.
+    The mode acts on one block as the neutral mode ``code | 1`` on a neutral
+    monomial, adding or removing the index ``j`` of the block mode ``-j-1``
+    it creates or pairs with; on the ``psi-`` block it first passes the
+    ``psi+`` block.
     """
     plus, minus = mono
-    m = code >> 1
-    if not code & 1:  # psi+_m
-        if m <= -1:  # create psi+_m
-            if m in plus:
-                return None
-            pos = bisect_left(plus, m)
-            sign = -1 if pos % 2 else 1
-            return sign, (plus[:pos] + (m,) + plus[pos:], minus)
-        target = -1 - m  # annihilate against psi-_{-1-m}
-        pos = _find_pos(minus, target)
-        if pos is None:
-            return None
-        sign = -1 if (len(plus) + pos) % 2 else 1
-        return sign, (plus, minus[:pos] + minus[pos + 1 :])
-    if m <= -1:  # create psi-_m
-        if m in minus:
-            return None
-        pos = bisect_left(minus, m)
-        sign = -1 if (len(plus) + pos) % 2 else 1
-        return sign, (plus, minus[:pos] + (m,) + minus[pos:])
-    target = -1 - m  # annihilate against psi+_{-1-m}
-    pos = _find_pos(plus, target)
-    if pos is None:
+    if (code < 0) != (code & 1):  # psi+ creates or psi- annihilates: the psi+ block
+        hit = apply_mode_to_monomial(code | 1, plus)
+        return None if hit is None else (hit[0], (hit[1], minus))
+    hit = apply_mode_to_monomial(code | 1, minus)
+    if hit is None:
         return None
-    sign = -1 if pos % 2 else 1
-    return sign, (plus[:pos] + plus[pos + 1 :], minus)
-
-
-def _find_pos(block: tuple[int, ...], m: int) -> int | None:
-    try:
-        return block.index(m)
-    except ValueError:
-        return None
+    sign, block = hit
+    return (-sign if len(plus) % 2 else sign), (plus, block)
 
 
 def enumerate_charged_basis(weight_cut2: int) -> list[ChargedMonomial]:
     """All charged monomials of transported twice-weight <= weight_cut2, in
     :attr:`CHARGED.sort_key` order; each block is a tuple of
-    :func:`~fockcheck.fock.increasing_tuples` whose index ``j`` is the mode
-    ``-j-1``, costing ``4j + 3`` for ``psi+`` and ``4j + 1`` for ``psi-``."""
+    :func:`~fockcheck.fock.increasing_tuples`, index ``j`` costing ``4j + 3``
+    for ``psi+`` and ``4j + 1`` for ``psi-``."""
     if weight_cut2 < 0:
         raise ValueError("weight cut must be non-negative")
-
-    def modes(indices: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(-j - 1 for j in reversed(indices))
-
     out = [
-        (modes(plus), modes(minus))
+        (plus, minus)
         for pweight, plus in increasing_tuples(3, 4, weight_cut2)
         for _, minus in increasing_tuples(1, 4, weight_cut2 - pweight)
     ]
@@ -134,6 +117,12 @@ class ChargedBilinear:
     dleft: int
     right_species: int
     dright: int
+
+    def __post_init__(self):
+        if self.left_species not in (PLUS, MINUS) or self.right_species not in (PLUS, MINUS):
+            raise ValueError("species must be PLUS or MINUS")
+        if self.dleft < 0 or self.dright < 0:
+            raise ValueError("derivative orders must be non-negative")
 
 
 def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> QuadraticModeOperator:
@@ -157,12 +146,10 @@ def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> QuadraticModeO
     def support(mono: ChargedMonomial) -> Iterable[int]:
         plus, minus = mono
         hits = set(range(T + 1, 0))  # both create: T+1 <= a <= -1
-        left_targets = minus if sp_l == PLUS else plus
-        right_targets = minus if sp_r == PLUS else plus
-        for x in left_targets:
-            hits.add(-1 - x)  # left factor annihilates
-        for x in right_targets:
-            hits.add(T + 1 + x)  # right factor annihilates
+        for j in minus if sp_l == PLUS else plus:
+            hits.add(j)  # left factor annihilates index j: a = j
+        for j in minus if sp_r == PLUS else plus:
+            hits.add(T - j)  # right factor annihilates index j: T - a = j
         return sorted(hits)
 
     return QuadraticModeOperator(rule, support, bil.prefactor.denominator)
@@ -176,32 +163,24 @@ def hA_mode(n: int) -> QuadraticModeOperator:
     return charged_bilinear_mode(H_CHARGED_BILINEAR, -n - 1)
 
 
-def lA_mode(lam: Fraction, n: int) -> AffineOperator:
-    """Mode n of ``(1-lam):(d psi+) psi-: + lam :(d psi-) psi+:``."""
-    lam = Fraction(lam)
-    e = -n - 2
-    return AffineOperator(
-        [
-            (1 - lam, charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, PLUS, 1, MINUS, 0), e)),
-            (lam, charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, MINUS, 1, PLUS, 0), e)),
-        ]
-    )
-
-
 def lA_lambda_b_mode(lam: Fraction, b: Fraction, n: int) -> AffineOperator:
-    """Two-parameter charged Virasoro mode; the ``b`` terms shift by the
-    current and a constant ``b(b - 2 lam + 1)/2`` at mode zero.
+    """Mode n of ``(1-lam):(d psi+) psi-: + lam :(d psi-) psi+: - b :psi+ psi-:``
+    plus the constant ``b(b - 2 lam + 1)/2`` at mode zero.
 
     It is the image of the neutral family under the state isomorphism with
     ``b`` shifted: ``LA(lam, b)`` corresponds to
     ``virasoro.lambda_family(lam, b + K)`` with ``K = (1 - 2 lam)/4``.
     """
     lam, b = Fraction(lam), Fraction(b)
-    parts: list[tuple[Fraction, object]] = [(Fraction(1), lA_mode(lam, n))]
-    if b:
-        parts.append((-b, hA_mode(n)))
-    scalar = b * (b - 2 * lam + 1) / 2 if n == 0 else Fraction(0)
-    return AffineOperator(parts, scalar)
+    e = -n - 2
+    return AffineOperator(
+        [
+            (1 - lam, charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, PLUS, 1, MINUS, 0), e)),
+            (lam, charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, MINUS, 1, PLUS, 0), e)),
+            (-b, hA_mode(n)),
+        ],
+        b * (b - 2 * lam + 1) / 2 if n == 0 else 0,
+    )
 
 
 def lA_family(lam: Fraction, b: Fraction = Fraction(0)) -> OperatorFamily:
@@ -225,35 +204,31 @@ def neutral_mode_of(species: int, m: int) -> int:
     return 4 * m + 1 if species == PLUS else 4 * m + 3
 
 
-def _perm_sign(seq: Sequence, key: Callable) -> int:
-    ranked = [key(x) for x in seq]
-    inversions = sum(
-        1 for i in range(len(ranked)) for j in range(i + 1, len(ranked)) if ranked[i] > ranked[j]
-    )
-    return -1 if inversions % 2 else 1
+def _split_sign(mono: ChargedMonomial) -> int:
+    """Sign of moving every ``psi+`` factor left of every ``psi-`` factor from
+    the neutral order, where the even index ``2j`` stands left of the odd
+    index ``2p+1`` exactly when ``j > p``."""
+    plus, minus = mono
+    swaps = sum(1 for p in plus for j in minus if j > p)
+    return -1 if swaps % 2 else 1
 
 
 def to_charged_monomial(mono: Monomial) -> tuple[int, ChargedMonomial]:
-    """Signed dictionary image of a neutral monomial.
-
-    Factors map in their written order (largest index leftmost) and are then
-    sorted into the charged canonical order, every swap of the mutually
-    anticommuting creation factors contributing a sign.
-    """
-    factors = [charged_mode_of(creation(n)) for n in reversed(mono)]
-    plus = tuple(sorted(m for sp, m in factors if sp == PLUS))
-    minus = tuple(sorted(m for sp, m in factors if sp == MINUS))
-    # canonical rank: psi+ block (by mode) then psi- block (by mode)
-    sign = _perm_sign(factors, key=lambda f: (0, f[1]) if f[0] == PLUS else (1, f[1]))
-    return sign, (plus, minus)
+    """Signed dictionary image of a neutral monomial: the odd indices form the
+    ``psi+`` block and the even ones the ``psi-`` block."""
+    plus: list[int] = []
+    minus: list[int] = []
+    for n in mono:
+        species, m = charged_mode_of(creation(n))
+        (plus if species == PLUS else minus).append(-m - 1)
+    image = (tuple(plus), tuple(minus))
+    return _split_sign(image), image
 
 
 def from_charged_monomial(mono: ChargedMonomial) -> tuple[int, Monomial]:
     """Signed inverse image of a charged monomial."""
     plus, minus = mono
-    indices = [2 * (-m - 1) + 1 for m in plus] + [2 * (-m - 1) for m in minus]
-    sign = _perm_sign(indices, key=lambda n: -n)  # neutral order: decreasing index
-    return sign, tuple(sorted(indices))
+    return _split_sign(mono), tuple(sorted([2 * p + 1 for p in plus] + [2 * j for j in minus]))
 
 
 def _transport(state: FockState, signed_image: Callable, space: Space) -> FockState:
@@ -291,18 +266,16 @@ class ConjugatedOperator:
 
 def format_charged_monomial(mono: ChargedMonomial) -> str:
     plus, minus = mono
-    factors = [f"psi+[{m}]" for m in plus] + [f"psi-[{m}]" for m in minus]
+    factors = [f"psi+[{-j - 1}]" for j in reversed(plus)] + [f"psi-[{-j - 1}]" for j in reversed(minus)]
     return " ".join(factors + ["|0>"]) if factors else "|0>"
 
 
 # -- the space ---------------------------------------------------------------
 
 
-def _is_charged_canonical(mono: ChargedMonomial) -> bool:
-    """True for a pair of strictly increasing tuples of negative modes."""
-    return len(mono) == 2 and all(
-        all(a < b for a, b in zip(block, block[1:])) and not (block and block[-1] >= 0) for block in mono
-    )
+def _report_key(mono: ChargedMonomial):
+    """Weight, then the modes of each block as printed (increasing)."""
+    return cweight2(mono), tuple(tuple(-j - 1 for j in reversed(block)) for block in mono)
 
 
 CHARGED = Space(
@@ -310,8 +283,8 @@ CHARGED = Space(
     CVACUUM,
     apply_charged_mode_to_monomial,
     operator.index,  # every integer is the code of one charged mode
-    _is_charged_canonical,
-    lambda mono: (cweight2(mono), mono),
+    lambda mono: len(mono) == 2 and all(NEUTRAL.is_canonical(block) for block in mono),
+    _report_key,
     format_charged_monomial,
 )
 

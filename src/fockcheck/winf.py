@@ -168,9 +168,9 @@ def _max_slot(basis: Sequence[ChargedMonomial]) -> int:
     top = 1
     for plus, minus in basis:
         if plus:
-            top = max(top, -plus[0])
+            top = max(top, plus[-1] + 1)
         if minus:
-            top = max(top, -minus[0] + 1)
+            top = max(top, minus[-1] + 2)
     return top
 
 

@@ -7,13 +7,16 @@ import pytest
 from fockcheck.charged import (
     CHARGED,
     MINUS,
+    ChargedBilinear,
     ConjugatedOperator,
     PLUS,
+    apply_charged_mode_to_monomial,
     charge,
     charged_code,
     charged_mode_of,
     cweight2,
     enumerate_charged_basis,
+    format_charged_monomial,
     from_charged,
     from_charged_monomial,
     hA_mode,
@@ -68,6 +71,63 @@ def test_clifford_relations_transport_grid():
                     assert got == want, (sa, m, sb, n, mono)
 
 
+def factor_count_action(species, m, mono):
+    """``psi^species_m`` on the product of ``mono``'s factors, written out as a
+    list (the ``psi+`` block, then the ``psi-`` block, each by increasing
+    mode); the sign counts the factors the mode passes."""
+    plus, minus = mono
+    factors = [(PLUS, -j - 1) for j in sorted(plus, reverse=True)]
+    factors += [(MINUS, -j - 1) for j in sorted(minus, reverse=True)]
+    if m <= -1:
+        if (species, m) in factors:
+            return None
+        factors.append((species, m))
+        factors.sort(key=lambda f: (f[0] == MINUS, f[1]))
+        passed = factors.index((species, m))
+    else:
+        partner = (-species, -m - 1)  # psi+_m pairs with psi-_{-m-1} and vice versa
+        if partner not in factors:
+            return None
+        passed = factors.index(partner)
+        del factors[passed]
+    block = {sp: tuple(sorted(-mode - 1 for s, mode in factors if s == sp)) for sp in (PLUS, MINUS)}
+    return (-1) ** passed, (block[PLUS], block[MINUS])
+
+
+def test_mode_action_matches_factor_counting():
+    for species in (PLUS, MINUS):
+        for m in range(-6, 7):
+            for mono in CBASIS:
+                got = apply_charged_mode_to_monomial(charged_code(species, m), mono)
+                assert got == factor_count_action(species, m, mono), (species, m, mono)
+
+
+def test_report_order_is_pinned():
+    assert [format_charged_monomial(m) for m in enumerate_charged_basis(8)] == [
+        "|0>",
+        "psi-[-1] |0>",
+        "psi+[-1] |0>",
+        "psi+[-1] psi-[-1] |0>",
+        "psi-[-2] |0>",
+        "psi-[-2] psi-[-1] |0>",
+        "psi+[-2] |0>",
+        "psi+[-2] psi-[-1] |0>",
+        "psi+[-1] psi-[-2] |0>",
+    ]
+    got = format_state(hA_mode(-2).apply(FockState.vacuum(CHARGED)))
+    assert got == "psi+[-2] psi-[-1] |0> + psi+[-1] psi-[-2] |0>"
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [(2, 0, MINUS, 0), (PLUS, 0, 0, 0), (PLUS, -1, MINUS, 0), (PLUS, 0, MINUS, -1)],
+    ids=["left species", "right species", "dleft", "dright"],
+)
+def test_charged_bilinear_rejects_bad_fields(fields):
+    with pytest.raises(ValueError):
+        ChargedBilinear(Fraction(1), 0, *fields)
+
+
 def test_hA_bracket():
     for m in range(-3, 4):
         for n in range(-3, 4):
@@ -118,9 +178,9 @@ def test_dictionary_transports_anticommutators():
 def test_state_map_examples():
     assert to_charged(FockState.vacuum()) == FockState.vacuum(CHARGED)
     v1 = FockState.monomial((1,))
-    assert to_charged(v1) == cstate(((-1,), ()))
+    assert to_charged(v1) == cstate(((0,), ()))
     sign, image = to_charged_monomial((0, 2))
-    assert image == ((), (-2, -1)) and sign in (1, -1)
+    assert image == ((), (0, 1)) and sign in (1, -1)
 
 
 def test_state_map_charge_and_weight():
@@ -153,7 +213,7 @@ def test_heisenberg_intertwining():
 
 
 def test_charged_render():
-    s = cstate(((-2,), (-1,)), Fraction(-1))
+    s = cstate(((1,), (0,)), Fraction(-1))
     assert format_state(s) == "-1 psi+[-2] psi-[-1] |0>"
     assert format_state(FockState.zero(CHARGED)) == "0"
 

@@ -39,9 +39,9 @@ def test_j0_equals_neutral_current():
 
 def test_j1_zero_on_single_particle():
     # frozen from the window matrix: slot 1 carries eigenvalue 1
-    v = FockState.monomial(((-1,), ()), space=CHARGED)
+    v = FockState.monomial(((0,), ()), space=CHARGED)
     assert jk_mode_charged(1, 0).apply(v) == v
-    w = FockState.monomial(((-2,), ()), space=CHARGED)
+    w = FockState.monomial(((1,), ()), space=CHARGED)
     assert jk_mode_charged(1, 0).apply(w) == w.scale(2)
 
 
