@@ -152,7 +152,7 @@ def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> QuadraticModeO
             hits.add(T - j)  # right factor annihilates index j: T - a = j
         return sorted(hits)
 
-    return QuadraticModeOperator(rule, support, bil.prefactor.denominator)
+    return QuadraticModeOperator(rule, support, bil.prefactor.denominator, (bil, exponent))
 
 
 H_CHARGED_BILINEAR = ChargedBilinear(Fraction(1), 0, PLUS, 0, MINUS, 0)
@@ -283,7 +283,7 @@ CHARGED = Space(
     CVACUUM,
     apply_charged_mode_to_monomial,
     operator.index,  # every integer is the code of one charged mode
-    lambda mono: len(mono) == 2 and all(NEUTRAL.is_canonical(block) for block in mono),
+    lambda mono: type(mono) is tuple and len(mono) == 2 and all(NEUTRAL.is_canonical(block) for block in mono),
     _report_key,
     format_charged_monomial,
 )

@@ -96,8 +96,13 @@ def apply_mode_to_monomial(t: int, mono: Monomial) -> tuple[int, Monomial] | Non
 
 
 def _is_canonical(mono: Monomial) -> bool:
-    """True for a strictly increasing tuple of non-negative indices."""
-    return all(a < b for a, b in zip(mono, mono[1:])) and not (mono and mono[0] < 0)
+    """True for a strictly increasing tuple of non-negative ``int`` indices."""
+    return (
+        type(mono) is tuple
+        and all(type(n) is int for n in mono)
+        and all(a < b for a, b in zip(mono, mono[1:]))
+        and not (mono and mono[0] < 0)
+    )
 
 
 def format_monomial(mono: Monomial) -> str:

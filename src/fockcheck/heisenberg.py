@@ -38,7 +38,7 @@ def h_mode(n: int) -> QuadraticModeOperator:
             hits.add(T + m + 1)
         return sorted(hits)
 
-    return QuadraticModeOperator(rule, support, 2)
+    return QuadraticModeOperator(rule, support, 2, ("h", n))
 
 
 HEISENBERG_BILINEAR = FermionBilinear(Fraction(1, 2), 0, 0, 0, 1, -1)

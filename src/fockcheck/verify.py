@@ -18,18 +18,21 @@ unbounded report.
 
 Every operator checked here is quasi-finite: it sends a basis monomial to a
 finite combination of monomials, its *column*.  :func:`bracket_check`
-builds each mode operator once, computes each column once through the
-operator's own ``apply`` and composes both orders of every grid pair, and
-the expected side, from those columns.  The memo belongs to the call and
-dies with it.
+builds each mode operator once per check and composes both orders of every
+grid pair, and the expected side, from columns.  A keyed operator's columns
+are read from the process-wide column store of :mod:`fockcheck.modeops`,
+so a column an earlier check computed is not computed again; an operator
+without a key acts through its own ``apply``, once per monomial, and those
+columns belong to the call and die with it.
 
 States are ``int`` numerators over one denominator, and every operator
 declares the ``denominator`` of its action (see :mod:`fockcheck.modeops`).
 A column is kept as ``int`` numerators over its operator's denominator, and
 a coefficient outside that ``(1/D)Z`` raises ``ArithmeticError``, so a
 wrong declaration is never a quiet pass.  Each grid pair is composed in
-``int`` numerators over one common denominator, and both sides of a case
-are compared as the states they stand for.
+``int`` numerators over one common denominator, so a case holds when the
+two sides' numerators agree; states are built only to render a failing
+case.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .fock import NEUTRAL, FockState, Space, format_state
+from .modeops import COLUMNS, Column
 
 MAX_WITNESSES = 20  # failures kept per report; failures_total counts them all
 
@@ -86,10 +90,16 @@ class VerificationReport:
         """
         self.cases_run += 1
         if got != want:
-            if len(self.failures) < MAX_WITNESSES:
-                self.record(witness(), _render(got), _render(want))
-            else:  # a witness past the cap would be dropped: skip rendering it
-                self.failures_total += 1
+            self.fail(witness, lambda: (got, want))
+
+    def fail(self, witness: Callable[[], str], sides: Callable[[], tuple]) -> None:
+        """Record one failing case; ``witness()`` and ``sides()``, which
+        returns ``(got, want)``, are called only while witnesses are kept."""
+        if len(self.failures) < MAX_WITNESSES:
+            got, want = sides()
+            self.record(witness(), _render(got), _render(want))
+        else:  # a witness past the cap would be dropped: skip rendering it
+            self.failures_total += 1
 
     def to_dict(self) -> dict:
         return {
@@ -127,30 +137,30 @@ def merge_reports(name: str, params: dict, reports: Iterable[VerificationReport]
     return out
 
 
-Column = tuple[tuple[object, int], ...]  # int numerators over the operator's denominator
-
-
 class _Columns:
-    """The columns of a check's mode operators, memoised for that check.
+    """The mode operators of one check and their columns.
 
-    ``mode(i)`` is built once per index and ``column(i, mono)`` is its
+    ``mode(i)`` is built once per index.  ``column(i, mono)`` is its column
+    on ``mono``: ``int`` numerators over the operator's declared
+    ``denominator``.  A keyed operator's column comes from the column store
+    (:data:`fockcheck.modeops.COLUMNS`); any other operator's is its
     ``apply`` on the one-monomial state, computed once per monomial and kept
-    as ``int`` numerators over the operator's declared ``denominator``; a
-    coefficient outside ``(1/denominator)Z`` raises ``ArithmeticError``.
-    Monomials and numerators are interned in ``canon``, so equal values
-    cached many times are stored once.  A mode index is any hashable.
+    for this check, and a coefficient outside ``(1/denominator)Z`` raises
+    ``ArithmeticError``.  A mode index is any hashable.
     """
 
     def __init__(self, mode: Callable[[Hashable], object], space: Space):
         self.mode = mode
         self.space = space
-        self.canon: dict = {}
         self.memo: dict[Hashable, tuple[object, dict[object, Column]]] = {}
 
     def operator(self, i: Hashable):
+        """``(mode(i), the columns of it held now)``."""
         entry = self.memo.get(i)
         if entry is None:
-            entry = self.memo[i] = (self.mode(i), {})
+            op = self.mode(i)
+            keyed = getattr(op, "key", None) is not None
+            entry = self.memo[i] = (op, COLUMNS.table(op, self.space) if keyed else {})
         return entry
 
     def denominator(self, i: Hashable) -> int:
@@ -159,28 +169,32 @@ class _Columns:
     def column(self, i: Hashable, mono) -> Column:
         op, cols = self.operator(i)
         col = cols.get(mono)
-        if col is None:
-            intern = self.canon.setdefault
-            out = op.apply(FockState({mono: 1}, 1, self.space))
-            scale, rest = divmod(op.denominator, out.denominator)
-            if rest:
-                raise ArithmeticError(
-                    f"mode {i} on {mono} has a coefficient over {out.denominator},"
-                    f" outside (1/{op.denominator})Z of its declared denominator"
-                )
-            scaled = ((m, n * scale) for m, n in out.terms.items())
-            col = cols[intern(mono, mono)] = tuple((intern(m, m), intern(n, n)) for m, n in scaled)
+        if col is not None:
+            return col
+        if getattr(op, "key", None) is not None:
+            col = COLUMNS.column(op, mono, self.space)
+            self.memo[i] = (op, COLUMNS.table(op, self.space))  # the fill may have cleared the store
+            return col
+        out = op.apply(FockState({mono: 1}, 1, self.space))
+        scale, rest = divmod(op.denominator, out.denominator)
+        if rest:
+            raise ArithmeticError(
+                f"mode {i} on {mono} has a coefficient over {out.denominator},"
+                f" outside (1/{op.denominator})Z of its declared denominator"
+            )
+        col = cols[mono] = tuple((m, n * scale) for m, n in out.terms.items())
         return col
 
     def compose(self, i: Hashable, col: Column, factor: int, acc: dict) -> None:
         """Accumulate ``factor * D_i * mode(i)`` applied to the vector ``col``
         into ``acc``, with ``D_i`` the denominator of ``mode(i)``."""
         cols = self.operator(i)[1]
+        get = acc.get
         for mid, c in col:
             c *= factor
             known = cols.get(mid)
             for out, d in self.column(i, mid) if known is None else known:
-                acc[out] = acc.get(out, 0) + c * d
+                acc[out] = get(out, 0) + c * d
 
 
 def _scaled(c: Fraction | int, denominator: int) -> int:
@@ -208,12 +222,14 @@ def bracket_check(
     returns ``(ops, scalar)``: ``ops`` is a finite list of ``(coefficient,
     k)`` summands, each standing for ``coefficient * mode(k)``, and
     ``scalar`` the identity part.  ``basis`` holds monomials of ``space``.
-    Both sides and the expected operators are composed from one column
-    memo (:class:`_Columns`), so each operator acts on each monomial once
+    Both sides and the expected operators are composed from columns
+    (:class:`_Columns`), so each operator acts on each monomial at most once
     however many pairs use it.  Each grid pair is composed in ``int``
     numerators over one common denominator: the lcm of ``D_m * D_n``, of
     ``coefficient.denominator * D_k`` for every summand and of the scalar's
-    denominator.  ``params`` are added to the report's.
+    denominator.  A case holds when the bracket minus the expected side has
+    no nonzero numerator; only a failing case builds the two sides as
+    states, to render them.  ``params`` are added to the report's.
     """
     if kind not in ("commutator", "anticommutator"):
         raise ValueError(f"unknown bracket kind {kind!r}")
@@ -232,18 +248,31 @@ def bracket_check(
             factor = den // product
             scalar = _scaled(scalar, den)
             ops = [(_scaled(c, den // cols.denominator(k)), k) for c, k in ops]
-            for mono in basis:
-                lhs: dict = {}
+
+            def sides(mono, lhs: dict, rhs: dict, rsign: int) -> None:
+                """Add the bracket on ``mono`` into ``lhs`` and ``rsign`` times
+                the expected side into ``rhs``, in numerators over ``den``."""
                 cols.compose(m, cols.column(n, mono), factor, lhs)
                 cols.compose(n, cols.column(m, mono), sign * factor, lhs)
-                rhs: dict = {mono: scalar}
+                rhs[mono] = rhs.get(mono, 0) + rsign * scalar
                 for c, k in ops:
-                    cols.compose(k, ((mono, c),), 1, rhs)
-                report.expect(
-                    FockState(lhs, den, space),
-                    FockState(rhs, den, space),
-                    lambda: f"(m={m}, n={n}) on {format_state(FockState.monomial(mono, space=space))}",
-                )
+                    cols.compose(k, ((mono, rsign * c),), 1, rhs)
+
+            def states(mono) -> tuple[FockState, FockState]:
+                lhs: dict = {}
+                rhs: dict = {}
+                sides(mono, lhs, rhs, 1)
+                return FockState(lhs, den, space), FockState(rhs, den, space)
+
+            report.cases_run += len(basis)
+            for mono in basis:
+                defect: dict = {}
+                sides(mono, defect, defect, -1)
+                if any(defect.values()):
+                    report.fail(
+                        lambda: f"(m={m}, n={n}) on {format_state(FockState.monomial(mono, space=space))}",
+                        lambda: states(mono),
+                    )
     return report
 
 

@@ -25,9 +25,11 @@ from functools import lru_cache
 from .fock import NEUTRAL, FockState, Monomial, weight2
 from .heisenberg import h_mode
 from .modeops import (
+    COLUMNS,
     AffineOperator,
     FermionBilinear,
     OperatorFamily,
+    apply_columns,
     bilinear_mode,
     parity_flip,
     zero_operator,
@@ -78,9 +80,9 @@ def weight2_field(variant: int) -> OperatorFamily:
     return OperatorFamily(f"w2.{variant}", lambda n: bilinear_mode(bil, -n - 2))
 
 
-# Entries of each memo below.  The five neutral bracket-grid suites at their
-# default cut-offs fill 3045 Sugawara and 4692 h columns; 8192 holds both
-# with room, and bounds the memory of larger runs.
+# Entries of the Sugawara memo below.  The five neutral bracket-grid suites
+# at their default cut-offs fill 3045; 8192 holds them with room, and bounds
+# the memory of larger runs.
 MEMO_SIZE = 8192
 
 
@@ -96,25 +98,19 @@ def sugawara_window(n: int, mono: Monomial) -> range:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _h_column(k: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
-    """``h_k mono`` as ``(monomial, int)`` pairs, numerators over the 2 that
-    :func:`~fockcheck.heisenberg.h_mode` declares."""
-    acc: dict[Monomial, int] = {}
-    h_mode(k).accumulate(NEUTRAL.act, mono, 1, acc)
-    return tuple(acc.items())
-
-
-@lru_cache(maxsize=MEMO_SIZE)
 def _sugawara_on_monomial(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     """``L^1_n mono`` as ``(monomial, int)`` pairs, numerators over
-    :attr:`SugawaraOperator.denominator`."""
+    :attr:`SugawaraOperator.denominator`, composed from the ``h`` columns of
+    the column store."""
+    column = COLUMNS.column
     acc: dict[Monomial, int] = {}
     for k in sugawara_window(n, mono):
         if 2 * k < n:
             continue  # the term at n - k is the same product
         twice = 1 if 2 * k == n else 2
-        for mid, c in _h_column(k, mono):
-            for out, d in _h_column(n - k, mid):
+        right, left = h_mode(k), h_mode(n - k)
+        for mid, c in column(right, mono, NEUTRAL):
+            for out, d in column(left, mid, NEUTRAL):
                 acc[out] = acc.get(out, 0) + twice * c * d
     # each h column is over 2, and L^1 carries a factor 1/2: over 8 in all
     return tuple(sorted((m, c) for m, c in acc.items() if c))
@@ -125,25 +121,29 @@ class SugawaraOperator:
 
     On a monomial only the ``k`` of :func:`sugawara_window` contribute, and
     the terms at ``k`` and ``n - k`` are one product counted twice.  Each
-    product is composed from memoised ``h`` columns in ``int`` numerators
-    over 2, so a column of ``L^1_n`` has numerators over 8.  The action on a
-    monomial is pure and is memoised across bracket grids; both memos are
-    bounded LRU caches.  It acts on the neutral space only.
+    product is composed from the stored ``h`` columns in ``int`` numerators
+    over 2, so a column of ``L^1_n`` has numerators over 8.  Its key
+    ``("L1", n)`` puts those columns in the column store, which keeps the
+    very tuples of the bounded LRU cache :func:`_sugawara_on_monomial`, so
+    the two hold each column once.  It acts on the neutral space only.
     """
 
     denominator = 8
 
     def __init__(self, n: int):
         self.n = n
+        self.key = ("L1", n)
+
+    def column(self, act, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
+        """The column on the neutral monomial ``mono``, from the memo."""
+        if act is not NEUTRAL.act:
+            raise ValueError("L^1 acts on the neutral space only")
+        return _sugawara_on_monomial(self.n, mono)
 
     def apply(self, state: FockState) -> FockState:
         if state.space is not NEUTRAL:
             raise ValueError(f"L^1 acts on the neutral space, not on a {state.space.name} state")
-        acc: dict[Monomial, int] = {}
-        for mono, k in state.terms.items():
-            for m, c in _sugawara_on_monomial(self.n, mono):
-                acc[m] = acc.get(m, 0) + k * c
-        return FockState(acc, state.denominator * self.denominator, state.space)
+        return apply_columns(self, state)
 
 
 def sugawara_l1_mode(n: int) -> SugawaraOperator:

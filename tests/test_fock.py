@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fockcheck.charged import CHARGED
 from fockcheck.fock import (
+    NEUTRAL,
     FockState,
     annihilation,
     apply_mode,
@@ -259,3 +260,20 @@ def test_nonpositive_denominator_raises(denominator):
         FockState({(0,): 1}, denominator)
     with pytest.raises(ValueError, match="denominator must be positive"):
         FockState({}, denominator)
+
+
+@pytest.mark.parametrize(
+    "mono,space",
+    [
+        ((0.5,), NEUTRAL),
+        ((0, 2.0), NEUTRAL),
+        ((True,), NEUTRAL),
+        ((Fraction(1),), NEUTRAL),
+        (((0.5,), ()), CHARGED),
+        (((), (0, 1.0)), CHARGED),
+        (([0], ()), CHARGED),
+    ],
+)
+def test_a_non_int_index_is_rejected_in_both_spaces(mono, space):
+    with pytest.raises(ValueError, match=f"not a canonical {space.name} monomial"):
+        FockState.monomial(mono, space=space)

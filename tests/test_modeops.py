@@ -1,10 +1,15 @@
 """Normal ordering of mode pairs and the lazy quadratic operators."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from fockcheck import virasoro
+import fockcheck
+from fockcheck import modeops, virasoro
 from fockcheck.charged import (
     CHARGED,
     MINUS,
@@ -16,7 +21,9 @@ from fockcheck.charged import (
 )
 from fockcheck.fock import NEUTRAL, FockState, apply_mode, enumerate_basis, weight2
 from fockcheck.modeops import (
+    COLUMNS,
     AffineOperator,
+    ColumnStore,
     FermionBilinear,
     ModeOperator,
     QuadraticModeOperator,
@@ -27,9 +34,9 @@ from fockcheck.modeops import (
     zero_operator,
 )
 from fockcheck.heisenberg import h_family, h_mode, h_mode_bilinear
-from fockcheck.suites import LAMBDA_PAIRS, heisenberg_expected, square_grid, virasoro_expected
+from fockcheck.suites import LAMBDA_PAIRS, heisenberg_expected, square_grid, virasoro_bracket, virasoro_expected
 from fockcheck.verify import bracket_check
-from fockcheck.virasoro import l_half_family
+from fockcheck.virasoro import SugawaraOperator, l_half_family, sugawara_family
 from fockcheck.winf import jk_mode_charged, jk_mode_neutral
 
 
@@ -278,3 +285,93 @@ def test_affine_operator_scalar_part():
 def test_bilinear_rejects_bad_signs():
     with pytest.raises(ValueError):
         FermionBilinear(Fraction(1), 0, 0, 0, 2, 1)
+
+
+def fresh_column(op, mono, space):
+    """The column of a keyed operator on ``mono`` as a dict, computed without
+    the column store: a quadratic operator's own ``accumulate``, and for
+    ``L^1_n`` the sum ``(1/2) sum_k :h_{n-k} h_k:`` over a ``k`` range wider
+    than any window, from ``accumulate``d ``h`` columns (over 2 each, so
+    the numerators over 4 of the sum are those over 8 of ``L^1_n``)."""
+    acc = {}
+    if isinstance(op, SugawaraOperator):
+        for k in range(-12, 13):
+            a, b = sorted((op.n - k, k))
+            mid = {}
+            h_mode(b).accumulate(space.act, mono, 1, mid)
+            for m, c in mid.items():
+                h_mode(a).accumulate(space.act, m, c, acc)
+    else:
+        op.accumulate(space.act, mono, 1, acc)
+    return acc
+
+
+def test_stored_columns_equal_fresh_ones_on_a_cold_and_a_warm_store():
+    bases = {NEUTRAL: enumerate_basis(8), CHARGED: enumerate_charged_basis(8)}
+    keyed = [(label, op, space) for label, op, space in declared_operators() if getattr(op, "key", None) is not None]
+    assert {type(op) for _, op, _ in keyed} == {QuadraticModeOperator, SugawaraOperator}
+    COLUMNS.clear()
+    virasoro._sugawara_on_monomial.cache_clear()
+    probed = 0
+    for warm in (False, True):
+        for label, op, space in keyed:
+            for mono in bases[space]:
+                col = COLUMNS.column(op, mono, space)
+                assert dict(col) == fresh_column(op, mono, space), (label, mono, warm)
+                assert len(dict(col)) == len(col) and all(c for _, c in col), (label, mono)
+                assert COLUMNS.table(op, space)[mono] is col, (label, mono)
+                probed += 1
+    assert probed > 5000
+
+
+def test_compared_constructions_never_share_a_key():
+    for n in range(-3, 4):
+        assert h_mode(n).key == ("h", n) != h_mode_bilinear(n).key
+        assert virasoro.l_half_tilde_mode(n).key != virasoro.l_half_mode(n).key
+        assert virasoro.sugawara_l1_mode(n).key == ("L1", n)
+        # the flip is an affine combination: it computes its own action
+        assert getattr(virasoro.l_half_tilde_family_flip().mode(n), "key", None) is None
+
+
+def test_store_is_empty_on_import():
+    code = (
+        "import fockcheck.cli, fockcheck.suites\n"
+        "from fockcheck.modeops import COLUMNS\n"
+        "print(COLUMNS.entries, len(COLUMNS.tables), len(COLUMNS.interned))"
+    )
+    src = str(Path(fockcheck.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.split() == ["0", "0", "0"]
+
+
+def test_store_is_cleared_whole_at_its_bound(monkeypatch):
+    basis = enumerate_basis(8)
+    grids = [
+        (l_half_family(), Fraction(1, 2)),
+        (sugawara_family(), Fraction(1)),  # an L^1 column fills h columns first
+    ]
+    want = [virasoro_bracket("b", family, c, 2, basis).cases_run for family, c in grids]
+    entries = []
+    fill = ColumnStore.fill
+
+    def counted_fill(self, op, mono, space):
+        col = fill(self, op, mono, space)
+        entries.append(self.entries)
+        return col
+
+    monkeypatch.setattr(modeops, "STORE_SIZE", 64)
+    monkeypatch.setattr(ColumnStore, "fill", counted_fill)
+    COLUMNS.clear()
+    virasoro._sugawara_on_monomial.cache_clear()
+    reports = [virasoro_bracket("b", family, c, 2, basis) for family, c in grids]
+    assert all(rep.passed for rep in reports)
+    assert [rep.cases_run for rep in reports] == want
+    assert len(entries) > 3 * 64  # the store was cleared and refilled
+    assert max(entries) <= 64 and COLUMNS.entries <= 64

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from fockcheck import virasoro
-from fockcheck.fock import FockState, enumerate_basis
+from fockcheck.charged import CHARGED, hA_mode
+from fockcheck.fock import FockState, enumerate_basis, format_state
 from fockcheck.heisenberg import h_mode
 from fockcheck.modeops import AffineOperator, FermionBilinear
 from fockcheck.verify import (
@@ -49,6 +50,37 @@ def test_red_bracket_witness_renders_fractional_sides():
 def test_bracket_check_rejects_a_non_canonical_basis_monomial():
     with pytest.raises(ValueError, match="not a canonical neutral monomial"):
         bracket_check("h", "commutator", h_mode, heisenberg_expected, [(1, -1)], [(), (1, 0)])
+
+
+def test_bracket_check_rejects_a_basis_monomial_with_a_non_int_index():
+    with pytest.raises(ValueError, match="not a canonical neutral monomial"):
+        bracket_check("h", "commutator", h_mode, heisenberg_expected, [(1, -1)], [(), (0.5,)])
+    with pytest.raises(ValueError, match="not a canonical charged monomial"):
+        bracket_check("h", "commutator", hA_mode, heisenberg_expected, [(1, -1)], [((), ()), ((0.5,), ())], CHARGED)
+
+
+def test_failing_bracket_cases_render_the_lowest_terms_states():
+    # a wrong central charge fails every case at m = -n, |m| = 2; each witness
+    # shows the two sides as the states they stand for, evaluated here by
+    # plain state arithmetic
+    lam, b, c = Fraction(1, 3), Fraction(2, 5), Fraction(7, 5)
+    family = virasoro.lambda_family(lam, b)
+    basis = enumerate_basis(12)
+    report = virasoro_bracket("x", family, c, 2, basis)
+    expected = virasoro_expected(c)
+    failing = []
+    for m, n in square_grid(2):
+        (coeff, k), scalar = expected(m, n)[0][0], expected(m, n)[1]
+        for mono in basis:
+            v = FockState.monomial(mono)
+            lhs = family.mode(m).apply(family.mode(n).apply(v)) - family.mode(n).apply(family.mode(m).apply(v))
+            rhs = family.mode(k).apply(v).scale(coeff) + v.scale(scalar)
+            if lhs != rhs:
+                witness = f"(m={m}, n={n}) on {format_state(v)}"
+                failing.append({"witness": witness, "lhs": format_state(lhs), "rhs": format_state(rhs)})
+    assert report.cases_run == 25 * len(basis)
+    assert report.failures_total == len(failing) == 2 * len(basis) > MAX_WITNESSES
+    assert report.failures == failing[:MAX_WITNESSES]
 
 
 def test_bracket_check_rejects_an_unknown_kind():
