@@ -65,7 +65,7 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 def _report_lines(reports: list[VerificationReport], as_json: bool) -> list[str]:
     if as_json:
-        return [rep.to_json() for rep in reports]
+        return [json.dumps(rep.to_dict(), sort_keys=True) for rep in reports]
     return [rep.summary() for rep in reports]
 
 

@@ -279,8 +279,8 @@ def enumerate_basis(weight_cut2: int) -> list[Monomial]:
 # -- text form ---------------------------------------------------------------
 #
 # Neutral monomials render as ``phi[-5/2] phi[-1/2] |0>`` and states of
-# either space as sums of ``coeff monomial`` terms; the neutral grammar is
-# parsed back by the CLI.
+# either space as sums of ``coeff monomial`` terms; :func:`parse_state`
+# parses the neutral grammar back.
 
 _PHI_RE = re.compile(r"phi\[(-?\d+)/2\]")
 _COEFF_RE = re.compile(r"(-?\d+)(?:/(\d+))?$")

@@ -18,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .fock import FockState, Monomial, format_state
+from .fock import FockState, format_state
 from .grading import partition_count, partitions, sector_basis, vacuum_like
-from .modeops import FermionBilinear, OperatorFamily, QuadraticModeOperator, bilinear_mode
+from .modeops import FermionBilinear, OperatorFamily, QuadraticModeOperator, bilinear_mode, pair_support
 from .verify import VerificationReport, fraction_free_rank
 
 
@@ -31,14 +31,7 @@ def h_mode(n: int) -> QuadraticModeOperator:
     def rule(i: int):
         return -(2 * i + 1), -(2 * (T - i) + 1), -1 if i % 2 == 0 else 1
 
-    def support(mono: Monomial) -> Iterable[int]:
-        hits = set(range(0, T + 1))
-        for m in mono:
-            hits.add(-m - 1)
-            hits.add(T + m + 1)
-        return sorted(hits)
-
-    return QuadraticModeOperator(rule, support, 2, ("h", n))
+    return QuadraticModeOperator(rule, pair_support(T), 2, ("h", n))
 
 
 HEISENBERG_BILINEAR = FermionBilinear(Fraction(1, 2), 0, 0, 0, 1, -1)

@@ -20,23 +20,24 @@ on a basis monomial lies in ``(1/D)Z``.  The action on one monomial is the
 operator's *column*: ``int`` numerators over D.  A quadratic operator's rule
 yields ``int`` numerators over its D, so its column is ``int`` arithmetic
 throughout.  An affine combination declares the lcm of its parts'
-denominators and adds their columns in ``int`` numerators over it; a part
-whose action falls outside the declaration raises ``ArithmeticError``, as
-:func:`fockcheck.verify.bracket_check` does for any operator.
+denominators and adds their columns in ``int`` numerators over it.
 
-A primitive operator carries a ``key`` that names its construction:
-``(bil, exponent)`` for :func:`bilinear_mode` and
+Every column is read through one function, :func:`column`.  A primitive
+operator carries a ``key`` that names its construction: ``(bil, exponent)``
+for :func:`bilinear_mode` and
 :func:`~fockcheck.charged.charged_bilinear_mode`, ``("h", n)`` for
 :func:`~fockcheck.heisenberg.h_mode` and ``("L1", n)`` for
-:class:`~fockcheck.virasoro.SugawaraOperator`; its ``column(act, mono)``
+:class:`~fockcheck.virasoro.SugawaraOperator`; its ``column(space, mono)``
 computes a column afresh.  Equal keys build equal operators, so the
 process-wide :data:`COLUMNS` store computes each keyed column once, on
-first use, and every ``apply`` and every bracket grid reads it from there.
-The key names the construction, not the mathematical operator: two
-constructions a check compares (``h_mode`` and ``h_mode_bilinear``, a
-tilde bilinear and its :func:`parity_flip`) never share a column.  An
-operator without a key (``None``: affine combinations, single modes,
-wrappers) computes its action on every call.
+first use.  The key names the construction, not the mathematical operator:
+two constructions a check compares (``h_mode`` and ``h_mode_bilinear``, a
+tilde bilinear and its :func:`parity_flip`) never share a column.  Any
+other operator (affine combinations, single modes, wrappers) is not
+stored: its column is its ``apply`` on the one-monomial state, and a
+coefficient of it outside ``(1/D)Z`` raises ``ArithmeticError``, so an
+undersized declaration is caught monomial by monomial, also inside an
+affine combination.
 
 Normal ordering of a pair subtracts the vacuum expectation.  As an action
 this means: when the left factor annihilates and the right one creates, the
@@ -106,7 +107,7 @@ class QuadraticModeOperator:
     yields every ``i`` whose summand can act nonzero on ``mono`` (a finite,
     possibly overcomplete, set).  All summands must shift weight by the same
     amount so the operator is homogeneous.  ``key`` names the construction
-    for the column store; ``None`` keeps the operator out of it.
+    for the column store.
     """
 
     def __init__(
@@ -114,7 +115,7 @@ class QuadraticModeOperator:
         rule: Callable[[int], Pair],
         support: Callable[[object], Iterable[int]],
         denominator: int,
-        key: Hashable = None,
+        key: Hashable,
     ):
         self.rule = rule
         self.support = support
@@ -130,20 +131,14 @@ class QuadraticModeOperator:
             if w:
                 apply_pair_to_monomial(act, p, q, mono, acc, w * k)
 
-    def column(self, act: Callable, mono) -> Column:
-        """The column on ``mono``, computed afresh."""
+    def column(self, space: Space, mono) -> Column:
+        """The column on the monomial ``mono`` of ``space``, computed afresh."""
         acc: dict = {}
-        self.accumulate(act, mono, 1, acc)
+        self.accumulate(space.act, mono, 1, acc)
         return tuple(acc.items())
 
     def apply(self, state: FockState) -> FockState:
-        if self.key is not None:
-            return apply_columns(self, state)
-        act = state.space.act
-        acc: dict = {}
-        for mono, k in state.terms.items():
-            self.accumulate(act, mono, k, acc)
-        return FockState(acc, state.denominator * self.denominator, state.space)
+        return apply_columns(self, state)
 
 
 # Columns the store holds before it is cleared whole.  At their default
@@ -159,11 +154,12 @@ class ColumnStore:
 
     ``tables[(key, space)]`` maps a monomial to the column of the operator
     built by ``key``: the tuple of ``(monomial, numerator)`` pairs, over the
-    operator's declared denominator, that its ``column(act, mono)`` computes.
-    Monomials are interned, so a monomial met in many columns is stored
-    once, and a column whose monomials are all interned already is kept as
-    computed.  When :data:`STORE_SIZE` columns are held, the next insertion
-    clears the store first.  It starts empty; nothing is precomputed.
+    operator's declared denominator, that its ``column(space, mono)``
+    computes.  Monomials are interned, so a monomial met in many columns is
+    stored once, and a column whose monomials are all interned already is
+    kept as computed.  When :data:`STORE_SIZE` columns are held, the next
+    insertion clears the store first.  It starts empty; nothing is
+    precomputed.
     """
 
     def __init__(self):
@@ -171,21 +167,19 @@ class ColumnStore:
         self.interned: dict = {}
         self.entries = 0
 
-    def table(self, op, space: Space) -> dict[Any, Column]:
-        """The columns of ``op`` on ``space`` held now (read-only for callers)."""
-        key = (op.key, space)
-        table = self.tables.get(key)
+    def table(self, op, space: Space) -> dict[Any, Column] | None:
+        """The columns of ``op`` on ``space`` held now (read-only for callers),
+        or ``None`` for an operator without a ``key``, which is not stored."""
+        key = getattr(op, "key", None)
+        if key is None:
+            return None
+        table = self.tables.get((key, space))
         if table is None:
-            table = self.tables[key] = {}
+            table = self.tables[key, space] = {}
         return table
 
-    def column(self, op, mono, space: Space) -> Column:
-        """The column of the keyed operator ``op`` on the monomial ``mono``."""
-        col = self.table(op, space).get(mono)
-        return self.fill(op, mono, space) if col is None else col
-
     def fill(self, op, mono, space: Space) -> Column:
-        col = op.column(space.act, mono)  # may fill other columns first: L^1 reads h columns
+        col = op.column(space, mono)  # may fill other columns first: L^1 reads h columns
         if self.entries >= STORE_SIZE:
             self.clear()
         intern = self.interned.setdefault
@@ -204,19 +198,47 @@ class ColumnStore:
 COLUMNS = ColumnStore()
 
 
-def apply_columns(op, state: FockState) -> FockState:
-    """The keyed operator ``op`` on ``state``, through its stored columns."""
+def column(op, mono, space: Space) -> Column:
+    """The column of ``op`` on the monomial ``mono`` of ``space``: ``int``
+    numerators over ``op.denominator``.
+
+    A keyed operator's column is read from :data:`COLUMNS`, computed there on
+    first use.  Any other operator's is its ``apply`` on the one-monomial
+    state, and a coefficient of it outside ``(1/op.denominator)Z`` raises
+    ``ArithmeticError``.
+    """
+    table = COLUMNS.table(op, space)
+    if table is not None:
+        col = table.get(mono)
+        return COLUMNS.fill(op, mono, space) if col is None else col
+    out = op.apply(FockState({mono: 1}, 1, space))
+    scale, rest = divmod(op.denominator, out.denominator)
+    if rest:
+        raise ArithmeticError(
+            f"{type(op).__name__} on {mono} has a coefficient over {out.denominator},"
+            f" outside (1/{op.denominator})Z of its declared denominator"
+        )
+    return tuple((m, n * scale) for m, n in out.terms.items())
+
+
+def _add_columns(parts: Iterable[tuple[Any, int]], state: FockState, acc: dict) -> None:
+    """Add ``w * D * op`` on ``state`` into ``acc`` for each ``(op, w)`` of
+    ``parts``, in numerators over the state's denominator, with ``D`` the
+    denominator of ``op``."""
     space = state.space
-    column = COLUMNS.column
+    terms = state.terms.items()
+    for op, w in parts:
+        for mono, k in terms:
+            wk = w * k
+            for out, c in column(op, mono, space):
+                acc[out] = acc.get(out, 0) + wk * c
+
+
+def apply_columns(op, state: FockState) -> FockState:
+    """``op`` on ``state``, through its columns."""
     acc: dict = {}
-    for mono, k in state.terms.items():
-        for out, c in column(op, mono, space):
-            acc[out] = acc.get(out, 0) + k * c
-    return FockState(acc, state.denominator * op.denominator, space)
-
-
-def zero_operator() -> QuadraticModeOperator:
-    return QuadraticModeOperator(lambda i: (1, 1, 0), lambda mono: (), 1)
+    _add_columns(((op, 1),), state, acc)
+    return FockState(acc, state.denominator * op.denominator, state.space)
 
 
 @dataclass(frozen=True)
@@ -245,6 +267,20 @@ def falling(m: int, order: int) -> int:
     return out
 
 
+def pair_support(T: int) -> Callable[[Monomial], list[int]]:
+    """The support bound of a neutral pair sum whose summand at free index
+    ``i`` pairs the modes ``-i-1/2`` and ``-(T-i)-1/2``."""
+
+    def support(mono: Monomial) -> list[int]:
+        hits = set(range(0, T + 1))  # both factors create
+        for n in mono:
+            hits.add(-n - 1)  # left factor annihilates n
+            hits.add(T + n + 1)  # right factor annihilates n
+        return sorted(hits)
+
+    return support
+
+
 def bilinear_mode(bil: FermionBilinear, exponent: int) -> QuadraticModeOperator:
     """Coefficient of ``z**exponent`` in the bilinear field, as a lazy operator.
 
@@ -266,23 +302,16 @@ def bilinear_mode(bil: FermionBilinear, exponent: int) -> QuadraticModeOperator:
             c = -c
         return -(2 * i + 1), -(2 * j + 1), c
 
-    def support(mono: Monomial) -> Iterable[int]:
-        hits = set(range(0, T + 1))  # both factors create
-        for n in mono:
-            hits.add(-n - 1)  # left factor annihilates n
-            hits.add(T + n + 1)  # right factor annihilates n
-        return sorted(hits)
-
-    return QuadraticModeOperator(rule, support, bil.prefactor.denominator, (bil, exponent))
+    return QuadraticModeOperator(rule, pair_support(T), bil.prefactor.denominator, (bil, exponent))
 
 
 class AffineOperator:
     """Finite combination ``sum_j c_j * op_j + scalar * Id`` acting by linearity.
 
     Its ``denominator`` D is the lcm of ``c_j * D_j`` over the parts and of
-    the scalar's denominator, and its action adds the parts' columns in
-    ``int`` numerators over D.  A part whose action does not fit over D
-    (an undersized declaration) raises ``ArithmeticError``.
+    the scalar's denominator, and its action adds the parts' columns
+    (:func:`column`) in ``int`` numerators over D, so a part whose column
+    does not fit its own declared denominator raises ``ArithmeticError``.
     """
 
     def __init__(self, parts: Sequence[tuple[Fraction | int, object]], scalar: Fraction | int = 0):
@@ -293,27 +322,18 @@ class AffineOperator:
         )
 
     def apply(self, state: FockState) -> FockState:
-        space, den = state.space, state.denominator * self.denominator
+        den = self.denominator
         acc: dict = {}
         if self.scalar:
-            w = self.scalar.numerator * (self.denominator // self.scalar.denominator)
+            w = self.scalar.numerator * (den // self.scalar.denominator)
             acc = {mono: w * k for mono, k in state.terms.items()}
-        for c, op in self.parts:
-            if getattr(op, "key", None) is not None:
-                w = c.numerator * (self.denominator // (c.denominator * op.denominator))
-                for mono, k in state.terms.items():
-                    wk = w * k
-                    for out, d in COLUMNS.column(op, mono, space):
-                        acc[out] = acc.get(out, 0) + wk * d
-            else:
-                out = op.apply(state)
-                step, rest = divmod(den, c.denominator * out.denominator)
-                if rest:
-                    raise ArithmeticError(f"a part declared over {op.denominator} acts outside (1/{op.denominator})Z")
-                w = c.numerator * step
-                for mono, k in out.terms.items():
-                    acc[mono] = acc.get(mono, 0) + w * k
-        return FockState(acc, den, space)
+        parts = ((op, c.numerator * (den // (c.denominator * op.denominator))) for c, op in self.parts)
+        _add_columns(parts, state, acc)
+        return FockState(acc, state.denominator * den, state.space)
+
+
+def zero_operator() -> AffineOperator:
+    return AffineOperator([])
 
 
 class ModeOperator:

@@ -22,6 +22,7 @@ from .grading import (
     vacuum_like,
 )
 from .heisenberg import (
+    HEISENBERG_BILINEAR,
     h_family,
     h_family_bilinear,
     h_mode,
@@ -328,11 +329,10 @@ def suite_identities(mmax: int = 4, weight_cut2: int = 16) -> list[VerificationR
             basis,
         )
     )
-    h_bil = FermionBilinear(Fraction(1, 2), 0, 0, 0, 1, -1)
     reports.append(
         field_identity_check(
             "heisenberg_field_odd_modes_only",
-            lambda e: bilinear_mode(h_bil, 2 * e),  # even exponents must vanish
+            lambda e: bilinear_mode(HEISENBERG_BILINEAR, 2 * e),  # even exponents must vanish
             lambda e: zero_operator(),
             range(-5, 5),
             basis,

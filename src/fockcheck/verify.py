@@ -19,11 +19,12 @@ unbounded report.
 Every operator checked here is quasi-finite: it sends a basis monomial to a
 finite combination of monomials, its *column*.  :func:`bracket_check`
 builds each mode operator once per check and composes both orders of every
-grid pair, and the expected side, from columns.  A keyed operator's columns
-are read from the process-wide column store of :mod:`fockcheck.modeops`,
-so a column an earlier check computed is not computed again; an operator
-without a key acts through its own ``apply``, once per monomial, and those
-columns belong to the call and die with it.
+grid pair, and the expected side, from columns.  Every column is read
+through :func:`fockcheck.modeops.column`, which decides whether it comes
+from the process-wide column store (so a column an earlier check computed
+is not computed again) or from the operator's own ``apply``; the check
+keeps the columns the store does not, once per monomial, and those die
+with it.
 
 States are ``int`` numerators over one denominator, and every operator
 declares the ``denominator`` of its action (see :mod:`fockcheck.modeops`).
@@ -37,7 +38,6 @@ case.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .fock import NEUTRAL, FockState, Space, format_state
-from .modeops import COLUMNS, Column
+from .modeops import COLUMNS, Column, column
 
 MAX_WITNESSES = 20  # failures kept per report; failures_total counts them all
 
@@ -111,9 +111,6 @@ class VerificationReport:
             "elapsed_ms": self.elapsed_ms,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def summary(self) -> str:
         status = "pass" if self.passed else f"FAIL ({self.failures_total} defects)"
         params = " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
@@ -141,12 +138,11 @@ class _Columns:
     """The mode operators of one check and their columns.
 
     ``mode(i)`` is built once per index.  ``column(i, mono)`` is its column
-    on ``mono``: ``int`` numerators over the operator's declared
-    ``denominator``.  A keyed operator's column comes from the column store
-    (:data:`fockcheck.modeops.COLUMNS`); any other operator's is its
-    ``apply`` on the one-monomial state, computed once per monomial and kept
-    for this check, and a coefficient outside ``(1/denominator)Z`` raises
-    ``ArithmeticError``.  A mode index is any hashable.
+    on ``mono`` (:func:`fockcheck.modeops.column`): ``int`` numerators over
+    the operator's declared ``denominator``.  The columns of an operator
+    the column store holds are read from its table there; any other
+    operator's are kept here, computed once per monomial for this check.  A
+    mode index is any hashable.
     """
 
     def __init__(self, mode: Callable[[Hashable], object], space: Space):
@@ -158,10 +154,14 @@ class _Columns:
         """``(mode(i), the columns of it held now)``."""
         entry = self.memo.get(i)
         if entry is None:
-            op = self.mode(i)
-            keyed = getattr(op, "key", None) is not None
-            entry = self.memo[i] = (op, COLUMNS.table(op, self.space) if keyed else {})
+            entry = self.memo[i] = self.held(self.mode(i), {})
         return entry
+
+    def held(self, op, own: dict) -> tuple[object, dict[object, Column]]:
+        """``(op, its table in the column store)``, or ``(op, own)`` for an
+        operator the store does not hold."""
+        table = COLUMNS.table(op, self.space)
+        return op, own if table is None else table
 
     def denominator(self, i: Hashable) -> int:
         return self.operator(i)[0].denominator
@@ -169,20 +169,9 @@ class _Columns:
     def column(self, i: Hashable, mono) -> Column:
         op, cols = self.operator(i)
         col = cols.get(mono)
-        if col is not None:
-            return col
-        if getattr(op, "key", None) is not None:
-            col = COLUMNS.column(op, mono, self.space)
-            self.memo[i] = (op, COLUMNS.table(op, self.space))  # the fill may have cleared the store
-            return col
-        out = op.apply(FockState({mono: 1}, 1, self.space))
-        scale, rest = divmod(op.denominator, out.denominator)
-        if rest:
-            raise ArithmeticError(
-                f"mode {i} on {mono} has a coefficient over {out.denominator},"
-                f" outside (1/{op.denominator})Z of its declared denominator"
-            )
-        col = cols[mono] = tuple((m, n * scale) for m, n in out.terms.items())
+        if col is None:
+            col = cols[mono] = column(op, mono, self.space)
+            self.memo[i] = self.held(op, cols)  # a fill may have cleared the store
         return col
 
     def compose(self, i: Hashable, col: Column, factor: int, acc: dict) -> None:

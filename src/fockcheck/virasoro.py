@@ -22,15 +22,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .fock import NEUTRAL, FockState, Monomial, weight2
+from .fock import NEUTRAL, FockState, Monomial, Space, weight2
 from .heisenberg import h_mode
 from .modeops import (
-    COLUMNS,
     AffineOperator,
     FermionBilinear,
     OperatorFamily,
     apply_columns,
     bilinear_mode,
+    column,
     parity_flip,
     zero_operator,
 )
@@ -80,12 +80,6 @@ def weight2_field(variant: int) -> OperatorFamily:
     return OperatorFamily(f"w2.{variant}", lambda n: bilinear_mode(bil, -n - 2))
 
 
-# Entries of the Sugawara memo below.  The five neutral bracket-grid suites
-# at their default cut-offs fill 3045; 8192 holds them with room, and bounds
-# the memory of larger runs.
-MEMO_SIZE = 8192
-
-
 def sugawara_window(n: int, mono: Monomial) -> range:
     """Every ``k`` whose term ``:h_{n-k} h_k:`` can act nonzero on ``mono``.
 
@@ -97,12 +91,14 @@ def sugawara_window(n: int, mono: Monomial) -> range:
     return range(n - bound, bound + 1)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+# The column store keeps every L^1 column this computes, so the cache keeps
+# none: it only counts calls, which perfbench/child.py reads through
+# cache_info().
+@lru_cache(maxsize=0)
 def _sugawara_on_monomial(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     """``L^1_n mono`` as ``(monomial, int)`` pairs, numerators over
     :attr:`SugawaraOperator.denominator`, composed from the ``h`` columns of
     the column store."""
-    column = COLUMNS.column
     acc: dict[Monomial, int] = {}
     for k in sugawara_window(n, mono):
         if 2 * k < n:
@@ -123,9 +119,9 @@ class SugawaraOperator:
     the terms at ``k`` and ``n - k`` are one product counted twice.  Each
     product is composed from the stored ``h`` columns in ``int`` numerators
     over 2, so a column of ``L^1_n`` has numerators over 8.  Its key
-    ``("L1", n)`` puts those columns in the column store, which keeps the
-    very tuples of the bounded LRU cache :func:`_sugawara_on_monomial`, so
-    the two hold each column once.  It acts on the neutral space only.
+    ``("L1", n)`` puts those columns in the column store, which computes
+    each once through :func:`_sugawara_on_monomial`.  It acts on the
+    neutral space only, and its column is where that is checked.
     """
 
     denominator = 8
@@ -134,15 +130,13 @@ class SugawaraOperator:
         self.n = n
         self.key = ("L1", n)
 
-    def column(self, act, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
-        """The column on the neutral monomial ``mono``, from the memo."""
-        if act is not NEUTRAL.act:
-            raise ValueError("L^1 acts on the neutral space only")
+    def column(self, space: Space, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
+        """The column on the neutral monomial ``mono``, computed afresh."""
+        if space is not NEUTRAL:
+            raise ValueError(f"L^1 acts on the neutral space, not on a {space.name} state")
         return _sugawara_on_monomial(self.n, mono)
 
     def apply(self, state: FockState) -> FockState:
-        if state.space is not NEUTRAL:
-            raise ValueError(f"L^1 acts on the neutral space, not on a {state.space.name} state")
         return apply_columns(self, state)
 
 
