@@ -18,10 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .fock import FockState, format_state
+from .fock import FockState
 from .grading import partition_count, partitions, sector_basis, vacuum_like
-from .modeops import FermionBilinear, OperatorFamily, QuadraticModeOperator, bilinear_mode, pair_support
-from .verify import VerificationReport, fraction_free_rank
+from .modeops import AffineOperator, FermionBilinear, OperatorFamily, QuadraticModeOperator, bilinear_mode, pair_support
+from .verify import VerificationReport, field_identity_check, fraction_free_rank
 
 
 def h_mode(n: int) -> QuadraticModeOperator:
@@ -59,13 +59,9 @@ def raising_string(ks: Iterable[int], start: FockState) -> FockState:
 
 
 def highest_weight_check(n: int, mmax: int) -> VerificationReport:
-    """Assert ``h_m v_n = 0`` for 1 <= m <= mmax and ``h_0 v_n = n v_n``."""
-    v = FockState.monomial(vacuum_like(n))
-    with VerificationReport("highest_weight", {"n": n, "mmax": mmax}) as report:
-        report.expect(h_mode(0).apply(v), v.scale(n), lambda: f"h_0 on {format_state(v)}")
-        for m in range(1, mmax + 1):
-            report.expect(h_mode(m).apply(v), v.scale(0), lambda: f"h_{m} on {format_state(v)}")
-    return report
+    """Declare ``h_m v_n = delta(m, 0) n v_n``, 0 <= m <= mmax, as a field identity against scalars."""
+    scalar = lambda m: AffineOperator([], 0 if m else n)
+    return field_identity_check("highest_weight", h_mode, scalar, range(mmax + 1), [vacuum_like(n)], n=n, mmax=mmax)
 
 
 def spanning_check(n: int, k: int) -> VerificationReport:

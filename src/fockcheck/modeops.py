@@ -141,7 +141,7 @@ class QuadraticModeOperator:
         return apply_columns(self, state)
 
 
-# Columns the store holds before it is cleared whole.  At their default
+# Columns the store holds before its tables are emptied.  At their default
 # cut-offs the five neutral bracket-grid suites fill 15,730 columns in one
 # process (12,685 of quadratic operators, 3,045 of L^1), and all fourteen
 # suites 26,249; 32768 holds a whole run and bounds the memory of larger
@@ -157,9 +157,10 @@ class ColumnStore:
     operator's declared denominator, that its ``column(space, mono)``
     computes.  Monomials are interned, so a monomial met in many columns is
     stored once, and a column whose monomials are all interned already is
-    kept as computed.  When :data:`STORE_SIZE` columns are held, the next
-    insertion clears the store first.  It starts empty; nothing is
-    precomputed.
+    kept as computed.  The registry keeps one dict, possibly empty, per
+    ``(key, space)`` asked for, for the whole process.  When
+    :data:`STORE_SIZE` columns are held, the next insertion first empties
+    every table in place.  It starts empty; nothing is precomputed.
     """
 
     def __init__(self):
@@ -190,7 +191,8 @@ class ColumnStore:
         return col
 
     def clear(self) -> None:
-        self.tables.clear()
+        for table in self.tables.values():
+            table.clear()
         self.interned.clear()
         self.entries = 0
 
@@ -211,14 +213,21 @@ def column(op, mono, space: Space) -> Column:
     if table is not None:
         col = table.get(mono)
         return COLUMNS.fill(op, mono, space) if col is None else col
+    out = apply_declared(op, mono, space)
+    scale = op.denominator // out.denominator
+    return tuple((m, n * scale) for m, n in out.terms.items())
+
+
+def apply_declared(op, mono, space: Space) -> FockState:
+    """``op.apply`` on the one-monomial state of ``mono``; a coefficient
+    outside ``(1/op.denominator)Z`` raises ``ArithmeticError``."""
     out = op.apply(FockState({mono: 1}, 1, space))
-    scale, rest = divmod(op.denominator, out.denominator)
-    if rest:
+    if op.denominator % out.denominator:
         raise ArithmeticError(
             f"{type(op).__name__} on {mono} has a coefficient over {out.denominator},"
             f" outside (1/{op.denominator})Z of its declared denominator"
         )
-    return tuple((m, n * scale) for m, n in out.terms.items())
+    return out
 
 
 def _add_columns(parts: Iterable[tuple[Any, int]], state: FockState, acc: dict) -> None:

@@ -12,6 +12,7 @@ from typing import Callable, Sequence
 
 from . import charged as ch
 from . import virasoro as vir
+from . import winf
 from .fock import NEUTRAL, FockState, Space, enumerate_basis, format_state, iter_modes, weight
 from .grading import (
     dg,
@@ -31,7 +32,6 @@ from .heisenberg import (
 )
 from .modeops import AffineOperator, FermionBilinear, ModeOperator, OperatorFamily, bilinear_mode, zero_operator
 from .verify import VerificationReport, bracket_check, field_identity_check, merge_reports
-from .winf import jk_mode_charged, jk_mode_neutral, scalar_defect_check, winf_expected
 
 
 def square_grid(mmax: int) -> list[tuple[int, int]]:
@@ -268,12 +268,13 @@ def suite_eigenvalues(nmax: int = 5, weight_cut2: int = 16) -> list[Verification
     """Vacuum-like eigenvalue pins and joint diagonalisation of (h_0, L0)."""
     l0 = vir.l_half_mode(0)
     h0 = h_mode(0)
-    with VerificationReport("eigenvalue_pins", {"nmax": nmax}) as report:
-        for n in range(-nmax, nmax + 1):
-            v = FockState.monomial(vacuum_like(n))
-            expect_l0 = Fraction(n * n) + Fraction(n, 2)
-            for name, op, expect in (("L0", l0, expect_l0), ("h0", h0, Fraction(n))):
-                report.expect(op.apply(v), v.scale(expect), lambda: f"{name} on vacuum-like n={n}")
+    ops = {"L0": l0, "h0": h0}
+
+    def vacuum_like_pins(n: int) -> VerificationReport:
+        scalars = {"L0": AffineOperator([], Fraction(n * (2 * n + 1), 2)), "h0": AffineOperator([], n)}
+        return field_identity_check("eigenvalue_pins", ops.get, scalars.get, ops, [vacuum_like(n)], n=n)
+
+    pins = merge_reports("eigenvalue_pins", {"nmax": nmax}, [vacuum_like_pins(n) for n in range(-nmax, nmax + 1)])
 
     with VerificationReport("joint_eigenbasis", {"weight_cut2": weight_cut2}) as joint:
         for mono in enumerate_basis(weight_cut2):
@@ -283,7 +284,7 @@ def suite_eigenvalues(nmax: int = 5, weight_cut2: int = 16) -> list[Verification
                 (v.scale(dg(mono)), v.scale(weight(mono))),
                 lambda: f"(h0, L0) on {format_state(v)}",
             )
-    return [report, joint]
+    return [pins, joint]
 
 
 def suite_identities(mmax: int = 4, weight_cut2: int = 16) -> list[VerificationReport]:
@@ -408,7 +409,7 @@ def suite_winf(kmax: int = 2, nmax: int = 3, weight_cut2: int = 16, mmax: int = 
     reports = [
         field_identity_check(
             "j0_equals_heisenberg_charged",
-            lambda n: jk_mode_charged(0, n),
+            lambda n: winf.MatrixLift(winf.glinf_matrix(0, n, winf.max_slot(cbasis) + abs(n) + 2)),
             ch.hA_mode,
             range(-mmax, mmax + 1),
             cbasis,
@@ -416,7 +417,7 @@ def suite_winf(kmax: int = 2, nmax: int = 3, weight_cut2: int = 16, mmax: int = 
         ),
         field_identity_check(
             "j0_equals_heisenberg_neutral",
-            lambda n: jk_mode_neutral(0, n),
+            lambda n: winf.jk_mode_neutral(0, n),
             h_mode,
             range(-mmax, mmax + 1),
             basis,
@@ -425,7 +426,7 @@ def suite_winf(kmax: int = 2, nmax: int = 3, weight_cut2: int = 16, mmax: int = 
     central = merge_reports(
         "j0_central_column",
         {"mmax": mmax},
-        [scalar_defect_check(0, m, 0, -m, cbasis) for m in range(1, mmax + 1)],
+        [winf.scalar_defect_check(0, m, 0, -m, cbasis) for m in range(1, mmax + 1)],
     )
     reports.append(central)
     grid = [
@@ -439,8 +440,8 @@ def suite_winf(kmax: int = 2, nmax: int = 3, weight_cut2: int = 16, mmax: int = 
         bracket_check(
             "winf_matrix_defects",
             "commutator",
-            lambda i: jk_mode_charged(*i),
-            winf_expected,
+            lambda i: winf.jk_mode_charged(*i),
+            winf.winf_expected,
             grid,
             cbasis,
             ch.CHARGED,
@@ -453,7 +454,7 @@ def suite_winf(kmax: int = 2, nmax: int = 3, weight_cut2: int = 16, mmax: int = 
     with VerificationReport("j1_preserves_charge", {"weight_cut2": weight_cut2}) as charge_preserving:
         for mono in basis:
             v = FockState.monomial(mono)
-            out = jk_mode_neutral(1, 1).apply(v) + jk_mode_neutral(1, -1).apply(v)
+            out = winf.jk_mode_neutral(1, 1).apply(v) + winf.jk_mode_neutral(1, -1).apply(v)
             charge_preserving.expect(
                 {dg(m) for m in out.terms} | {dg(mono)},
                 {dg(mono)},

@@ -16,24 +16,24 @@ failure in ``failures_total`` but keeps only the first
 :data:`MAX_WITNESSES` witnesses, so a broken operator cannot write an
 unbounded report.
 
-Every operator checked here is quasi-finite: it sends a basis monomial to a
-finite combination of monomials, its *column*.  :func:`bracket_check`
-builds each mode operator once per check and composes both orders of every
-grid pair, and the expected side, from columns.  Every column is read
-through :func:`fockcheck.modeops.column`, which decides whether it comes
-from the process-wide column store (so a column an earlier check computed
-is not computed again) or from the operator's own ``apply``; the check
-keeps the columns the store does not, once per monomial, and those die
-with it.
+Operator relations are evaluated here only: a check elsewhere declares its
+relation to :func:`bracket_check` or :func:`field_identity_check`.  Every
+operator is quasi-finite: it sends a basis monomial to a finite combination
+of monomials, its *column*.  :func:`bracket_check` builds each mode operator
+once per check and composes both orders of every grid pair, and the
+expected side, from columns read through :func:`fockcheck.modeops.column`,
+which alone decides whether a column comes from the process-wide column
+store or from the operator's ``apply``, and when the store is emptied; the
+check keeps the columns the store does not, and those die with it.
 
 States are ``int`` numerators over one denominator, and every operator
 declares the ``denominator`` of its action (see :mod:`fockcheck.modeops`).
 A column is kept as ``int`` numerators over its operator's denominator, and
-a coefficient outside that ``(1/D)Z`` raises ``ArithmeticError``, so a
-wrong declaration is never a quiet pass.  Each grid pair is composed in
-``int`` numerators over one common denominator, so a case holds when the
-two sides' numerators agree; states are built only to render a failing
-case.
+a coefficient outside that ``(1/D)Z`` raises ``ArithmeticError`` in both
+harnesses, so a wrong declaration is never a quiet pass.  Each grid pair is
+composed in ``int`` numerators over one common denominator, so a case holds
+when the two sides' numerators agree; states are built only to render a
+failing case.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .fock import NEUTRAL, FockState, Space, format_state
-from .modeops import COLUMNS, Column, column
+from .modeops import COLUMNS, Column, apply_declared, column
 
 MAX_WITNESSES = 20  # failures kept per report; failures_total counts them all
 
@@ -139,9 +139,10 @@ class _Columns:
 
     ``mode(i)`` is built once per index.  ``column(i, mono)`` is its column
     on ``mono`` (:func:`fockcheck.modeops.column`): ``int`` numerators over
-    the operator's declared ``denominator``.  The columns of an operator
-    the column store holds are read from its table there; any other
-    operator's are kept here, computed once per monomial for this check.  A
+    the operator's declared ``denominator``.  Each operator's table is
+    asked of the column store once: a keyed operator's is the store's own,
+    which stays its table however often the store empties it; any other
+    operator's is kept here, computed once per monomial for this check.  A
     mode index is any hashable.
     """
 
@@ -151,17 +152,13 @@ class _Columns:
         self.memo: dict[Hashable, tuple[object, dict[object, Column]]] = {}
 
     def operator(self, i: Hashable):
-        """``(mode(i), the columns of it held now)``."""
+        """``(mode(i), its table of columns)``."""
         entry = self.memo.get(i)
         if entry is None:
-            entry = self.memo[i] = self.held(self.mode(i), {})
+            op = self.mode(i)
+            table = COLUMNS.table(op, self.space)
+            entry = self.memo[i] = op, {} if table is None else table
         return entry
-
-    def held(self, op, own: dict) -> tuple[object, dict[object, Column]]:
-        """``(op, its table in the column store)``, or ``(op, own)`` for an
-        operator the store does not hold."""
-        table = COLUMNS.table(op, self.space)
-        return op, own if table is None else table
 
     def denominator(self, i: Hashable) -> int:
         return self.operator(i)[0].denominator
@@ -171,7 +168,6 @@ class _Columns:
         col = cols.get(mono)
         if col is None:
             col = cols[mono] = column(op, mono, self.space)
-            self.memo[i] = self.held(op, cols)  # a fill may have cleared the store
         return col
 
     def compose(self, i: Hashable, col: Column, factor: int, acc: dict) -> None:
@@ -275,7 +271,8 @@ def field_identity_check(
     **params,
 ) -> VerificationReport:
     """Assert ``left_mode(n) v == right_mode(n) v`` exactly over the grid of
-    modes and monomials of ``space``; ``params`` are added to the report's."""
+    modes and monomials of ``space``, each side through
+    :func:`fockcheck.modeops.apply_declared`; ``params`` are added to the report's."""
     modes = list(modes)
     with VerificationReport(name, {"modes": len(modes), "basis": len(basis), **params}) as report:
         for n in modes:
@@ -283,7 +280,8 @@ def field_identity_check(
             b = right_mode(n)
             for mono in basis:
                 v = FockState.monomial(mono, space=space)
-                report.expect(a.apply(v), b.apply(v), lambda: f"(n={n}) on {format_state(v)}")
+                got, want = apply_declared(a, mono, space), apply_declared(b, mono, space)
+                report.expect(got, want, lambda: f"(n={n}) on {format_state(v)}")
     return report
 
 

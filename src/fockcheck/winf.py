@@ -18,9 +18,10 @@ the two window matrices (:func:`winf_expected`).  The bracket grid is
 checked against that closed form on the Fock space.
 
 Lifting ``E_{r,s}`` to the normal-ordered bilinear ``:psi+_{-r} psi-_{s-1}:``
-reproduces the Fock operators exactly modulo the same scalar;
-:func:`scalar_defect_check` compares the Fock bracket with the lifted matrix
-commutator, and stays as the evidence for that lift.
+(:class:`MatrixLift`) reproduces the Fock operators exactly modulo the same
+scalar.  :func:`scalar_defect_check` declares the Fock bracket equal to the
+lifted matrix commutator plus that scalar, and the bracket harness
+evaluates it; it stays as the evidence for the lift.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from .charged import (
     charged_bilinear_mode,
     charged_code,
 )
-from .fock import FockState, add_term, format_state
-from .modeops import apply_pair_to_monomial
-from .verify import VerificationReport
+from .fock import FockState, add_term
+from .modeops import apply_pair_to_monomial, falling
+from .verify import VerificationReport, bracket_check
 
 Matrix = dict[tuple[int, int], int]
 
@@ -60,10 +61,7 @@ def jk_mode_neutral(k: int, n: int) -> ConjugatedOperator:
 
 
 def _rising(j: int, k: int) -> int:
-    out = 1
-    for step in range(k):
-        out *= j + step
-    return out
+    return falling(j + k - 1, k)  # j (j+1) ... (j+k-1)
 
 
 def structure_constants(k1: int, n1: int, k2: int, n2: int) -> list[Fraction]:
@@ -152,6 +150,8 @@ def glinf_cocycle(a: Matrix, b: Matrix) -> int:
 class MatrixLift:
     """Fock-space lift ``E_{r,s} -> :psi+_{-r} psi-_{s-1}:`` of a window matrix."""
 
+    denominator = 1
+
     def __init__(self, matrix: Matrix):
         self.pairs = [(charged_code(PLUS, -r), charged_code(MINUS, s - 1), w) for (r, s), w in matrix.items()]
 
@@ -164,7 +164,7 @@ class MatrixLift:
         return FockState(acc, state.denominator, state.space)
 
 
-def _max_slot(basis: Sequence[ChargedMonomial]) -> int:
+def max_slot(basis: Sequence[ChargedMonomial]) -> int:
     top = 1
     for plus, minus in basis:
         if plus:
@@ -181,28 +181,24 @@ def scalar_defect_check(
     n2: int,
     basis: Sequence[ChargedMonomial],
 ) -> VerificationReport:
-    """Certify that ``[J1, J2]`` on the Fock space differs from the lifted
-    matrix commutator by the scalar :func:`glinf_cocycle` of the two window
-    matrices, on every monomial of the tested basis.
+    """Declare ``[J1, J2]`` on the Fock space equal to the :class:`MatrixLift`
+    of the two window matrices' commutator (the mode ``"lift"``) plus their
+    :func:`glinf_cocycle`, as one :func:`~fockcheck.verify.bracket_check`.
 
     The window is sized from the basis so every matrix entry that can touch
     a tested state is exact; an undersized window would surface as a
     non-scalar defect, never as a silent pass.
     """
-    params = {"k1": k1, "n1": n1, "k2": k2, "n2": n2, "basis": len(basis)}
-    with VerificationReport("winf_scalar_defect", params) as report:
-        shift = abs(n1) + abs(n2) + k1 + k2
-        inner = _max_slot(basis) + shift + 2
-        radius = inner + shift + 2
-        m1 = glinf_matrix(k1, n1, radius)
-        m2 = glinf_matrix(k2, n2, radius)
-        lifted = MatrixLift(matrix_commutator(m1, m2, inner))
-        op1 = jk_mode_charged(k1, n1)
-        op2 = jk_mode_charged(k2, n2)
-        scalar = glinf_cocycle(m1, m2)
-        for mono in basis:
-            v = FockState.monomial(mono, space=CHARGED)
-            bracket = op1.apply(op2.apply(v)) - op2.apply(op1.apply(v))
-            defect = bracket - lifted.apply(v)
-            report.expect(defect, v.scale(scalar), lambda: f"defect against {scalar} * identity on {format_state(v)}")
-    return report
+    shift = abs(n1) + abs(n2) + k1 + k2
+    inner = max_slot(basis) + shift + 2
+    radius = inner + shift + 2
+    m1 = glinf_matrix(k1, n1, radius)
+    m2 = glinf_matrix(k2, n2, radius)
+    lifted = MatrixLift(matrix_commutator(m1, m2, inner))
+    scalar = glinf_cocycle(m1, m2)
+    mode = lambda i: lifted if i == "lift" else jk_mode_charged(*i)
+    pair = ((k1, n1), (k2, n2))
+    expected = lambda m, n: ([(1, "lift")], scalar)
+    return bracket_check(
+        "winf_scalar_defect", "commutator", mode, expected, [pair], basis, CHARGED, k1=k1, n1=n1, k2=k2, n2=n2
+    )

@@ -75,6 +75,10 @@ def lambda_bracket():
     return [suites.lambda_bracket(Fraction(1, 3), Fraction(2, 5), 2, enumerate_basis(2))]
 
 
+def shifted_matrix(f):
+    return lambda k, n, radius: f(k, n + 1, radius)
+
+
 def first_entry_plus_one(f):
     def shifted(*args):
         head, *rest = f(*args)
@@ -105,7 +109,7 @@ CONTROLS = [
     ("state_map_bijection", charged, "to_charged_monomial", sign_flipped, lambda: suites.suite_iso(4, 1, 3)),
     (
         "j1_preserves_charge",
-        suites,
+        winf,
         "jk_mode_neutral",
         lambda f: lambda k, n: ModeOperator(-1),
         lambda: suites.suite_winf(kmax=0, nmax=0, weight_cut2=4, mmax=1),
@@ -131,6 +135,14 @@ CONTROLS = [
     # the closed-form W_{1+infinity} grid: one structure constant, then the central term
     ("winf_matrix_defects", winf, "structure_constants", first_entry_plus_one, winf_grid),
     ("winf_matrix_defects", winf, "glinf_cocycle", plus_one, winf_grid),
+    # the lifted window matrix of J^0 against hA_n, mode by mode
+    (
+        "j0_equals_heisenberg_charged",
+        winf,
+        "glinf_matrix",
+        shifted_matrix,
+        lambda: suites.suite_winf(kmax=0, nmax=0, weight_cut2=4, mmax=1),
+    ),
 ]
 
 

@@ -35,7 +35,7 @@ from fockcheck.modeops import (
 )
 from fockcheck.heisenberg import h_family, h_mode, h_mode_bilinear
 from fockcheck.suites import LAMBDA_PAIRS, heisenberg_expected, square_grid, virasoro_bracket, virasoro_expected
-from fockcheck.verify import bracket_check
+from fockcheck.verify import bracket_check, field_identity_check
 from fockcheck.virasoro import SugawaraOperator, l_half_family, sugawara_family
 from fockcheck.winf import jk_mode_charged, jk_mode_neutral
 
@@ -245,6 +245,9 @@ def test_undersized_denominator_raises_in_bracket_check():
     # twice), so its declared 2 is an upper bound and 1 would be sound as well
     h_one = lambda n: Declared(h_mode(n), 1)
     assert bracket_check("h", "commutator", h_one, heisenberg_expected, grid, basis).passed
+    # a field identity applies the same guard to each of its sides
+    with pytest.raises(ArithmeticError, match=r"over 2, outside \(1/1\)Z"):
+        field_identity_check("x", declared(1), virasoro.l_half_mode, range(-1, 2), basis)
 
 
 def test_affine_denominator_is_the_lcm_of_its_parts():
@@ -376,8 +379,11 @@ def test_store_is_cleared_whole_at_its_bound(monkeypatch):
     monkeypatch.setattr(ColumnStore, "fill", counted_fill)
     COLUMNS.clear()
     virasoro._sugawara_on_monomial.cache_clear()
+    h_table = COLUMNS.table(h_mode(1), NEUTRAL)  # L^1 columns read it again after every clear
     reports = [virasoro_bracket("b", family, c, 2, basis) for family, c in grids]
     assert all(rep.passed for rep in reports)
     assert [rep.cases_run for rep in reports] == want
     assert len(entries) > 3 * 64  # the store was cleared and refilled
     assert max(entries) <= 64 and COLUMNS.entries <= 64
+    # clearing empties each table in place: a table handed out stays the store's
+    assert COLUMNS.tables[("h", 1), NEUTRAL] is h_table
