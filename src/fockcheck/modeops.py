@@ -22,20 +22,21 @@ yields ``int`` numerators over its D, so its column is ``int`` arithmetic
 throughout.  An affine combination declares the lcm of its parts'
 denominators and adds their columns in ``int`` numerators over it.
 
-Every column is read through one function, :func:`column`.  A primitive
-operator carries a ``key`` that names its construction: ``(bil, exponent)``
-for :func:`bilinear_mode` and
+Every column is read as ``table[mono]`` from the operator's column table,
+which :meth:`ColumnStore.table` alone hands out; a missing column is
+computed on read.  A primitive operator carries a ``key`` that names its
+construction: ``(bil, exponent)`` for :func:`bilinear_mode` and
 :func:`~fockcheck.charged.charged_bilinear_mode`, ``("h", n)`` for
 :func:`~fockcheck.heisenberg.h_mode` and ``("L1", n)`` for
 :class:`~fockcheck.virasoro.SugawaraOperator`; its ``column(space, mono)``
-computes a column afresh.  Equal keys build equal operators, so the
-process-wide :data:`COLUMNS` store computes each keyed column once, on
-first use.  The key names the construction, not the mathematical operator:
+computes a column afresh.  Equal keys build equal operators, so they share
+one table of the process-wide :data:`COLUMNS` store, which computes each
+column once.  The key names the construction, not the mathematical operator:
 two constructions a check compares (``h_mode`` and ``h_mode_bilinear``, a
 tilde bilinear and its :func:`parity_flip`) never share a column.  Any
-other operator (affine combinations, single modes, wrappers) is not
-stored: its column is its ``apply`` on the one-monomial state, and a
-coefficient of it outside ``(1/D)Z`` raises ``ArithmeticError``, so an
+other operator (affine combinations, single modes, wrappers) gets a new
+private table: a column there is its ``apply`` on the one-monomial state,
+and a coefficient of it outside ``(1/D)Z`` raises ``ArithmeticError``, so an
 undersized declaration is caught monomial by monomial, also inside an
 affine combination.
 
@@ -149,34 +150,54 @@ class QuadraticModeOperator:
 STORE_SIZE = 32768
 
 
+class ColumnTable(dict):
+    """The columns of ``op`` on ``space`` by monomial; reading a missing one
+    computes it: by ``store.fill`` in a table of the store, and in a private
+    table (``store`` is ``None``) through :func:`apply_declared`."""
+
+    __slots__ = ("op", "space", "store")
+
+    def __init__(self, op, space: Space, store: ColumnStore | None = None):
+        self.op, self.space, self.store = op, space, store
+
+    def __missing__(self, mono) -> Column:
+        if self.store is not None:
+            return self.store.fill(self.op, mono, self.space)
+        out = apply_declared(self.op, mono, self.space)
+        scale = self.op.denominator // out.denominator
+        col = self[mono] = tuple((m, n * scale) for m, n in out.terms.items())
+        return col
+
+
 class ColumnStore:
     """Columns of keyed operators, computed once per process.
 
-    ``tables[(key, space)]`` maps a monomial to the column of the operator
-    built by ``key``: the tuple of ``(monomial, numerator)`` pairs, over the
-    operator's declared denominator, that its ``column(space, mono)``
-    computes.  Monomials are interned, so a monomial met in many columns is
-    stored once, and a column whose monomials are all interned already is
-    kept as computed.  The registry keeps one dict, possibly empty, per
-    ``(key, space)`` asked for, for the whole process.  When
-    :data:`STORE_SIZE` columns are held, the next insertion first empties
-    every table in place.  It starts empty; nothing is precomputed.
+    ``tables[(key, space)]`` is the :class:`ColumnTable` of the operator
+    built by ``key``: a monomial maps to the tuple of ``(monomial,
+    numerator)`` pairs, over the operator's declared denominator, that its
+    ``column(space, mono)`` computes.  Only :meth:`fill` writes a table.
+    Monomials are interned, so a monomial met in many columns is stored
+    once, and a column whose monomials are all interned already is kept as
+    computed.  The registry keeps one table, possibly empty, per ``(key,
+    space)`` asked for, with the operator that first asked, for the whole
+    process.  When :data:`STORE_SIZE` columns are held, the next insertion
+    first empties every table in place.  It starts empty.
     """
 
     def __init__(self):
-        self.tables: dict[tuple[Hashable, Space], dict[Any, Column]] = {}
+        self.tables: dict[tuple[Hashable, Space], ColumnTable] = {}
         self.interned: dict = {}
         self.entries = 0
 
-    def table(self, op, space: Space) -> dict[Any, Column] | None:
-        """The columns of ``op`` on ``space`` held now (read-only for callers),
-        or ``None`` for an operator without a ``key``, which is not stored."""
+    def table(self, op, space: Space) -> ColumnTable:
+        """The column table of ``op`` on ``space``: the store's own for an
+        operator with a ``key``, a new private one for any other."""
         key = getattr(op, "key", None)
         if key is None:
-            return None
+            return ColumnTable(op, space)
         table = self.tables.get((key, space))
         if table is None:
-            table = self.tables[key, space] = {}
+            table = self.tables[key, space] = ColumnTable(op, space, self)
         return table
 
     def fill(self, op, mono, space: Space) -> Column:
@@ -202,20 +223,8 @@ COLUMNS = ColumnStore()
 
 def column(op, mono, space: Space) -> Column:
     """The column of ``op`` on the monomial ``mono`` of ``space``: ``int``
-    numerators over ``op.denominator``.
-
-    A keyed operator's column is read from :data:`COLUMNS`, computed there on
-    first use.  Any other operator's is its ``apply`` on the one-monomial
-    state, and a coefficient of it outside ``(1/op.denominator)Z`` raises
-    ``ArithmeticError``.
-    """
-    table = COLUMNS.table(op, space)
-    if table is not None:
-        col = table.get(mono)
-        return COLUMNS.fill(op, mono, space) if col is None else col
-    out = apply_declared(op, mono, space)
-    scale = op.denominator // out.denominator
-    return tuple((m, n * scale) for m, n in out.terms.items())
+    numerators over ``op.denominator``, read from its table."""
+    return COLUMNS.table(op, space)[mono]
 
 
 def apply_declared(op, mono, space: Space) -> FockState:
@@ -237,9 +246,10 @@ def _add_columns(parts: Iterable[tuple[Any, int]], state: FockState, acc: dict) 
     space = state.space
     terms = state.terms.items()
     for op, w in parts:
+        table = COLUMNS.table(op, space)
         for mono, k in terms:
             wk = w * k
-            for out, c in column(op, mono, space):
+            for out, c in table[mono]:
                 acc[out] = acc.get(out, 0) + wk * c
 
 
@@ -318,9 +328,10 @@ class AffineOperator:
     """Finite combination ``sum_j c_j * op_j + scalar * Id`` acting by linearity.
 
     Its ``denominator`` D is the lcm of ``c_j * D_j`` over the parts and of
-    the scalar's denominator, and its action adds the parts' columns
-    (:func:`column`) in ``int`` numerators over D, so a part whose column
-    does not fit its own declared denominator raises ``ArithmeticError``.
+    the scalar's denominator, and its action adds the parts' columns, read
+    from each part's :class:`ColumnTable`, in ``int`` numerators over D, so
+    a part whose column does not fit its own declared denominator raises
+    ``ArithmeticError``.
     """
 
     def __init__(self, parts: Sequence[tuple[Fraction | int, object]], scalar: Fraction | int = 0):

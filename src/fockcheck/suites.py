@@ -451,16 +451,24 @@ def suite_winf(kmax: int = 2, nmax: int = 3, weight_cut2: int = 16, mmax: int = 
         )
     )
 
-    with VerificationReport("j1_preserves_charge", {"weight_cut2": weight_cut2}) as charge_preserving:
-        for mono in basis:
-            v = FockState.monomial(mono)
-            out = winf.jk_mode_neutral(1, 1).apply(v) + winf.jk_mode_neutral(1, -1).apply(v)
-            charge_preserving.expect(
-                {dg(m) for m in out.terms} | {dg(mono)},
-                {dg(mono)},
-                lambda: f"charges of v and (J^1_1 + J^1_-1) v for v = {format_state(v)}",
-            )
-    reports.append(charge_preserving)
+    def charge_or_j1(i: str):
+        """h_0, which acts as the charge, or J^1_1 + J^1_-1: their bracket
+        vanishes exactly when the sum preserves the charge."""
+        if i == "h0":
+            return h_mode(0)
+        return AffineOperator([(1, winf.jk_mode_neutral(1, 1)), (1, winf.jk_mode_neutral(1, -1))])
+
+    reports.append(
+        bracket_check(
+            "j1_preserves_charge",
+            "commutator",
+            charge_or_j1,
+            lambda m, n: ([], 0),
+            [("h0", "J1")],
+            basis,
+            weight_cut2=weight_cut2,
+        )
+    )
     return reports
 
 

@@ -20,11 +20,11 @@ Operator relations are evaluated here only: a check elsewhere declares its
 relation to :func:`bracket_check` or :func:`field_identity_check`.  Every
 operator is quasi-finite: it sends a basis monomial to a finite combination
 of monomials, its *column*.  :func:`bracket_check` builds each mode operator
-once per check and composes both orders of every grid pair, and the
-expected side, from columns read through :func:`fockcheck.modeops.column`,
-which alone decides whether a column comes from the process-wide column
-store or from the operator's ``apply``, and when the store is emptied; the
-check keeps the columns the store does not, and those die with it.
+once per check, asks :meth:`fockcheck.modeops.ColumnStore.table` for its
+column table once, and composes both orders of every grid pair, and the
+expected side, from lookups in those tables.  The store decides where the
+columns live: a keyed operator's in the process-wide store, any other's in
+a private table that dies with the check.
 
 States are ``int`` numerators over one denominator, and every operator
 declares the ``denominator`` of its action (see :mod:`fockcheck.modeops`).
@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .fock import NEUTRAL, FockState, Space, format_state
-from .modeops import COLUMNS, Column, apply_declared, column
+from .modeops import COLUMNS, Column, ColumnTable, apply_declared
 
 MAX_WITNESSES = 20  # failures kept per report; failures_total counts them all
 
@@ -134,52 +134,23 @@ def merge_reports(name: str, params: dict, reports: Iterable[VerificationReport]
     return out
 
 
-class _Columns:
-    """The mode operators of one check and their columns.
+def _compose(table: ColumnTable, col: Column, factor: int, acc: dict) -> None:
+    """Accumulate ``factor * D * op`` applied to the vector ``col`` into
+    ``acc``, for the operator ``op`` whose columns ``table`` holds and its
+    denominator ``D``."""
+    get = acc.get
+    for mid, c in col:
+        c *= factor
+        for out, d in table[mid]:
+            acc[out] = get(out, 0) + c * d
 
-    ``mode(i)`` is built once per index.  ``column(i, mono)`` is its column
-    on ``mono`` (:func:`fockcheck.modeops.column`): ``int`` numerators over
-    the operator's declared ``denominator``.  Each operator's table is
-    asked of the column store once: a keyed operator's is the store's own,
-    which stays its table however often the store empties it; any other
-    operator's is kept here, computed once per monomial for this check.  A
-    mode index is any hashable.
-    """
 
-    def __init__(self, mode: Callable[[Hashable], object], space: Space):
-        self.mode = mode
-        self.space = space
-        self.memo: dict[Hashable, tuple[object, dict[object, Column]]] = {}
-
-    def operator(self, i: Hashable):
-        """``(mode(i), its table of columns)``."""
-        entry = self.memo.get(i)
-        if entry is None:
-            op = self.mode(i)
-            table = COLUMNS.table(op, self.space)
-            entry = self.memo[i] = op, {} if table is None else table
-        return entry
-
-    def denominator(self, i: Hashable) -> int:
-        return self.operator(i)[0].denominator
-
-    def column(self, i: Hashable, mono) -> Column:
-        op, cols = self.operator(i)
-        col = cols.get(mono)
-        if col is None:
-            col = cols[mono] = column(op, mono, self.space)
-        return col
-
-    def compose(self, i: Hashable, col: Column, factor: int, acc: dict) -> None:
-        """Accumulate ``factor * D_i * mode(i)`` applied to the vector ``col``
-        into ``acc``, with ``D_i`` the denominator of ``mode(i)``."""
-        cols = self.operator(i)[1]
-        get = acc.get
-        for mid, c in col:
-            c *= factor
-            known = cols.get(mid)
-            for out, d in self.column(i, mid) if known is None else known:
-                acc[out] = get(out, 0) + c * d
+def _check_basis(basis: Sequence, space: Space) -> None:
+    """Raise ``ValueError`` unless every element of ``basis`` is a canonical
+    monomial of ``space``."""
+    for mono in basis:
+        if not space.is_canonical(mono):
+            raise ValueError(f"not a canonical {space.name} monomial: {mono}")
 
 
 def _scaled(c: Fraction | int, denominator: int) -> int:
@@ -207,8 +178,8 @@ def bracket_check(
     returns ``(ops, scalar)``: ``ops`` is a finite list of ``(coefficient,
     k)`` summands, each standing for ``coefficient * mode(k)``, and
     ``scalar`` the identity part.  ``basis`` holds monomials of ``space``.
-    Both sides and the expected operators are composed from columns
-    (:class:`_Columns`), so each operator acts on each monomial at most once
+    Both sides and the expected operators are composed from column tables,
+    one per mode index, so each operator acts on each monomial at most once
     however many pairs use it.  Each grid pair is composed in ``int``
     numerators over one common denominator: the lcm of ``D_m * D_n``, of
     ``coefficient.denominator * D_k`` for every summand and of the scalar's
@@ -219,29 +190,35 @@ def bracket_check(
     if kind not in ("commutator", "anticommutator"):
         raise ValueError(f"unknown bracket kind {kind!r}")
     pairs = list(pairs)
-    for mono in basis:
-        if not space.is_canonical(mono):
-            raise ValueError(f"not a canonical {space.name} monomial: {mono}")
+    _check_basis(basis, space)
     sign = 1 if kind == "anticommutator" else -1
-    cols = _Columns(mode, space)
+    tables: dict[Hashable, ColumnTable] = {}
+
+    def table(i: Hashable) -> ColumnTable:
+        """The column table of ``mode(i)``, which is built once per check."""
+        if i not in tables:
+            tables[i] = COLUMNS.table(mode(i), space)
+        return tables[i]
+
     with VerificationReport(name, {"kind": kind, "pairs": len(pairs), "basis": len(basis), **params}) as report:
         for m, n in pairs:
             ops, scalar = expected(m, n)
-            ops = [(c, k) for c, k in ops if c]
-            product = cols.denominator(m) * cols.denominator(n)
-            den = math.lcm(product, scalar.denominator, *(c.denominator * cols.denominator(k) for c, k in ops))
+            tm, tn = table(m), table(n)
+            ops = [(c, table(k)) for c, k in ops if c]
+            product = tm.op.denominator * tn.op.denominator
+            den = math.lcm(product, scalar.denominator, *(c.denominator * t.op.denominator for c, t in ops))
             factor = den // product
             scalar = _scaled(scalar, den)
-            ops = [(_scaled(c, den // cols.denominator(k)), k) for c, k in ops]
+            ops = [(_scaled(c, den // t.op.denominator), t) for c, t in ops]
 
             def sides(mono, lhs: dict, rhs: dict, rsign: int) -> None:
                 """Add the bracket on ``mono`` into ``lhs`` and ``rsign`` times
                 the expected side into ``rhs``, in numerators over ``den``."""
-                cols.compose(m, cols.column(n, mono), factor, lhs)
-                cols.compose(n, cols.column(m, mono), sign * factor, lhs)
+                _compose(tm, tn[mono], factor, lhs)
+                _compose(tn, tm[mono], sign * factor, lhs)
                 rhs[mono] = rhs.get(mono, 0) + rsign * scalar
-                for c, k in ops:
-                    cols.compose(k, ((mono, rsign * c),), 1, rhs)
+                for c, t in ops:
+                    _compose(t, ((mono, rsign * c),), 1, rhs)
 
             def states(mono) -> tuple[FockState, FockState]:
                 lhs: dict = {}
@@ -274,14 +251,14 @@ def field_identity_check(
     modes and monomials of ``space``, each side through
     :func:`fockcheck.modeops.apply_declared`; ``params`` are added to the report's."""
     modes = list(modes)
+    _check_basis(basis, space)
     with VerificationReport(name, {"modes": len(modes), "basis": len(basis), **params}) as report:
         for n in modes:
             a = left_mode(n)
             b = right_mode(n)
             for mono in basis:
-                v = FockState.monomial(mono, space=space)
                 got, want = apply_declared(a, mono, space), apply_declared(b, mono, space)
-                report.expect(got, want, lambda: f"(n={n}) on {format_state(v)}")
+                report.expect(got, want, lambda: f"(n={n}) on {format_state(FockState.monomial(mono, space=space))}")
     return report
 
 

@@ -25,12 +25,12 @@ from functools import lru_cache
 from .fock import NEUTRAL, FockState, Monomial, Space, weight2
 from .heisenberg import h_mode
 from .modeops import (
+    COLUMNS,
     AffineOperator,
     FermionBilinear,
     OperatorFamily,
     apply_columns,
     bilinear_mode,
-    column,
     parity_flip,
     zero_operator,
 )
@@ -104,9 +104,9 @@ def _sugawara_on_monomial(n: int, mono: Monomial) -> tuple[tuple[Monomial, int],
         if 2 * k < n:
             continue  # the term at n - k is the same product
         twice = 1 if 2 * k == n else 2
-        right, left = h_mode(k), h_mode(n - k)
-        for mid, c in column(right, mono, NEUTRAL):
-            for out, d in column(left, mid, NEUTRAL):
+        right, left = COLUMNS.table(h_mode(k), NEUTRAL), COLUMNS.table(h_mode(n - k), NEUTRAL)
+        for mid, c in right[mono]:
+            for out, d in left[mid]:
                 acc[out] = acc.get(out, 0) + twice * c * d
     # each h column is over 2, and L^1 carries a factor 1/2: over 8 in all
     return tuple(sorted((m, c) for m, c in acc.items() if c))

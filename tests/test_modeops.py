@@ -387,3 +387,50 @@ def test_store_is_cleared_whole_at_its_bound(monkeypatch):
     assert max(entries) <= 64 and COLUMNS.entries <= 64
     # clearing empties each table in place: a table handed out stays the store's
     assert COLUMNS.tables[("h", 1), NEUTRAL] is h_table
+
+
+def test_an_operator_without_a_key_gets_a_new_private_table():
+    op = AffineOperator([(1, h_mode(1))])
+    # its part is keyed: that table is the store's own, the same one every time
+    h_table = COLUMNS.table(h_mode(1), NEUTRAL)
+    assert h_table is COLUMNS.tables[("h", 1), NEUTRAL] is COLUMNS.table(h_mode(1), NEUTRAL)
+    registered = set(COLUMNS.tables)
+    first, second = COLUMNS.table(op, NEUTRAL), COLUMNS.table(op, NEUTRAL)
+    assert first is not second and not first and first.store is None
+    assert dict(first[(0, 2)]) == dict(h_mode(1).column(NEUTRAL, (0, 2)))
+    assert set(COLUMNS.tables) == registered and all(t is not first for t in COLUMNS.tables.values())
+
+
+def test_reading_a_monomial_twice_computes_its_column_once(monkeypatch):
+    fills, applies = [], []
+    fill = ColumnStore.fill
+
+    def counted_fill(self, op, mono, space):
+        fills.append((op.key, mono))
+        return fill(self, op, mono, space)
+
+    class Counted:
+        denominator = 2
+
+        def apply(self, state):
+            applies.append(state)
+            return h_mode(2).apply(state)
+
+    monkeypatch.setattr(ColumnStore, "fill", counted_fill)
+    COLUMNS.clear()
+    mono = (0, 1, 3)
+    for op in (h_mode(2), Counted()):
+        table = COLUMNS.table(op, NEUTRAL)
+        assert table[mono] is table[mono]
+    assert fills == [(("h", 2), mono)] and len(applies) == 1
+
+
+def test_store_tables_hold_only_what_fill_inserted():
+    # L^1 columns fill h columns first; the lambda family reads both through
+    # an affine combination
+    COLUMNS.clear()
+    basis = enumerate_basis(8)
+    assert virasoro_bracket("one", sugawara_family(), Fraction(1), 2, basis).passed
+    lam, b = LAMBDA_PAIRS[0]
+    assert virasoro_bracket("lam", virasoro.lambda_family(lam, b), virasoro.central_charge(lam), 2, basis).passed
+    assert sum(len(table) for table in COLUMNS.tables.values()) == COLUMNS.entries > 0

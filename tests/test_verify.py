@@ -57,6 +57,14 @@ def test_bracket_check_rejects_a_basis_monomial_with_a_non_int_index():
         bracket_check("h", "commutator", h_mode, heisenberg_expected, [(1, -1)], [(), (0.5,)])
     with pytest.raises(ValueError, match="not a canonical charged monomial"):
         bracket_check("h", "commutator", hA_mode, heisenberg_expected, [(1, -1)], [((), ()), ((0.5,), ())], CHARGED)
+    # a field identity validates its basis up front, through the same check,
+    # also when it has no mode to apply
+    with pytest.raises(ValueError, match="not a canonical neutral monomial"):
+        field_identity_check("h", h_mode, h_mode, [1], [(), (0.5,)])
+    with pytest.raises(ValueError, match="not a canonical neutral monomial"):
+        field_identity_check("h", h_mode, h_mode, [], [(0.5,)])
+    with pytest.raises(ValueError, match="not a canonical charged monomial"):
+        field_identity_check("h", hA_mode, hA_mode, [1], [((), ()), ((0.5,), ())], CHARGED)
 
 
 def test_failing_bracket_cases_render_the_lowest_terms_states():
