@@ -207,8 +207,6 @@ class FockState:
         num = factor.numerator
         return FockState({m: num * c for m, c in self.terms.items()}, self.denominator * factor.denominator, self.space)
 
-    __rmul__ = scale
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockState):
             return NotImplemented

@@ -1,8 +1,8 @@
 """Gradings on the neutral-fermion Fock space.
 
-Three gradings live on monomials: the length (number of factors), the charge
-``dg`` counting odd minus even indices, and the energy ``deg_h`` measured
-inside each charge sector relative to its minimal vector.
+Two gradings live on monomials: the charge ``dg`` counting odd minus even
+indices, and the energy ``deg_h`` measured inside each charge sector
+relative to its minimal vector.
 
 The charge-``n`` sector has a distinguished vacuum-like vector ``v_n`` of
 minimal weight: indices ``{1, 3, ..., 2n-1}`` for ``n > 0`` and
@@ -20,10 +20,6 @@ from typing import Iterator
 from .fock import Monomial, apply_mode_to_monomial, increasing_tuples, weight, weight2
 
 Partition = tuple[int, ...]
-
-
-def length(mono: Monomial) -> int:
-    return len(mono)
 
 
 def dg(mono: Monomial) -> int:
@@ -50,11 +46,6 @@ def deg_h(mono: Monomial) -> int:
     if diff2 < 0 or diff2 % 4:
         raise ValueError(f"grading defect: monomial {mono} has weight defect {Fraction(diff2, 2)}")
     return diff2 // 4
-
-
-def grade_triple(mono: Monomial) -> tuple[int, int, int]:
-    """(length, charge, energy) of a monomial."""
-    return len(mono), dg(mono), deg_h(mono)
 
 
 def sector_basis(n: int, k: int) -> list[Monomial]:
@@ -120,9 +111,7 @@ __all__ = [
     "Partition",
     "dg",
     "deg_h",
-    "grade_triple",
     "lemma_vector",
-    "length",
     "partition_count",
     "partitions",
     "sector_basis",

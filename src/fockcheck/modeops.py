@@ -24,7 +24,9 @@ denominators and adds their columns in ``int`` numerators over it.
 
 Every column is read as ``table[mono]`` from the operator's column table,
 which :meth:`ColumnStore.table` alone hands out; a missing column is
-computed on read.  A primitive operator carries a ``key`` that names its
+computed on read, and a store table writes its own columns.  Operators are
+composed on columns by :func:`compose`, the one loop that applies a column
+table to a vector.  A primitive operator carries a ``key`` that names its
 construction: ``(bil, exponent)`` for :func:`bilinear_mode` and
 :func:`~fockcheck.charged.charged_bilinear_mode`, ``("h", n)`` for
 :func:`~fockcheck.heisenberg.h_mode` and ``("L1", n)`` for
@@ -152,8 +154,10 @@ STORE_SIZE = 32768
 
 class ColumnTable(dict):
     """The columns of ``op`` on ``space`` by monomial; reading a missing one
-    computes it: by ``store.fill`` in a table of the store, and in a private
-    table (``store`` is ``None``) through :func:`apply_declared`."""
+    computes it.  A table of ``store`` writes its own columns: it computes
+    one by ``op.column``, empties the store first if it is full, interns the
+    monomials and counts the insertion.  A private table (``store`` is
+    ``None``) computes one through :func:`apply_declared`."""
 
     __slots__ = ("op", "space", "store")
 
@@ -161,11 +165,20 @@ class ColumnTable(dict):
         self.op, self.space, self.store = op, space, store
 
     def __missing__(self, mono) -> Column:
-        if self.store is not None:
-            return self.store.fill(self.op, mono, self.space)
-        out = apply_declared(self.op, mono, self.space)
-        scale = self.op.denominator // out.denominator
-        col = self[mono] = tuple((m, n * scale) for m, n in out.terms.items())
+        op, store = self.op, self.store
+        if store is None:
+            out = apply_declared(op, mono, self.space)
+            scale = op.denominator // out.denominator
+            col = self[mono] = tuple((m, n * scale) for m, n in out.terms.items())
+            return col
+        col = op.column(self.space, mono)  # may fill other columns first: L^1 reads h columns
+        if store.entries >= STORE_SIZE:
+            store.clear()
+        intern = store.interned.setdefault
+        if any(intern(m, m) is not m for m, _ in col):
+            col = tuple((intern(m, m), c) for m, c in col)
+        self[intern(mono, mono)] = col
+        store.entries += 1
         return col
 
 
@@ -175,7 +188,7 @@ class ColumnStore:
     ``tables[(key, space)]`` is the :class:`ColumnTable` of the operator
     built by ``key``: a monomial maps to the tuple of ``(monomial,
     numerator)`` pairs, over the operator's declared denominator, that its
-    ``column(space, mono)`` computes.  Only :meth:`fill` writes a table.
+    ``column(space, mono)`` computes.  A store table writes its own columns.
     Monomials are interned, so a monomial met in many columns is stored
     once, and a column whose monomials are all interned already is kept as
     computed.  The registry keeps one table, possibly empty, per ``(key,
@@ -200,17 +213,6 @@ class ColumnStore:
             table = self.tables[key, space] = ColumnTable(op, space, self)
         return table
 
-    def fill(self, op, mono, space: Space) -> Column:
-        col = op.column(space, mono)  # may fill other columns first: L^1 reads h columns
-        if self.entries >= STORE_SIZE:
-            self.clear()
-        intern = self.interned.setdefault
-        if any(intern(m, m) is not m for m, _ in col):
-            col = tuple((intern(m, m), c) for m, c in col)
-        self.table(op, space)[intern(mono, mono)] = col
-        self.entries += 1
-        return col
-
     def clear(self) -> None:
         for table in self.tables.values():
             table.clear()
@@ -219,12 +221,6 @@ class ColumnStore:
 
 
 COLUMNS = ColumnStore()
-
-
-def column(op, mono, space: Space) -> Column:
-    """The column of ``op`` on the monomial ``mono`` of ``space``: ``int``
-    numerators over ``op.denominator``, read from its table."""
-    return COLUMNS.table(op, space)[mono]
 
 
 def apply_declared(op, mono, space: Space) -> FockState:
@@ -239,6 +235,18 @@ def apply_declared(op, mono, space: Space) -> FockState:
     return out
 
 
+def compose(table: ColumnTable, col: Iterable[tuple[Any, int]], factor: int, acc: dict) -> None:
+    """Add ``factor * D * op`` on the vector ``col`` of ``(monomial,
+    numerator)`` pairs into ``acc``, for the operator ``op`` whose columns
+    ``table`` holds and its denominator ``D``.  Every product of an operator
+    with columns is this loop."""
+    get = acc.get
+    for mid, c in col:
+        c *= factor
+        for out, d in table[mid]:
+            acc[out] = get(out, 0) + c * d
+
+
 def _add_columns(parts: Iterable[tuple[Any, int]], state: FockState, acc: dict) -> None:
     """Add ``w * D * op`` on ``state`` into ``acc`` for each ``(op, w)`` of
     ``parts``, in numerators over the state's denominator, with ``D`` the
@@ -246,11 +254,7 @@ def _add_columns(parts: Iterable[tuple[Any, int]], state: FockState, acc: dict) 
     space = state.space
     terms = state.terms.items()
     for op, w in parts:
-        table = COLUMNS.table(op, space)
-        for mono, k in terms:
-            wk = w * k
-            for out, c in table[mono]:
-                acc[out] = acc.get(out, 0) + wk * c
+        compose(COLUMNS.table(op, space), terms, w, acc)
 
 
 def apply_columns(op, state: FockState) -> FockState:

@@ -22,9 +22,10 @@ operator is quasi-finite: it sends a basis monomial to a finite combination
 of monomials, its *column*.  :func:`bracket_check` builds each mode operator
 once per check, asks :meth:`fockcheck.modeops.ColumnStore.table` for its
 column table once, and composes both orders of every grid pair, and the
-expected side, from lookups in those tables.  The store decides where the
-columns live: a keyed operator's in the process-wide store, any other's in
-a private table that dies with the check.
+expected side, on those tables through :func:`fockcheck.modeops.compose`.
+The column format is :mod:`fockcheck.modeops`'s alone: it decides where
+the columns live (a keyed operator's in the process-wide store, any
+other's in a private table that dies with the check) and walks them.
 
 States are ``int`` numerators over one denominator, and every operator
 declares the ``denominator`` of its action (see :mod:`fockcheck.modeops`).
@@ -45,7 +46,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .fock import NEUTRAL, FockState, Space, format_state
-from .modeops import COLUMNS, Column, ColumnTable, apply_declared
+from .modeops import COLUMNS, ColumnTable, apply_declared, compose
 
 MAX_WITNESSES = 20  # failures kept per report; failures_total counts them all
 
@@ -134,17 +135,6 @@ def merge_reports(name: str, params: dict, reports: Iterable[VerificationReport]
     return out
 
 
-def _compose(table: ColumnTable, col: Column, factor: int, acc: dict) -> None:
-    """Accumulate ``factor * D * op`` applied to the vector ``col`` into
-    ``acc``, for the operator ``op`` whose columns ``table`` holds and its
-    denominator ``D``."""
-    get = acc.get
-    for mid, c in col:
-        c *= factor
-        for out, d in table[mid]:
-            acc[out] = get(out, 0) + c * d
-
-
 def _check_basis(basis: Sequence, space: Space) -> None:
     """Raise ``ValueError`` unless every element of ``basis`` is a canonical
     monomial of ``space``."""
@@ -214,11 +204,11 @@ def bracket_check(
             def sides(mono, lhs: dict, rhs: dict, rsign: int) -> None:
                 """Add the bracket on ``mono`` into ``lhs`` and ``rsign`` times
                 the expected side into ``rhs``, in numerators over ``den``."""
-                _compose(tm, tn[mono], factor, lhs)
-                _compose(tn, tm[mono], sign * factor, lhs)
+                compose(tm, tn[mono], factor, lhs)
+                compose(tn, tm[mono], sign * factor, lhs)
                 rhs[mono] = rhs.get(mono, 0) + rsign * scalar
                 for c, t in ops:
-                    _compose(t, ((mono, rsign * c),), 1, rhs)
+                    compose(t, ((mono, rsign * c),), 1, rhs)
 
             def states(mono) -> tuple[FockState, FockState]:
                 lhs: dict = {}

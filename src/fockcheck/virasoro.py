@@ -31,6 +31,7 @@ from .modeops import (
     OperatorFamily,
     apply_columns,
     bilinear_mode,
+    compose,
     parity_flip,
     zero_operator,
 )
@@ -104,12 +105,9 @@ def _sugawara_on_monomial(n: int, mono: Monomial) -> tuple[tuple[Monomial, int],
         if 2 * k < n:
             continue  # the term at n - k is the same product
         twice = 1 if 2 * k == n else 2
-        right, left = COLUMNS.table(h_mode(k), NEUTRAL), COLUMNS.table(h_mode(n - k), NEUTRAL)
-        for mid, c in right[mono]:
-            for out, d in left[mid]:
-                acc[out] = acc.get(out, 0) + twice * c * d
+        compose(COLUMNS.table(h_mode(n - k), NEUTRAL), COLUMNS.table(h_mode(k), NEUTRAL)[mono], twice, acc)
     # each h column is over 2, and L^1 carries a factor 1/2: over 8 in all
-    return tuple(sorted((m, c) for m, c in acc.items() if c))
+    return tuple((m, c) for m, c in acc.items() if c)
 
 
 class SugawaraOperator:

@@ -8,9 +8,7 @@ from fockcheck.fock import enumerate_basis, weight
 from fockcheck.grading import (
     deg_h,
     dg,
-    grade_triple,
     lemma_vector,
-    length,
     partition_count,
     partitions,
     sector_basis,
@@ -52,7 +50,7 @@ def test_deg_h_integrality_up_to_weight_12():
 
 def test_parity_compatibility():
     for mono in enumerate_basis(20):
-        assert dg(mono) % 2 == length(mono) % 2
+        assert dg(mono) % 2 == len(mono) % 2
 
 
 def test_sector_partition_of_basis():
@@ -63,7 +61,7 @@ def test_sector_partition_of_basis():
         for k in range(11):
             sector = sector_basis(n, k)
             for m in sector:
-                assert grade_triple(m)[1:] == (n, k)
+                assert (dg(m), deg_h(m)) == (n, k)
             tiled += sum(1 for m in sector if m in set(monos))
     assert tiled == len(monos)
 
@@ -106,7 +104,8 @@ def test_partitions_enumeration():
 def test_lemma_vector_examples():
     assert lemma_vector(()) == ()
     assert lemma_vector((1,)) == (0, 1)  # phi[-3/2] phi[-1/2] |0>
-    assert grade_triple(lemma_vector((2, 1)))[1:] == (0, 3)
+    mono = lemma_vector((2, 1))
+    assert (dg(mono), deg_h(mono)) == (0, 3)
 
 
 @pytest.mark.parametrize("k", range(9))

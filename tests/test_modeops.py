@@ -24,6 +24,7 @@ from fockcheck.modeops import (
     COLUMNS,
     AffineOperator,
     ColumnStore,
+    ColumnTable,
     FermionBilinear,
     ModeOperator,
     QuadraticModeOperator,
@@ -325,7 +326,7 @@ def test_stored_columns_equal_fresh_ones_on_a_cold_and_a_warm_store():
     for warm in (False, True):
         for label, op, space in keyed:
             for mono in bases[space]:
-                col = modeops.column(op, mono, space)
+                col = COLUMNS.table(op, space)[mono]
                 assert dict(col) == fresh_column(op, mono, space), (label, mono, warm)
                 assert len(dict(col)) == len(col) and all(c for _, c in col), (label, mono)
                 assert COLUMNS.table(op, space)[mono] is col, (label, mono)
@@ -368,15 +369,16 @@ def test_store_is_cleared_whole_at_its_bound(monkeypatch):
     ]
     want = [virasoro_bracket("b", family, c, 2, basis).cases_run for family, c in grids]
     entries = []
-    fill = ColumnStore.fill
+    missing = ColumnTable.__missing__
 
-    def counted_fill(self, op, mono, space):
-        col = fill(self, op, mono, space)
-        entries.append(self.entries)
+    def counted_missing(self, mono):
+        col = missing(self, mono)
+        if self.store is not None:
+            entries.append(self.store.entries)
         return col
 
     monkeypatch.setattr(modeops, "STORE_SIZE", 64)
-    monkeypatch.setattr(ColumnStore, "fill", counted_fill)
+    monkeypatch.setattr(ColumnTable, "__missing__", counted_missing)
     COLUMNS.clear()
     virasoro._sugawara_on_monomial.cache_clear()
     h_table = COLUMNS.table(h_mode(1), NEUTRAL)  # L^1 columns read it again after every clear
@@ -403,11 +405,12 @@ def test_an_operator_without_a_key_gets_a_new_private_table():
 
 def test_reading_a_monomial_twice_computes_its_column_once(monkeypatch):
     fills, applies = [], []
-    fill = ColumnStore.fill
+    missing = ColumnTable.__missing__
 
-    def counted_fill(self, op, mono, space):
-        fills.append((op.key, mono))
-        return fill(self, op, mono, space)
+    def counted_missing(self, mono):
+        if self.store is not None:
+            fills.append((self.op.key, mono))
+        return missing(self, mono)
 
     class Counted:
         denominator = 2
@@ -416,13 +419,32 @@ def test_reading_a_monomial_twice_computes_its_column_once(monkeypatch):
             applies.append(state)
             return h_mode(2).apply(state)
 
-    monkeypatch.setattr(ColumnStore, "fill", counted_fill)
+    monkeypatch.setattr(ColumnTable, "__missing__", counted_missing)
     COLUMNS.clear()
     mono = (0, 1, 3)
     for op in (h_mode(2), Counted()):
         table = COLUMNS.table(op, NEUTRAL)
         assert table[mono] is table[mono]
     assert fills == [(("h", 2), mono)] and len(applies) == 1
+
+
+def test_a_held_store_table_fills_its_misses_without_asking_the_store(monkeypatch):
+    COLUMNS.clear()
+    table = COLUMNS.table(h_mode(2), NEUTRAL)
+    calls = []
+    lookup = ColumnStore.table
+
+    def counted_table(self, op, space):
+        calls.append((op, space))
+        return lookup(self, op, space)
+
+    monkeypatch.setattr(ColumnStore, "table", counted_table)
+    monos = enumerate_basis(12)[:10]
+    assert len(monos) == 10 and not table
+    for mono in monos:
+        assert dict(table[mono]) == dict(h_mode(2).column(NEUTRAL, mono))
+    assert len(table) == COLUMNS.entries == 10
+    assert calls == []
 
 
 def test_store_tables_hold_only_what_fill_inserted():
