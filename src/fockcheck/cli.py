@@ -217,7 +217,7 @@ def _verify_all(jobs: int = 1) -> list[VerificationReport]:
     size = pool_size(jobs, len(names))
     if size > 1:
         with Pool(size) as pool:
-            chunks = pool.map(_worker, names)
+            chunks = pool.map(_worker, names, chunksize=1)
     else:
         chunks = [_worker(name) for name in names]
     return [rep for chunk in chunks for rep in chunk]

@@ -68,35 +68,23 @@ def spanning_check(n: int, k: int) -> VerificationReport:
     """Exact-rank certificate that the vectors h_{-k_l}...h_{-k_1} v_n span
     the charge-n, energy-k sector.
 
-    One vector per partition of ``k``; the check passes when their rank in
-    the sector basis equals p(k), which is also the sector dimension.
+    One case per partition of ``k``, taken in order: the i-th vector lies in
+    the sector, the first i vectors have rank i, and the sector basis has
+    p(k) elements.  The last case is the rank certificate: p(k) independent
+    vectors in a sector of dimension p(k).
     """
     with VerificationReport("spanning", {"n": n, "k": k}) as report:
         basis = sector_basis(n, k)
-        index = {mono: i for i, mono in enumerate(basis)}
+        sector = set(basis)
         expect = partition_count(k)
         rows = []
         vn = FockState.monomial(vacuum_like(n))
-        for parts in partitions(k):
-            vec = raising_string(parts, vn)
-            row = [0] * len(basis)
-            for mono, c in vec.terms.items():
-                if mono not in index:
-                    report.record(
-                        witness=f"partition {parts}",
-                        lhs=f"vector leaves sector ({n}, {k})",
-                        rhs="sector membership",
-                    )
-                    break
-                row[index[mono]] = c
-            else:
-                rows.append(row)
-        rank = fraction_free_rank(rows)
-        report.cases_run = max(len(rows), 1)
-        if not (rank == expect == len(basis)):
-            report.record(
-                witness=f"sector ({n}, {k})",
-                lhs=f"rank {rank} of dim {len(basis)}",
-                rhs=f"p({k}) = {expect}",
+        for i, parts in enumerate(partitions(k), 1):
+            terms = raising_string(parts, vn).terms
+            rows.append([terms.get(mono, 0) for mono in basis])
+            report.expect(
+                (terms.keys() <= sector, fraction_free_rank(rows), len(basis)),
+                (True, i, expect),
+                lambda: f"partition {parts} in sector ({n}, {k}): (in sector, rank so far, dim)",
             )
     return report

@@ -123,12 +123,11 @@ def suite_sectors(nmax: int = 4, kmax: int = 8) -> list[VerificationReport]:
             seen: dict = {}
             for parts in partitions(k):
                 mono = lemma_vector(parts)
-                inj.cases_run += 1
-                if mono not in sector:
-                    inj.record(witness=f"partition {parts}", lhs=str(mono), rhs=f"a monomial of sector (0, {k})")
-                if mono in seen:
-                    inj.record(witness=f"partitions {seen[mono]} and {parts}", lhs=str(mono), rhs="distinct monomials")
-                seen[mono] = parts
+                inj.expect(
+                    (mono in sector, seen.setdefault(mono, parts)),
+                    (True, parts),
+                    lambda: f"partition {parts} -> {mono}: (in sector (0, {k}), first partition sent there)",
+                )
     return [dims, inj]
 
 
@@ -377,29 +376,18 @@ def suite_iso(weight_cut2: int = 16, mmax: int = 4, max_index2: int = 15) -> lis
     )
 
     with VerificationReport("state_map_bijection", {"weight_cut2": weight_cut2}) as bij:
-        images = {}
+        images = set()
         for mono in basis:
             sign, image = ch.to_charged_monomial(mono)
-            bij.cases_run += 1
-            if abs(sign) != 1:
-                bij.record(witness=str(mono), lhs=f"sign {sign}", rhs="a unit sign")
-            if image in images:
-                bij.record(witness=f"{images[image]} and {mono}", lhs=str(image), rhs="distinct images")
-            images[image] = mono
+            images.add(image)
             back_sign, back = ch.from_charged_monomial(image)
-            if back != mono or back_sign * sign != 1:
-                bij.record(witness=str(mono), lhs=f"round trip {back_sign} * {back}", rhs="identity")
+            bij.expect((back_sign * sign, back), (1, mono), lambda: f"round trip of {mono} through {image}")
         expected_images = set(cbasis)
-        got_images = set(images)
-        bij.cases_run += 1
-        if got_images != expected_images:
-            missing = sorted(expected_images - got_images)[:3]
-            extra = sorted(got_images - expected_images)[:3]
-            bij.record(
-                witness="image of the weight-truncated basis",
-                lhs=f"missing {missing} extra {extra}",
-                rhs="the charged basis at the same truncation",
-            )
+        bij.expect(
+            (sorted(expected_images - images)[:3], sorted(images - expected_images)[:3]),
+            ([], []),
+            lambda: "(missing, extra) images of the weight-truncated basis in the charged basis",
+        )
     return [transport, intertwine, bij]
 
 

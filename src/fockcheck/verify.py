@@ -10,8 +10,9 @@ Every check reports through one :class:`VerificationReport`, used as a
 context manager that times its body.  ``report.expect(got, want, witness)``
 counts one case and records a failure when the two sides differ; the
 witness text and the rendered sides are built only then.  A case with
-several conditions counts ``cases_run`` and calls ``record`` itself, and
-:func:`merge_reports` folds sub-reports into one.  A report counts every
+several conditions compares them as one tuple, so every case counts once
+and fails at most once: ``failures_total <= cases_run`` in every report,
+and :func:`merge_reports` folds sub-reports into one.  A report counts every
 failure in ``failures_total`` but keeps only the first
 :data:`MAX_WITNESSES` witnesses, so a broken operator cannot write an
 unbounded report.
@@ -77,11 +78,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures_total
 
-    def record(self, witness: str, lhs: str, rhs: str) -> None:
-        self.failures_total += 1
-        if len(self.failures) < MAX_WITNESSES:
-            self.failures.append({"witness": witness, "lhs": lhs, "rhs": rhs})
-
     def expect(self, got, want, witness: Callable[[], str]) -> None:
         """Count one case and record it when ``got != want``.
 
@@ -96,11 +92,10 @@ class VerificationReport:
     def fail(self, witness: Callable[[], str], sides: Callable[[], tuple]) -> None:
         """Record one failing case; ``witness()`` and ``sides()``, which
         returns ``(got, want)``, are called only while witnesses are kept."""
+        self.failures_total += 1
         if len(self.failures) < MAX_WITNESSES:
             got, want = sides()
-            self.record(witness(), _render(got), _render(want))
-        else:  # a witness past the cap would be dropped: skip rendering it
-            self.failures_total += 1
+            self.failures.append({"witness": witness(), "lhs": _render(got), "rhs": _render(want)})
 
     def to_dict(self) -> dict:
         return {

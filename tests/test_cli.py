@@ -186,8 +186,7 @@ def test_verification_failure_exits_one(monkeypatch, capsys):
 
     def broken_suite(**params):
         report = VerificationReport("broken", {})
-        report.cases_run = 1
-        report.record(witness="w", lhs="1", rhs="0")
+        report.expect(1, 0, lambda: "w")
         return [report]
 
     monkeypatch.setitem(suites.SUITES, "sectors", broken_suite)
@@ -315,6 +314,28 @@ def test_virasoro_lambda_family_honours_mmax(capsys):
     assert code == 0
     [record] = [json.loads(line) for line in out.strip().splitlines()]
     assert record["params"]["pairs"] == "9" and record["params"]["mmax"] == "1"
+
+
+def test_verify_all_rows_do_not_depend_on_jobs(monkeypatch, capsys):
+    from fockcheck import cli, suites
+
+    small = {
+        "clifford": lambda: suites.suite_clifford(3, 4),
+        "sectors": lambda: suites.suite_sectors(1, 3),
+        "decomposition": lambda: suites.suite_decomposition(1, 1, 1, 2),
+        "iso": lambda: suites.suite_iso(4, 1, 3),
+        "winf": lambda: suites.suite_winf(kmax=0, nmax=0, weight_cut2=4, mmax=1),
+    }
+    monkeypatch.setattr(suites, "SUITES", small)  # forked pool workers inherit the patch
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a real pool of two, whatever the machine
+    want = [(rep.check, rep.cases_run, rep.passed) for suite in small.values() for rep in suite()]
+
+    def rows(jobs):
+        code, out, _ = run_cli(capsys, "verify", "all", "--jobs", str(jobs), "--json")
+        assert code == 0
+        return [(r["check"], r["cases_run"], not r["failures_total"]) for r in map(json.loads, out.splitlines())]
+
+    assert rows(1) == rows(2) == want
 
 
 def test_pool_size_is_bounded_by_cpus_and_tasks(monkeypatch):

@@ -2,20 +2,23 @@
 
 Every control replaces one dependency of a check (through ``monkeypatch``)
 with a wrong variant and asserts that the check it feeds fails with a
-witness.  A check that stays green here could not fail at all.  The
-hand-written checks get one control each; the bracket grids get controls at
-the operator level (a central charge, a constant, a shift, the mode
-dictionary, one sign of ``h_mode``, a W_{1+infinity} structure constant and
-central term).
+witness.  A check that stays green here could not fail at all.  Every check
+of ``verify all`` has a control, directly or through the sub-check a merged
+report folds in; the bracket grids get theirs at the operator level (a
+central charge, a constant, a shift, the mode dictionary, one sign of
+``h_mode``, a W_{1+infinity} structure constant and central term).
 """
 
+import json
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fockcheck import charged, heisenberg, qchar, suites, virasoro, winf
 from fockcheck.fock import FockState, enumerate_basis
-from fockcheck.modeops import ModeOperator, QuadraticModeOperator
+from fockcheck.modeops import COLUMNS, ModeOperator, QuadraticModeOperator
 from fockcheck.verify import VerificationReport
 
 
@@ -95,6 +98,42 @@ def central_term_check():
     return [winf.scalar_defect_check(1, 2, 0, -2, CBASIS)]  # the cocycle is 3 here
 
 
+def central_charge_plus_half(f):
+    return lambda c: f(c + Fraction(1, 2))
+
+
+def dilute_n1_by_two(f):
+    return lambda base, c, N: f(base, c, N + 1 if N == 1 else N)
+
+
+def extra_left_derivative(f):
+    return lambda bil, e: f(replace(bil, dleft=bil.dleft + 1), e)
+
+
+def virasoro_half():
+    return suites.suite_virasoro_half(2, 4)
+
+
+def virasoro_one():
+    return suites.suite_virasoro_one(2, 4)
+
+
+def identities():
+    return suites.suite_identities(1, 4)
+
+
+def lambda_specialisations():
+    return suites.suite_virasoro_lambda(pairs=(), mmax=1, weight_cut2=4)
+
+
+def winf_small():
+    return suites.suite_winf(kmax=0, nmax=0, weight_cut2=4, mmax=1)
+
+
+def charged_heisenberg():
+    return suites.suite_charged(mmax_h=2, mmax=0, weight_cut2=4, lambdas=(), bs=())
+
+
 def charged_virasoro():
     return suites.suite_charged(mmax_h=0, mmax=2, weight_cut2=2, lambdas=(Fraction(1, 3),), bs=(Fraction(0),))
 
@@ -143,7 +182,44 @@ CONTROLS = [
         shifted_matrix,
         lambda: suites.suite_winf(kmax=0, nmax=0, weight_cut2=4, mmax=1),
     ),
+    (
+        "clifford_anticommutator",
+        suites,
+        "ModeOperator",
+        lambda f: lambda t: f(t + 2),
+        lambda: suites.suite_clifford(3, 4),
+    ),
+    ("charged_heisenberg_bracket", charged, "hA_mode", first_summand_flipped, charged_heisenberg),
+    ("virasoro_half", suites, "virasoro_expected", central_charge_plus_half, virasoro_half),
+    ("virasoro_half_tilde", suites, "virasoro_expected", central_charge_plus_half, virasoro_half),
+    ("virasoro_one_sugawara", suites, "virasoro_expected", central_charge_plus_half, virasoro_one),
+    ("virasoro_one_tilde", suites, "virasoro_expected", central_charge_plus_half, virasoro_one),
+    ("doubling_n3_bracket", suites, "virasoro_expected", central_charge_plus_half, lambda: suites.suite_doubling(4)),
+    ("parity_flip_bracket", suites, "virasoro_expected", central_charge_plus_half, lambda: suites.suite_doubling(4)),
+    ("half_tilde_is_flip", virasoro, "parity_flip", lambda f: lambda family: family, virasoro_half),
+    ("l1_tilde_mode_relation", virasoro, "l1_tilde_field_mode", shifted_charge, virasoro_one),
+    ("lambda_specialises_to_one", virasoro, "lambda_b_constant", plus_one, lambda_specialisations),
+    ("lambda_specialises_to_one_tilde", virasoro, "lambda_b_constant", plus_one, lambda_specialisations),
+    # the shift (N^2 - 1) c / 24N vanishes at N = 1, so only the dilution can break it
+    ("doubling_n1_identity", virasoro, "doubling_construct", dilute_n1_by_two, lambda: suites.suite_doubling(4)),
+    ("heisenberg_derivative_identity", virasoro, "h_mode", shifted_charge, identities),
+    ("heisenberg_square_identity", virasoro, "sugawara_l1_mode", shifted_charge, identities),
+    ("diagonal_bilinear_vanishes", suites, "bilinear_mode", extra_left_derivative, identities),
+    ("heisenberg_field_odd_modes_only", suites, "bilinear_mode", extra_left_derivative, identities),
+    ("j0_equals_heisenberg_neutral", winf, "jk_mode_neutral", lambda f: lambda k, n: f(k, n + 1), winf_small),
 ]
+
+# a merged report and the sub-check whose control covers it
+MERGED = {"highest_weight_all": "highest_weight", "spanning_all": "spanning", "j0_central_column": "winf_scalar_defect"}
+
+
+@pytest.fixture(autouse=True)
+def fresh_columns_after():
+    """Empty the column store after each control: a defect patched into a
+    constructor that a keyed operator reads (``virasoro.h_mode`` inside the
+    L^1 columns) could otherwise leave wrong columns under right keys."""
+    yield
+    COLUMNS.clear()
 
 
 @pytest.mark.parametrize(
@@ -154,7 +230,7 @@ def test_injected_defect_turns_check_red(monkeypatch, check, owner, name, defect
     monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
     [report] = [rep for rep in run() if rep.check == check]
     assert not report.passed
-    assert report.cases_run > 0
+    assert 0 < report.failures_total <= report.cases_run
     assert all(failure["witness"] and failure["lhs"] != failure["rhs"] for failure in report.failures)
 
 
@@ -178,3 +254,10 @@ def test_expect_counts_renders_and_builds_witness_only_on_failure():
         {"witness": "the case", "lhs": "1/2", "rhs": "1"},
     ]
     assert report.elapsed_ms >= 0
+
+
+def test_every_verify_all_check_has_a_control():
+    rows = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text())["verify-all"]
+    controlled = {control[0] for control in CONTROLS}
+    assert set(MERGED.values()) <= controlled
+    assert {MERGED.get(check, check) for check, _ in rows} <= controlled

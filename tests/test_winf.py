@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fockcheck import suites, winf
 from fockcheck.charged import CHARGED, enumerate_charged_basis, hA_mode
 from fockcheck.fock import FockState, add_term, enumerate_basis
 from fockcheck.grading import dg
@@ -146,3 +147,42 @@ def test_structure_constants_examples():
     assert structure_constants(1, 1, 1, -1) == [0, 2, 0]
     assert structure_constants(0, 2, 0, -2) == [0]
     assert structure_constants(2, 1, 1, -2) == [0, 2, 5, 0]
+
+
+def lifted_columns(monkeypatch, run, widen=None):
+    """The column on every ``CBASIS`` monomial of each :class:`MatrixLift`
+    that ``run()`` builds, in build order, with ``winf.<widen>`` called at a
+    window 10 wider (its last argument); every report of ``run()`` passes."""
+    lifts = []
+
+    class Recorded(MatrixLift):
+        def __init__(self, matrix):
+            super().__init__(matrix)
+            lifts.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(winf, "MatrixLift", Recorded)
+        if widen:
+            f = getattr(winf, widen)
+            patch.setattr(winf, widen, lambda *args: f(*args[:-1], args[-1] + 10))
+        assert all(rep.passed for rep in run())
+    return [[lift.apply(FockState.monomial(mono, space=CHARGED)) for mono in CBASIS] for lift in lifts]
+
+
+def lift_windows():
+    """The J^0 lifts of ``suite_winf`` at |n| <= 4 (its ``j0_central_column``
+    included) and scalar defects with k > 0, all on ``CBASIS``."""
+    reports = suites.suite_winf(kmax=0, nmax=0, weight_cut2=16, mmax=4)
+    return reports + [scalar_defect_check(k1, n1, k2, n2, CBASIS) for k1, n1, k2, n2 in SCALAR_DEFECTS]
+
+
+SCALAR_DEFECTS = [(1, 1, 1, -1), (2, 3, 1, -2), (2, -1, 2, 3), (1, 0, 2, 2)]
+
+
+@pytest.mark.parametrize("widen", ["glinf_matrix", "matrix_commutator"])
+def test_widening_a_lift_window_changes_no_column(monkeypatch, widen):
+    # glinf_matrix widens the J^0 lift radius and scalar_defect_check's radius,
+    # matrix_commutator its inner window
+    columns = lifted_columns(monkeypatch, lift_windows)
+    assert len(columns) == 9 + 4 + len(SCALAR_DEFECTS)
+    assert lifted_columns(monkeypatch, lift_windows, widen) == columns
