@@ -7,7 +7,9 @@ operators act lazily on the untruncated space.
 Criterion n runs the n-th suite of ``SUITES`` at its default cut-offs, so
 its reports must be, check by check, the matching rows of the
 ``verify all`` record in ``perfbench/expected.json``: a dropped, renamed,
-added or resized check fails here too.
+added or resized check fails here too.  Their params must be the matching
+rows of ``verify_all_params.json``, the ``[check, params]`` of each
+``verify all --json`` line, so a report label cannot drift either.
 """
 
 import json
@@ -34,20 +36,23 @@ from fockcheck.suites import (
 )
 
 
-VERIFY_ALL = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text())["verify-all"]
+HERE = Path(__file__).resolve().parent
+VERIFY_ALL = json.loads((HERE.parent / "perfbench" / "expected.json").read_text())["verify-all"]
+VERIFY_ALL_PARAMS = json.loads((HERE / "verify_all_params.json").read_text())
 REPORTS_PER_SUITE = dict(zip(SUITES, (1, 2, 2, 2, 3, 3, 6, 4, 2, 4, 4, 3, 5, 7)))
 
 
-def expected_rows(number):
-    """The ``[check, cases_run]`` rows of the ``number``-th suite in the ``verify all`` record."""
+def expected_rows(number, record=VERIFY_ALL):
+    """The rows of the ``number``-th suite in a ``verify all`` record."""
     names = list(SUITES)
     start = sum(REPORTS_PER_SUITE[name] for name in names[: number - 1])
-    return VERIFY_ALL[start : start + REPORTS_PER_SUITE[names[number - 1]]]
+    return record[start : start + REPORTS_PER_SUITE[names[number - 1]]]
 
 
 def test_suite_rows_partition_the_verify_all_record():
     assert len(REPORTS_PER_SUITE) == len(SUITES) == 14
-    assert sum(REPORTS_PER_SUITE.values()) == len(VERIFY_ALL) == 48
+    assert sum(REPORTS_PER_SUITE.values()) == len(VERIFY_ALL) == len(VERIFY_ALL_PARAMS) == 48
+    assert [check for check, _ in VERIFY_ALL_PARAMS] == [check for check, _ in VERIFY_ALL]
 
 
 def run_criterion(number, description, reports):
@@ -61,6 +66,7 @@ def run_criterion(number, description, reports):
             print(f"    defect in {r.check}: {failure}")
     assert ok, f"criterion {number} failed: {description}"
     assert [[r.check, r.cases_run] for r in reports] == expected_rows(number)
+    assert [[r.check, r.to_dict()["params"]] for r in reports] == expected_rows(number, VERIFY_ALL_PARAMS)
 
 
 def test_criterion_01_clifford():
