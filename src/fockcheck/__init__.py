@@ -27,20 +27,20 @@ from .fock import (
     parse_state,
 )
 from .grading import deg_h, dg, lemma_vector, partition_count, sector_basis, vacuum_like, weight
-from .heisenberg import h_family, h_mode, highest_weight_check, spanning_check
-from .modeops import FermionBilinear, OperatorFamily, bilinear_mode, normal_order_pair
+from .heisenberg import h_mode, highest_weight_check, spanning_check
+from .modeops import FermionBilinear, bilinear_mode, normal_order_pair
 from .qchar import CharacterSeries, char_product_form, char_sum_form, char_trace, jacobi_check
 from .suites import SUITES, run_suite
 from .verify import VerificationReport, bracket_check, field_identity_check
 from .virasoro import (
     central_charge,
     doubling_construct,
-    l_half_family,
-    l_half_tilde_family,
-    l1_tilde_family,
+    l1_tilde_mode,
+    l_half_mode,
+    l_half_tilde_mode,
     lambda_family,
-    sugawara_family,
-    weight2_field,
+    sugawara_l1_mode,
+    weight2_mode,
 )
 from .winf import glinf_matrix, jk_mode_charged, jk_mode_neutral, scalar_defect_check
 

@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .fock import NEUTRAL, FockState, Monomial, Space, add_term, apply_mode_to_monomial, creation, increasing_tuples
-from .modeops import AffineOperator, OperatorFamily, QuadraticModeOperator, falling
+from .modeops import AffineOperator, QuadraticModeOperator, falling
 
 ChargedMonomial = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -183,8 +183,8 @@ def lA_lambda_b_mode(lam: Fraction, b: Fraction, n: int) -> AffineOperator:
     )
 
 
-def lA_family(lam: Fraction, b: Fraction = Fraction(0)) -> OperatorFamily:
-    return OperatorFamily(f"LA({lam},{b})", lambda n: lA_lambda_b_mode(lam, b, n))
+def lA_family(lam: Fraction, b: Fraction = Fraction(0)) -> Callable[[int], AffineOperator]:
+    return lambda n: lA_lambda_b_mode(lam, b, n)
 
 
 # -- the mode dictionary and the state isomorphism ---------------------------

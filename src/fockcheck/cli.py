@@ -286,7 +286,7 @@ _TOKEN_RES = [
     (re.compile(r"L1\[(-?\d+)\]$"), lambda m: vir.sugawara_l1_mode(int(m.group(1)))),
     (
         re.compile(r"Llb\[(-?\d+(?:/\d+)?),(-?\d+(?:/\d+)?);(-?\d+)\]$"),
-        lambda m: vir.lambda_family(parse_fraction(m.group(1)), parse_fraction(m.group(2))).mode(int(m.group(3))),
+        lambda m: vir.lambda_family(parse_fraction(m.group(1)), parse_fraction(m.group(2)))(int(m.group(3))),
     ),
     (re.compile(r"J\[(\d+),(-?\d+)\]$"), lambda m: jk_mode_neutral(int(m.group(1)), int(m.group(2)))),
 ]

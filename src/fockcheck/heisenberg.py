@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .fock import FockState
 from .grading import partition_count, partitions, sector_basis, vacuum_like
-from .modeops import AffineOperator, FermionBilinear, OperatorFamily, QuadraticModeOperator, bilinear_mode, pair_support
+from .modeops import AffineOperator, FermionBilinear, QuadraticModeOperator, bilinear_mode, pair_support
 from .verify import VerificationReport, field_identity_check, fraction_free_rank
 
 
@@ -40,14 +40,6 @@ HEISENBERG_BILINEAR = FermionBilinear(Fraction(1, 2), 0, 0, 0, 1, -1)
 def h_mode_bilinear(n: int) -> QuadraticModeOperator:
     """h_n extracted as the z**(-2n-1) coefficient of (1/2):phi(z)phi(-z):."""
     return bilinear_mode(HEISENBERG_BILINEAR, -2 * n - 1)
-
-
-def h_family() -> OperatorFamily:
-    return OperatorFamily("h", h_mode)
-
-
-def h_family_bilinear() -> OperatorFamily:
-    return OperatorFamily("h(bilinear)", h_mode_bilinear)
 
 
 def raising_string(ks: Iterable[int], start: FockState) -> FockState:

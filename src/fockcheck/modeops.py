@@ -375,19 +375,7 @@ class ModeOperator:
         return apply_mode(self.t, state)
 
 
-@dataclass(frozen=True)
-class OperatorFamily:
-    """Mode-indexed family ``n -> operator``, addressable by name."""
-
-    name: str
-    mode: Callable[[int], object]
-
-
-def parity_flip(family: OperatorFamily) -> OperatorFamily:
+def parity_flip(mode: Callable[[int], object]) -> Callable[[int], AffineOperator]:
     """The family ``n -> (-1)^n * mode(n)``."""
-
-    def mode(n: int) -> AffineOperator:
-        return AffineOperator([(Fraction(-1) if n % 2 else Fraction(1), family.mode(n))])
-
-    return OperatorFamily(f"{family.name}~", mode)
+    return lambda n: AffineOperator([(Fraction(-1) if n % 2 else Fraction(1), mode(n))])
 

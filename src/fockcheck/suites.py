@@ -24,13 +24,12 @@ from .grading import (
 )
 from .heisenberg import (
     HEISENBERG_BILINEAR,
-    h_family,
-    h_family_bilinear,
     h_mode,
+    h_mode_bilinear,
     highest_weight_check,
     spanning_check,
 )
-from .modeops import AffineOperator, FermionBilinear, ModeOperator, OperatorFamily, bilinear_mode, zero_operator
+from .modeops import AffineOperator, FermionBilinear, ModeOperator, bilinear_mode, zero_operator
 from .verify import VerificationReport, bracket_check, field_identity_check, merge_reports
 
 
@@ -80,11 +79,11 @@ def heisenberg_bracket(
 
 
 def virasoro_bracket(
-    name: str, family: OperatorFamily, c: Fraction, mmax: int, basis, space: Space = NEUTRAL
+    name: str, family: str, mode: Callable, c: Fraction, mmax: int, basis, space: Space = NEUTRAL
 ) -> VerificationReport:
+    """The Virasoro grid of the family ``mode``, labelled ``family`` in the report."""
     expected, grid = virasoro_expected(c), square_grid(mmax)
-    params = {"family": family.name, "c": c, "mmax": mmax}
-    return bracket_check(name, "commutator", family.mode, expected, grid, basis, space, **params)
+    return bracket_check(name, "commutator", mode, expected, grid, basis, space, family=family, c=c, mmax=mmax)
 
 
 # -- suites ------------------------------------------------------------------
@@ -102,8 +101,8 @@ def suite_heisenberg(mmax: int = 5, weight_cut2: int = 20) -> list[VerificationR
     bracket = heisenberg_bracket("heisenberg_bracket", h_mode, mmax, basis, weight_cut2=weight_cut2)
     dual = field_identity_check(
         "heisenberg_dual_construction",
-        h_family().mode,
-        h_family_bilinear().mode,
+        h_mode,
+        h_mode_bilinear,
         range(-mmax, mmax + 1),
         basis,
     )
@@ -152,22 +151,24 @@ def suite_decomposition(
     return [hw, span]
 
 
-# ``verify virasoro --family F`` (F other than lambda): check name, family builder, central charge
+# ``verify virasoro --family F`` (F other than lambda): check name, report label, mode function, central charge
 VIRASORO_FAMILIES = {
-    "half": ("virasoro_half", vir.l_half_family, Fraction(1, 2)),
-    "half~": ("virasoro_half_tilde", vir.l_half_tilde_family, Fraction(1, 2)),
-    "one": ("virasoro_one_sugawara", vir.sugawara_family, Fraction(1)),
-    "one~": ("virasoro_one_tilde", vir.l1_tilde_family, Fraction(1)),
+    "half": ("virasoro_half", "L1/2", vir.l_half_mode, Fraction(1, 2)),
+    "half~": ("virasoro_half_tilde", "L1/2~", vir.l_half_tilde_mode, Fraction(1, 2)),
+    "one": ("virasoro_one_sugawara", "L1", vir.sugawara_l1_mode, Fraction(1)),
+    "one~": ("virasoro_one_tilde", "L1~", vir.l1_tilde_mode, Fraction(1)),
 }
 
 
 def family_bracket(key: str, mmax: int, basis) -> VerificationReport:
-    name, build, c = VIRASORO_FAMILIES[key]
-    return virasoro_bracket(name, build(), c, mmax, basis)
+    return virasoro_bracket(*VIRASORO_FAMILIES[key], mmax, basis)
 
 
 def lambda_bracket(lam: Fraction, b: Fraction, mmax: int, basis) -> VerificationReport:
-    return virasoro_bracket("virasoro_lambda", vir.lambda_family(lam, b), vir.central_charge(lam), mmax, basis)
+    lam, b = Fraction(lam), Fraction(b)
+    return virasoro_bracket(
+        "virasoro_lambda", f"L({lam},{b})", vir.lambda_family(lam, b), vir.central_charge(lam), mmax, basis
+    )
 
 
 def suite_virasoro_half(mmax: int = 4, weight_cut2: int = 20) -> list[VerificationReport]:
@@ -177,8 +178,8 @@ def suite_virasoro_half(mmax: int = 4, weight_cut2: int = 20) -> list[Verificati
         family_bracket("half~", mmax, basis),
         field_identity_check(
             "half_tilde_is_flip",
-            vir.l_half_tilde_family().mode,
-            vir.l_half_tilde_family_flip().mode,
+            vir.l_half_tilde_mode,
+            vir.l_half_tilde_family_flip(),
             range(-mmax, mmax + 1),
             enumerate_basis(min(weight_cut2, 12)),
         ),
@@ -189,7 +190,7 @@ def l1_tilde_relation(mmax: int, weight_cut2: int) -> VerificationReport:
     """The tilde family of c = 1 against its field modes, at twice-weight <= min(cut, 16)."""
     return field_identity_check(
         "l1_tilde_mode_relation",
-        vir.l1_tilde_family().mode,
+        vir.l1_tilde_mode,
         vir.l1_tilde_field_mode,
         range(-mmax, mmax + 1),
         enumerate_basis(min(weight_cut2, 16)),
@@ -223,8 +224,8 @@ def suite_virasoro_lambda(
     reports.append(
         field_identity_check(
             "lambda_specialises_to_one",
-            vir.lambda_family(Fraction(1, 2), Fraction(0)).mode,
-            vir.sugawara_family().mode,
+            vir.lambda_family(Fraction(1, 2), Fraction(0)),
+            vir.sugawara_l1_mode,
             range(-mmax, mmax + 1),
             basis,
         )
@@ -232,8 +233,8 @@ def suite_virasoro_lambda(
     reports.append(
         field_identity_check(
             "lambda_specialises_to_one_tilde",
-            vir.lambda_family(Fraction(1, 2), Fraction(-1, 4)).mode,
-            vir.l1_tilde_family().mode,
+            vir.lambda_family(Fraction(1, 2), Fraction(-1, 4)),
+            vir.l1_tilde_mode,
             range(-mmax, mmax + 1),
             basis,
         )
@@ -244,19 +245,17 @@ def suite_virasoro_lambda(
 def suite_doubling(weight_cut2: int = 16) -> list[VerificationReport]:
     half = Fraction(1, 2)
     basis = enumerate_basis(weight_cut2)
-    doubled = vir.doubling_construct(vir.l_half_family(), half, 2)
-    tripled = vir.doubling_construct(vir.l_half_family(), half, 3)
+    doubled = vir.doubling_construct(vir.l_half_mode, half, 2)
+    tripled = vir.doubling_construct(vir.l_half_mode, half, 3)
     flipped = vir.l_half_tilde_family_flip()
     return [
-        field_identity_check(
-            "doubling_n2_gives_one_tilde", doubled.mode, vir.l1_tilde_family().mode, range(-4, 5), basis
-        ),
-        virasoro_bracket("doubling_n3_bracket", tripled, Fraction(3, 2), 2, basis),
-        virasoro_bracket("parity_flip_bracket", flipped, half, 4, enumerate_basis(min(weight_cut2, 20))),
+        field_identity_check("doubling_n2_gives_one_tilde", doubled, vir.l1_tilde_mode, range(-4, 5), basis),
+        virasoro_bracket("doubling_n3_bracket", "L1/2^(x3)", tripled, Fraction(3, 2), 2, basis),
+        virasoro_bracket("parity_flip_bracket", "L1/2~", flipped, half, 4, enumerate_basis(min(weight_cut2, 20))),
         field_identity_check(
             "doubling_n1_identity",
-            vir.doubling_construct(vir.l_half_family(), half, 1).mode,
-            vir.l_half_family().mode,
+            vir.doubling_construct(vir.l_half_mode, half, 1),
+            vir.l_half_mode,
             range(-4, 5),
             enumerate_basis(min(weight_cut2, 12)),
         ),
@@ -289,16 +288,13 @@ def suite_eigenvalues(nmax: int = 5, weight_cut2: int = 16) -> list[Verification
 def suite_identities(mmax: int = 4, weight_cut2: int = 16) -> list[VerificationReport]:
     """The weight-two field identities and the vanishing of :phi(z) phi(z):."""
     basis = enumerate_basis(weight_cut2)
-    v3 = vir.weight2_field(3)
-    v4 = vir.weight2_field(4)
-    v1 = vir.weight2_field(1)
-    v2 = vir.weight2_field(2)
+    w2 = vir.weight2_mode
 
     def hderiv_rhs(m: int):
-        return AffineOperator([(Fraction(1, 2), v3.mode(m)), (Fraction(1, 2), v4.mode(m))])
+        return AffineOperator([(Fraction(1, 2), w2(3, m)), (Fraction(1, 2), w2(4, m))])
 
     def hsquare_rhs(m: int):
-        parts = [(Fraction(1, 4), v1.mode(m)), (Fraction(1, 4), v2.mode(m))]
+        parts = [(Fraction(1, 4), w2(1, m)), (Fraction(1, 4), w2(2, m))]
         if m % 2 == 0:
             parts.append((Fraction(-1, 2), h_mode(m // 2)))
         return AffineOperator(parts)
@@ -306,14 +302,14 @@ def suite_identities(mmax: int = 4, weight_cut2: int = 16) -> list[VerificationR
     reports = [
         field_identity_check(
             "heisenberg_derivative_identity",
-            vir.h_derivative_family().mode,
+            vir.h_derivative_mode,
             hderiv_rhs,
             range(-2 * mmax, 2 * mmax + 1),
             basis,
         ),
         field_identity_check(
             "heisenberg_square_identity",
-            vir.h_square_family().mode,
+            vir.h_square_mode,
             hsquare_rhs,
             range(-2 * mmax, 2 * mmax + 1),
             basis,
@@ -472,9 +468,17 @@ def suite_charged(
         "charged_heisenberg_bracket", ch.hA_mode, mmax_h, cbasis, ch.CHARGED, weight_cut2=weight_cut2
     )
     return [hrep] + [
-        virasoro_bracket("charged_virasoro", ch.lA_family(lam, b), vir.central_charge(lam), mmax, cbasis, ch.CHARGED)
-        for lam in lambdas
-        for b in bs
+        virasoro_bracket(
+            "charged_virasoro",
+            f"LA({lam},{b})",
+            ch.lA_family(lam, b),
+            vir.central_charge(lam),
+            mmax,
+            cbasis,
+            ch.CHARGED,
+        )
+        for lam in map(Fraction, lambdas)
+        for b in map(Fraction, bs)
     ]
 
 

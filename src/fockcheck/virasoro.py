@@ -1,7 +1,9 @@
 """Virasoro operator families on the neutral-fermion Fock space.
 
 Conventions: a weight-two field ``L(z) = sum_n L_n z^{-n-2}``, so the mode
-``L_n`` is the coefficient at exponent ``-n-2``.  The families here are
+``L_n`` is the coefficient at exponent ``-n-2``.  A family is its mode
+function ``n -> L_n``, which is what the verification harnesses take; a
+report names it where the check is declared.  The families here are
 
 * ``L^{1/2}``: modes of ``(1/2):(d phi)(z) phi(z):`` (central charge 1/2);
 * ``L~^{1/2}``: the sign-flipped family ``n -> (-1)^n L^{1/2}_n``;
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .fock import NEUTRAL, FockState, Monomial, Space, weight2
 from .heisenberg import h_mode
@@ -28,7 +31,6 @@ from .modeops import (
     COLUMNS,
     AffineOperator,
     FermionBilinear,
-    OperatorFamily,
     apply_columns,
     bilinear_mode,
     compose,
@@ -57,28 +59,19 @@ def l_half_mode(n: int):
     return bilinear_mode(L_HALF_BILINEAR, -n - 2)
 
 
-def l_half_family() -> OperatorFamily:
-    return OperatorFamily("L1/2", l_half_mode)
-
-
 def l_half_tilde_mode(n: int):
     """Mode of the reflected field; equals (-1)**n times l_half_mode(n)."""
     return bilinear_mode(L_HALF_TILDE_BILINEAR, -n - 2)
 
 
-def l_half_tilde_family() -> OperatorFamily:
-    return OperatorFamily("L1/2~", l_half_tilde_mode)
-
-
-def l_half_tilde_family_flip() -> OperatorFamily:
+def l_half_tilde_family_flip() -> Callable[[int], AffineOperator]:
     """The same family built through the generic parity flip."""
-    return parity_flip(l_half_family())
+    return parity_flip(l_half_mode)
 
 
-def weight2_field(variant: int) -> OperatorFamily:
-    """One of the four weight-two fermion bilinears, as a mode family."""
-    bil = WEIGHT2_VARIANTS[variant]
-    return OperatorFamily(f"w2.{variant}", lambda n: bilinear_mode(bil, -n - 2))
+def weight2_mode(variant: int, n: int):
+    """Mode ``n`` of one of the four weight-two fermion bilinears."""
+    return bilinear_mode(WEIGHT2_VARIANTS[variant], -n - 2)
 
 
 def sugawara_window(n: int, mono: Monomial) -> range:
@@ -142,19 +135,9 @@ def sugawara_l1_mode(n: int) -> SugawaraOperator:
     return SugawaraOperator(n)
 
 
-def sugawara_family() -> OperatorFamily:
-    return OperatorFamily("L1", sugawara_l1_mode)
-
-
-def l1_tilde_family() -> OperatorFamily:
-    """``n -> (1/2) L^{1/2}_{2n} + (1/32) delta(n)``."""
-    return OperatorFamily(
-        "L1~",
-        lambda n: AffineOperator(
-            [(Fraction(1, 2), l_half_mode(2 * n))],
-            Fraction(1, 32) if n == 0 else 0,
-        ),
-    )
+def l1_tilde_mode(n: int) -> AffineOperator:
+    """``(1/2) L^{1/2}_{2n} + (1/32) delta(n)``."""
+    return AffineOperator([(Fraction(1, 2), l_half_mode(2 * n))], Fraction(1, 32) if n == 0 else 0)
 
 
 def l1_tilde_field_mode(n: int) -> AffineOperator:
@@ -182,7 +165,7 @@ def lambda_b_constant(lam: Fraction, b: Fraction) -> Fraction:
     return (b * b + 2 * K * b - 3 * K * K) / 2
 
 
-def lambda_family(lam: Fraction, b: Fraction) -> OperatorFamily:
+def lambda_family(lam: Fraction, b: Fraction) -> Callable[[int], AffineOperator]:
     """The deformation ``L^1_n - (1/2-lam)((2n+1)/2) h_n - b h_n + M delta(n)``.
 
     The state isomorphism carries it to the charged family with a shifted
@@ -197,10 +180,10 @@ def lambda_family(lam: Fraction, b: Fraction) -> OperatorFamily:
         h_coeff = -(Fraction(1, 2) - lam) * Fraction(2 * n + 1, 2) - b
         return AffineOperator([(1, sugawara_l1_mode(n)), (h_coeff, h_mode(n))], M if n == 0 else 0)
 
-    return OperatorFamily(f"L({lam},{b})", mode)
+    return mode
 
 
-def doubling_construct(base: OperatorFamily, c: Fraction, N: int) -> OperatorFamily:
+def doubling_construct(base_mode: Callable[[int], object], c: Fraction, N: int) -> Callable[[int], AffineOperator]:
     """Mode-dilution of a central-charge-c family into one of charge N*c:
     ``n -> (1/N) base(N n) + ((N^2-1)/(24 N)) c delta(n)``."""
     if N < 1:
@@ -209,30 +192,22 @@ def doubling_construct(base: OperatorFamily, c: Fraction, N: int) -> OperatorFam
     shift = Fraction(N * N - 1, 24 * N) * c
 
     def mode(n: int) -> AffineOperator:
-        return AffineOperator([(Fraction(1, N), base.mode(N * n))], shift if n == 0 else 0)
+        return AffineOperator([(Fraction(1, N), base_mode(N * n))], shift if n == 0 else 0)
 
-    return OperatorFamily(f"{base.name}^(x{N})", mode)
+    return mode
 
 
-def h_derivative_family() -> OperatorFamily:
-    """Modes of ``d/dz h(z)`` in the weight-two indexing: the coefficient at
+def h_derivative_mode(m: int) -> AffineOperator:
+    """Mode of ``d/dz h(z)`` in the weight-two indexing: the coefficient at
     ``z^{-m-2}`` is ``-(m+1) h_{m/2}`` for even m and zero otherwise."""
-
-    def mode(m: int):
-        if m % 2:
-            return zero_operator()
-        return AffineOperator([(Fraction(-(m + 1)), h_mode(m // 2))])
-
-    return OperatorFamily("dh", mode)
+    if m % 2:
+        return zero_operator()
+    return AffineOperator([(Fraction(-(m + 1)), h_mode(m // 2))])
 
 
-def h_square_family() -> OperatorFamily:
-    """Modes of the Heisenberg square ``:h(w) h(w):`` in the weight-two
+def h_square_mode(m: int) -> AffineOperator:
+    """Mode of the Heisenberg square ``:h(w) h(w):`` in the weight-two
     indexing: ``2 L^1_{m/2}`` at even m, zero at odd m."""
-
-    def mode(m: int):
-        if m % 2:
-            return zero_operator()
-        return AffineOperator([(Fraction(2), sugawara_l1_mode(m // 2))])
-
-    return OperatorFamily("h^2", mode)
+    if m % 2:
+        return zero_operator()
+    return AffineOperator([(Fraction(2), sugawara_l1_mode(m // 2))])

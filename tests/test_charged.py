@@ -146,8 +146,8 @@ def test_charged_virasoro_brackets(lam, b):
         for n in range(-2, 3):
             for mono in CBASIS:
                 v = cstate(mono)
-                lhs = fam.mode(m).apply(fam.mode(n).apply(v)) - fam.mode(n).apply(fam.mode(m).apply(v))
-                rhs = fam.mode(m + n).apply(v).scale(m - n)
+                lhs = fam(m).apply(fam(n).apply(v)) - fam(n).apply(fam(m).apply(v))
+                rhs = fam(m + n).apply(v).scale(m - n)
                 if m == -n:
                     rhs = rhs + v.scale(Fraction(m**3 - m, 12) * c)
                 assert lhs == rhs, (lam, b, m, n, mono)
@@ -248,7 +248,7 @@ def lambda_intertwining(shift):
         [
             field_identity_check(
                 "lambda_intertwining",
-                lambda_family(lam, b).mode,
+                lambda_family(lam, b),
                 lambda n, lam=lam, b=b: ConjugatedOperator(lA_lambda_b_mode(lam, b - shift(lam), n)),
                 range(-3, 4),
                 NBASIS,

@@ -168,7 +168,7 @@ CONTROLS = [
     ("doubling_n2_gives_one_tilde", virasoro, "doubling_construct", without_shift, lambda: suites.suite_doubling(4)),
     ("dictionary_clifford_transport", charged, "charged_mode_of", mode_plus_one, lambda: suites.suite_iso(4, 1, 3)),
     ("heisenberg_bracket", suites, "h_mode", first_summand_flipped, lambda: suites.suite_heisenberg(2, 6)),
-    ("heisenberg_dual_construction", heisenberg, "h_mode", first_summand_flipped, lambda: suites.suite_heisenberg(2, 6)),
+    ("heisenberg_dual_construction", suites, "h_mode", first_summand_flipped, lambda: suites.suite_heisenberg(2, 6)),
     # a wrong central term at n1 = -n2, where the cocycle can be nonzero
     ("winf_scalar_defect", winf, "glinf_cocycle", plus_one, central_term_check),
     # the closed-form W_{1+infinity} grid: one structure constant, then the central term

@@ -34,10 +34,10 @@ from fockcheck.modeops import (
     parity_flip,
     zero_operator,
 )
-from fockcheck.heisenberg import h_family, h_mode, h_mode_bilinear
+from fockcheck.heisenberg import h_mode, h_mode_bilinear
 from fockcheck.suites import LAMBDA_PAIRS, heisenberg_expected, square_grid, virasoro_bracket, virasoro_expected
 from fockcheck.verify import bracket_check, field_identity_check
-from fockcheck.virasoro import SugawaraOperator, l_half_family, sugawara_family
+from fockcheck.virasoro import SugawaraOperator, l_half_mode, sugawara_l1_mode
 from fockcheck.winf import jk_mode_charged, jk_mode_neutral
 
 
@@ -175,14 +175,14 @@ def declared_operators():
         yield ("h", n), h_mode(n), NEUTRAL
         yield ("h(bilinear)", n), h_mode_bilinear(n), NEUTRAL
         yield ("L1", n), virasoro.sugawara_l1_mode(n), NEUTRAL
-        yield ("L1~", n), virasoro.l1_tilde_family().mode(n), NEUTRAL
-        yield ("L1/2 flip", n), virasoro.l_half_tilde_family_flip().mode(n), NEUTRAL
+        yield ("L1~", n), virasoro.l1_tilde_mode(n), NEUTRAL
+        yield ("L1/2 flip", n), virasoro.l_half_tilde_family_flip()(n), NEUTRAL
         for lam, b in LAMBDA_PAIRS:
-            yield ("L(lam,b)", lam, b, n), virasoro.lambda_family(lam, b).mode(n), NEUTRAL
+            yield ("L(lam,b)", lam, b, n), virasoro.lambda_family(lam, b)(n), NEUTRAL
             yield ("LA(lam,b)", lam, b, n), lA_lambda_b_mode(lam, b, n), CHARGED
         for N in (1, 2, 3):
-            family = virasoro.doubling_construct(l_half_family(), Fraction(1, 2), N)
-            yield ("doubling", N, n), family.mode(n), NEUTRAL
+            family = virasoro.doubling_construct(l_half_mode, Fraction(1, 2), N)
+            yield ("doubling", N, n), family(n), NEUTRAL
         for k in range(4):
             yield ("J", k, n), jk_mode_charged(k, n), CHARGED
         for k in range(3):
@@ -259,30 +259,30 @@ def test_affine_denominator_is_the_lcm_of_its_parts():
 
 
 def test_weight_homogeneity():
-    for fam, shift_of in ((h_family(), lambda n: -4 * n), (l_half_family(), lambda n: -2 * n)):
+    for name, mode, shift_of in (("h", h_mode, lambda n: -4 * n), ("L1/2", l_half_mode, lambda n: -2 * n)):
         for n in range(-3, 4):
-            op = fam.mode(n)
+            op = mode(n)
             for mono in enumerate_basis(10):
                 out = op.apply(FockState.monomial(mono))
                 for m in out.terms:
-                    assert weight2(m) == weight2(mono) + shift_of(n), (fam.name, n, mono)
+                    assert weight2(m) == weight2(mono) + shift_of(n), (name, n, mono)
 
 
 def test_affine_operator_drops_zero_parts():
     for n in range(-2, 3):
-        op = AffineOperator([(Fraction(1), h_family().mode(n)), (Fraction(0), l_half_family().mode(n))])
+        op = AffineOperator([(Fraction(1), h_mode(n)), (Fraction(0), l_half_mode(n))])
         for mono in enumerate_basis(8):
             v = FockState.monomial(mono)
-            assert op.apply(v) == h_family().mode(n).apply(v)
+            assert op.apply(v) == h_mode(n).apply(v)
 
 
 def test_parity_flip_modes():
-    flipped = parity_flip(l_half_family())
+    flipped = parity_flip(l_half_mode)
     for n in range(-3, 4):
         sign = -1 if n % 2 else 1
         for mono in enumerate_basis(8):
             v = FockState.monomial(mono)
-            assert flipped.mode(n).apply(v) == l_half_family().mode(n).apply(v).scale(sign)
+            assert flipped(n).apply(v) == l_half_mode(n).apply(v).scale(sign)
 
 
 def test_affine_operator_scalar_part():
@@ -340,7 +340,7 @@ def test_compared_constructions_never_share_a_key():
         assert virasoro.l_half_tilde_mode(n).key != virasoro.l_half_mode(n).key
         assert virasoro.sugawara_l1_mode(n).key == ("L1", n)
         # the flip is an affine combination: it computes its own action
-        assert getattr(virasoro.l_half_tilde_family_flip().mode(n), "key", None) is None
+        assert getattr(virasoro.l_half_tilde_family_flip()(n), "key", None) is None
 
 
 def test_store_is_empty_on_import():
@@ -364,10 +364,10 @@ def test_store_is_empty_on_import():
 def test_store_is_cleared_whole_at_its_bound(monkeypatch):
     basis = enumerate_basis(8)
     grids = [
-        (l_half_family(), Fraction(1, 2)),
-        (sugawara_family(), Fraction(1)),  # an L^1 column fills h columns first
+        ("L1/2", l_half_mode, Fraction(1, 2)),
+        ("L1", sugawara_l1_mode, Fraction(1)),  # an L^1 column fills h columns first
     ]
-    want = [virasoro_bracket("b", family, c, 2, basis).cases_run for family, c in grids]
+    want = [virasoro_bracket("b", *grid, 2, basis).cases_run for grid in grids]
     entries = []
     missing = ColumnTable.__missing__
 
@@ -382,7 +382,7 @@ def test_store_is_cleared_whole_at_its_bound(monkeypatch):
     COLUMNS.clear()
     virasoro._sugawara_on_monomial.cache_clear()
     h_table = COLUMNS.table(h_mode(1), NEUTRAL)  # L^1 columns read it again after every clear
-    reports = [virasoro_bracket("b", family, c, 2, basis) for family, c in grids]
+    reports = [virasoro_bracket("b", *grid, 2, basis) for grid in grids]
     assert all(rep.passed for rep in reports)
     assert [rep.cases_run for rep in reports] == want
     assert len(entries) > 3 * 64  # the store was cleared and refilled
@@ -452,7 +452,8 @@ def test_store_tables_hold_only_what_fill_inserted():
     # an affine combination
     COLUMNS.clear()
     basis = enumerate_basis(8)
-    assert virasoro_bracket("one", sugawara_family(), Fraction(1), 2, basis).passed
+    assert virasoro_bracket("one", "L1", sugawara_l1_mode, Fraction(1), 2, basis).passed
     lam, b = LAMBDA_PAIRS[0]
-    assert virasoro_bracket("lam", virasoro.lambda_family(lam, b), virasoro.central_charge(lam), 2, basis).passed
+    lam_mode = virasoro.lambda_family(lam, b)
+    assert virasoro_bracket("lam", "L(lam,b)", lam_mode, virasoro.central_charge(lam), 2, basis).passed
     assert sum(len(table) for table in COLUMNS.tables.values()) == COLUMNS.entries > 0

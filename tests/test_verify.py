@@ -42,7 +42,7 @@ def test_red_bracket_witness_renders_fractional_sides():
     # central charge 7/5 is wrong for L^{1/3,2/5}; both sides of the first
     # failing case are rationals with distinct denominators
     family = virasoro.lambda_family(Fraction(1, 3), Fraction(2, 5))
-    report = virasoro_bracket("x", family, Fraction(7, 5), 2, enumerate_basis(8))
+    report = virasoro_bracket("x", "L(1/3,2/5)", family, Fraction(7, 5), 2, enumerate_basis(8))
     assert (report.cases_run, report.failures_total) == (225, 18)
     assert report.failures[0] == {"witness": "(m=-2, n=2) on |0>", "lhs": "-149/200 |0>", "rhs": "-667/600 |0>"}
 
@@ -74,15 +74,15 @@ def test_failing_bracket_cases_render_the_lowest_terms_states():
     lam, b, c = Fraction(1, 3), Fraction(2, 5), Fraction(7, 5)
     family = virasoro.lambda_family(lam, b)
     basis = enumerate_basis(12)
-    report = virasoro_bracket("x", family, c, 2, basis)
+    report = virasoro_bracket("x", "L(1/3,2/5)", family, c, 2, basis)
     expected = virasoro_expected(c)
     failing = []
     for m, n in square_grid(2):
         (coeff, k), scalar = expected(m, n)[0][0], expected(m, n)[1]
         for mono in basis:
             v = FockState.monomial(mono)
-            lhs = family.mode(m).apply(family.mode(n).apply(v)) - family.mode(n).apply(family.mode(m).apply(v))
-            rhs = family.mode(k).apply(v).scale(coeff) + v.scale(scalar)
+            lhs = family(m).apply(family(n).apply(v)) - family(n).apply(family(m).apply(v))
+            rhs = family(k).apply(v).scale(coeff) + v.scale(scalar)
             if lhs != rhs:
                 witness = f"(m={m}, n={n}) on {format_state(v)}"
                 failing.append({"witness": witness, "lhs": format_state(lhs), "rhs": format_state(rhs)})
@@ -154,11 +154,11 @@ def test_bracket_check_builds_each_operator_and_column_once():
 
 def test_bracket_check_memo_dies_with_the_check(monkeypatch):
     basis = enumerate_basis(8)
-    family = virasoro.l_half_family()
-    assert virasoro_bracket("half", family, Fraction(1, 2), 2, basis).passed
-    # the same family object, now built from a doubled field: L' = 2L breaks the bracket
+    family = virasoro.l_half_mode
+    assert virasoro_bracket("half", "L1/2", family, Fraction(1, 2), 2, basis).passed
+    # the same mode function, now built from a doubled field: L' = 2L breaks the bracket
     monkeypatch.setattr(virasoro, "L_HALF_BILINEAR", FermionBilinear(Fraction(1), 0, 1, 0, 1, 1))
-    report = virasoro_bracket("half", family, Fraction(1, 2), 2, basis)
+    report = virasoro_bracket("half", "L1/2", family, Fraction(1, 2), 2, basis)
     assert not report.passed and report.failures
 
 

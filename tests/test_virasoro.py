@@ -12,19 +12,17 @@ from fockcheck.modeops import AffineOperator
 from fockcheck.virasoro import (
     central_charge,
     doubling_construct,
-    h_derivative_family,
-    h_square_family,
-    l1_tilde_family,
+    h_derivative_mode,
+    h_square_mode,
     l1_tilde_field_mode,
-    l_half_family,
+    l1_tilde_mode,
     l_half_mode,
-    l_half_tilde_family,
     l_half_tilde_family_flip,
     l_half_tilde_mode,
     lambda_b_constant,
     lambda_family,
     sugawara_l1_mode,
-    weight2_field,
+    weight2_mode,
 )
 
 BASIS_10 = enumerate_basis(20)
@@ -85,12 +83,12 @@ def test_flip_construction_matches_direct_tilde():
     for n in range(-4, 5):
         for mono in BASIS_6:
             v = FockState.monomial(mono)
-            assert flipped.mode(n).apply(v) == l_half_tilde_mode(n).apply(v)
+            assert flipped(n).apply(v) == l_half_tilde_mode(n).apply(v)
 
 
 def test_half_bracket_small_grid():
-    assert_virasoro_bracket(l_half_family().mode, Fraction(1, 2), 2, BASIS_8)
-    assert_virasoro_bracket(l_half_tilde_family().mode, Fraction(1, 2), 2, BASIS_8)
+    assert_virasoro_bracket(l_half_mode, Fraction(1, 2), 2, BASIS_8)
+    assert_virasoro_bracket(l_half_tilde_mode, Fraction(1, 2), 2, BASIS_8)
 
 
 def test_sugawara_vacuum_like_eigenvalues():
@@ -110,16 +108,15 @@ def test_sugawara_bracket_values():
 
 
 def test_l1_tilde_constant():
-    out = l1_tilde_family().mode(0).apply(FockState.vacuum())
+    out = l1_tilde_mode(0).apply(FockState.vacuum())
     assert out == FockState.vacuum().scale(Fraction(1, 32))
 
 
 def test_l1_tilde_field_form():
-    fam = l1_tilde_family()
     for n in range(-4, 5):
         for mono in BASIS_8:
             v = FockState.monomial(mono)
-            assert fam.mode(n).apply(v) == l1_tilde_field_mode(n).apply(v), (n, mono)
+            assert l1_tilde_mode(n).apply(v) == l1_tilde_field_mode(n).apply(v), (n, mono)
 
 
 def test_central_charges():
@@ -139,89 +136,82 @@ def test_lambda_specialises_to_sugawara():
     for n in range(-3, 4):
         for mono in BASIS_8:
             v = FockState.monomial(mono)
-            assert fam.mode(n).apply(v) == sugawara_l1_mode(n).apply(v)
+            assert fam(n).apply(v) == sugawara_l1_mode(n).apply(v)
 
 
 def test_lambda_specialises_to_tilde():
     fam = lambda_family(Fraction(1, 2), Fraction(-1, 4))
-    tilde = l1_tilde_family()
     for n in range(-3, 4):
         for mono in BASIS_8:
             v = FockState.monomial(mono)
-            assert fam.mode(n).apply(v) == tilde.mode(n).apply(v)
+            assert fam(n).apply(v) == l1_tilde_mode(n).apply(v)
 
 
 def test_lambda_bracket_generic_pair():
     fam = lambda_family(Fraction(1, 3), Fraction(2, 5))
-    assert_virasoro_bracket(fam.mode, central_charge(Fraction(1, 3)), 2, BASIS_6)
+    assert_virasoro_bracket(fam, central_charge(Fraction(1, 3)), 2, BASIS_6)
 
 
 def test_lambda_zero_zero_bracket():
     fam = lambda_family(0, 0)
-    assert_virasoro_bracket(fam.mode, Fraction(-2), 2, BASIS_6)
+    assert_virasoro_bracket(fam, Fraction(-2), 2, BASIS_6)
 
 
 def test_doubling_identity_at_n1():
-    doubled = doubling_construct(l_half_family(), Fraction(1, 2), 1)
+    doubled = doubling_construct(l_half_mode, Fraction(1, 2), 1)
     for n in range(-4, 5):
         for mono in BASIS_6:
             v = FockState.monomial(mono)
-            assert doubled.mode(n).apply(v) == l_half_mode(n).apply(v)
+            assert doubled(n).apply(v) == l_half_mode(n).apply(v)
 
 
 def test_doubling_n2_reproduces_l1_tilde():
-    doubled = doubling_construct(l_half_family(), Fraction(1, 2), 2)
-    tilde = l1_tilde_family()
+    doubled = doubling_construct(l_half_mode, Fraction(1, 2), 2)
     for n in range(-4, 5):
         for mono in BASIS_8:
             v = FockState.monomial(mono)
-            assert doubled.mode(n).apply(v) == tilde.mode(n).apply(v)
+            assert doubled(n).apply(v) == l1_tilde_mode(n).apply(v)
 
 
 def test_doubling_n3_bracket():
-    tripled = doubling_construct(l_half_family(), Fraction(1, 2), 3)
-    assert_virasoro_bracket(tripled.mode, Fraction(3, 2), 2, BASIS_8)
+    tripled = doubling_construct(l_half_mode, Fraction(1, 2), 3)
+    assert_virasoro_bracket(tripled, Fraction(3, 2), 2, BASIS_8)
 
 
 def test_weight2_variant1_on_v1():
     v = FockState.monomial(vacuum_like(1))
-    assert weight2_field(1).mode(0).apply(v) == v.scale(3)
+    assert weight2_mode(1, 0).apply(v) == v.scale(3)
     # twice the half-charge generator
     for mono in BASIS_6:
         w = FockState.monomial(mono)
-        assert weight2_field(1).mode(0).apply(w) == l_half_mode(0).apply(w).scale(2)
+        assert weight2_mode(1, 0).apply(w) == l_half_mode(0).apply(w).scale(2)
 
 
 def test_derivative_identity():
-    dh = h_derivative_family()
-    v3, v4 = weight2_field(3), weight2_field(4)
     for m in range(-8, 9):
-        rhs = AffineOperator([(Fraction(1, 2), v3.mode(m)), (Fraction(1, 2), v4.mode(m))])
+        rhs = AffineOperator([(Fraction(1, 2), weight2_mode(3, m)), (Fraction(1, 2), weight2_mode(4, m))])
         for mono in BASIS_8:
             v = FockState.monomial(mono)
-            assert dh.mode(m).apply(v) == rhs.apply(v), (m, mono)
+            assert h_derivative_mode(m).apply(v) == rhs.apply(v), (m, mono)
 
 
 def test_square_identity():
-    hsq = h_square_family()
-    v1, v2 = weight2_field(1), weight2_field(2)
     for m in range(-8, 9):
-        parts = [(Fraction(1, 4), v1.mode(m)), (Fraction(1, 4), v2.mode(m))]
+        parts = [(Fraction(1, 4), weight2_mode(1, m)), (Fraction(1, 4), weight2_mode(2, m))]
         if m % 2 == 0:
             parts.append((Fraction(-1, 2), h_mode(m // 2)))
         rhs = AffineOperator(parts)
         for mono in BASIS_8:
             v = FockState.monomial(mono)
-            assert hsq.mode(m).apply(v) == rhs.apply(v), (m, mono)
+            assert h_square_mode(m).apply(v) == rhs.apply(v), (m, mono)
 
 
 def test_even_modes_only_for_charge_one_field():
     # the two-point field has no odd modes: variant1 + variant2 kills them
-    v1, v2 = weight2_field(1), weight2_field(2)
     for m in range(-7, 8, 2):
         for mono in BASIS_8:
             v = FockState.monomial(mono)
-            out = v1.mode(m).apply(v) + v2.mode(m).apply(v)
+            out = weight2_mode(1, m).apply(v) + weight2_mode(2, m).apply(v)
             assert out.is_zero, (m, mono)
 
 
