@@ -202,8 +202,10 @@ def _run_virasoro(
 
 
 def pool_size(jobs: int, tasks: int) -> int:
-    """Worker processes for ``--jobs``: never more than the CPUs or the tasks."""
-    return min(jobs, os.cpu_count() or 1, tasks)
+    """Worker processes for ``--jobs``: never more than the CPUs this process
+    may run on (its affinity mask, where the platform has one) or the tasks."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(jobs, cpus, tasks)
 
 
 def _worker(name: str) -> list[VerificationReport]:

@@ -341,6 +341,7 @@ def test_verify_all_rows_do_not_depend_on_jobs(monkeypatch, capsys):
 def test_pool_size_is_bounded_by_cpus_and_tasks(monkeypatch):
     from fockcheck import cli
 
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)  # a platform without affinity masks
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     assert cli.pool_size(1, 14) == 1
     assert cli.pool_size(3, 14) == 3
@@ -348,6 +349,14 @@ def test_pool_size_is_bounded_by_cpus_and_tasks(monkeypatch):
     assert cli.pool_size(64, 2) == 2
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli.pool_size(8, 14) == 1
+
+
+def test_pool_size_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    from fockcheck import cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli.pool_size(2, 14) == 1
 
 
 @pytest.mark.parametrize(
