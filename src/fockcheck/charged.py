@@ -183,7 +183,7 @@ def lA_lambda_b_mode(lam: Fraction, b: Fraction, n: int) -> AffineOperator:
     )
 
 
-def lA_family(lam: Fraction, b: Fraction = Fraction(0)) -> Callable[[int], AffineOperator]:
+def lA_family(lam: Fraction, b: Fraction) -> Callable[[int], AffineOperator]:
     return lambda n: lA_lambda_b_mode(lam, b, n)
 
 

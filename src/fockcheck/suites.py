@@ -288,13 +288,12 @@ def suite_eigenvalues(nmax: int = 5, weight_cut2: int = 16) -> list[Verification
 def suite_identities(mmax: int = 4, weight_cut2: int = 16) -> list[VerificationReport]:
     """The weight-two field identities and the vanishing of :phi(z) phi(z):."""
     basis = enumerate_basis(weight_cut2)
-    w2 = vir.weight2_mode
 
     def hderiv_rhs(m: int):
-        return AffineOperator([(Fraction(1, 2), w2(3, m)), (Fraction(1, 2), w2(4, m))])
+        return AffineOperator([(Fraction(1, 2), vir.weight2_mode(3, m)), (Fraction(1, 2), vir.weight2_mode(4, m))])
 
     def hsquare_rhs(m: int):
-        parts = [(Fraction(1, 4), w2(1, m)), (Fraction(1, 4), w2(2, m))]
+        parts = [(Fraction(1, 4), vir.weight2_mode(1, m)), (Fraction(1, 4), vir.weight2_mode(2, m))]
         if m % 2 == 0:
             parts.append((Fraction(-1, 2), h_mode(m // 2)))
         return AffineOperator(parts)
