@@ -6,10 +6,13 @@ Two species of modes ``psi+_n`` and ``psi-_n`` (n integer) satisfy
 zero; modes with ``n <= -1`` create, ``n >= 0`` annihilate the vacuum.
 
 A monomial is a pair ``(plus, minus)`` of neutral monomials (see
-:mod:`fockcheck.fock`): strictly increasing tuples of indices ``j >= 0``,
-where ``j`` in a block stands for the mode ``-j-1`` of that block's species.
-It is the product with every ``psi+`` factor left of every ``psi-`` factor
-and, as in the neutral space, the largest index of each block leftmost.
+:mod:`fockcheck.fock`): ``int`` bitmasks whose bit ``j`` stands for the mode
+``-j-1`` of that block's species.  It is the product with every ``psi+``
+factor left of every ``psi-`` factor and, as in the neutral space, the
+largest index of each block leftmost.  So a mode's sign is the parity of a
+popcount, and passing the ``psi+`` block costs ``(-1)**plus.bit_count()``.
+A pair of index tuples, each block as in :func:`~fockcheck.fock.mask_of`,
+is the monomial's index form, met only at the edges.
 
 States and operators are the shared ones of :mod:`fockcheck.fock` and
 :mod:`fockcheck.modeops`; this module supplies the space :data:`CHARGED`.
@@ -19,7 +22,7 @@ neutral space, a code is negative exactly when the mode creates.  A mode
 acts on one block as the neutral mode ``code | 1`` acts on a neutral
 monomial: a ``psi+`` creator or a ``psi-`` annihilator on the ``psi+``
 block, a ``psi-`` creator or a ``psi+`` annihilator on the ``psi-`` block
-with the extra sign ``(-1)**len(plus)`` for passing the ``psi+`` block.
+with the extra sign ``(-1)**plus.bit_count()`` for passing the ``psi+`` block.
 The Clifford sign rule thus lives once, in
 :func:`fockcheck.fock.apply_mode_to_monomial`.
 
@@ -32,7 +35,7 @@ extended to annihilators so that all anticommutators transport exactly.
 On monomials the isomorphism splits the neutral indices into odd and even
 ones, with the sign of moving every ``psi+`` factor left of every ``psi-``
 factor.  Under the dictionary the neutral charge grading becomes the
-particle-number charge ``len(plus) - len(minus)``, and weights match when
+particle-number charge ``plus.bit_count() - minus.bit_count()``, and weights match when
 ``psi+_{-j-1}`` and ``psi-_{-j-1}`` are weighted ``2j + 3/2`` and
 ``2j + 1/2``.
 """
@@ -42,26 +45,36 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
-from .fock import NEUTRAL, FockState, Monomial, Space, add_term, apply_mode_to_monomial, creation, increasing_tuples
+from .fock import (
+    NEUTRAL,
+    FockState,
+    Monomial,
+    Space,
+    add_term,
+    apply_mode_to_monomial,
+    increasing_tuples,
+    indices_of,
+    mask_of,
+)
 from .modeops import AffineOperator, QuadraticModeOperator, falling
 
-ChargedMonomial = tuple[tuple[int, ...], tuple[int, ...]]
+ChargedMonomial = tuple[int, int]
 
-CVACUUM: ChargedMonomial = ((), ())
+CVACUUM: ChargedMonomial = (0, 0)
 
 PLUS, MINUS = 1, -1
 
 
 def charge(mono: ChargedMonomial) -> int:
-    return len(mono[0]) - len(mono[1])
+    return mono[0].bit_count() - mono[1].bit_count()
 
 
 def cweight2(mono: ChargedMonomial) -> int:
     """Twice the weight transported from the neutral space."""
     plus, minus = mono
-    return sum(4 * j + 3 for j in plus) + sum(4 * j + 1 for j in minus)
+    return sum(4 * j + 3 for j in indices_of(plus)) + sum(4 * j + 1 for j in indices_of(minus))
 
 
 def charged_code(species: int, m: int) -> int:
@@ -85,7 +98,7 @@ def apply_charged_mode_to_monomial(code: int, mono: ChargedMonomial) -> tuple[in
     if hit is None:
         return None
     sign, block = hit
-    return (-sign if len(plus) % 2 else sign), (plus, block)
+    return (-sign if plus.bit_count() & 1 else sign), (plus, block)
 
 
 def enumerate_charged_basis(weight_cut2: int) -> list[ChargedMonomial]:
@@ -96,7 +109,7 @@ def enumerate_charged_basis(weight_cut2: int) -> list[ChargedMonomial]:
     if weight_cut2 < 0:
         raise ValueError("weight cut must be non-negative")
     out = [
-        (plus, minus)
+        (mask_of(plus), mask_of(minus))
         for pweight, plus in increasing_tuples(3, 4, weight_cut2)
         for _, minus in increasing_tuples(1, 4, weight_cut2 - pweight)
     ]
@@ -143,14 +156,12 @@ def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> QuadraticModeO
         c = pref * falling(-a - 1, a_ord) * falling(-b - 1, b_ord)
         return 2 * a + l_bit, 2 * b + r_bit, c
 
-    def support(mono: ChargedMonomial) -> Iterable[int]:
+    def support(mono: ChargedMonomial) -> set[int]:
         plus, minus = mono
         hits = set(range(T + 1, 0))  # both create: T+1 <= a <= -1
-        for j in minus if sp_l == PLUS else plus:
-            hits.add(j)  # left factor annihilates index j: a = j
-        for j in minus if sp_r == PLUS else plus:
-            hits.add(T - j)  # right factor annihilates index j: T - a = j
-        return sorted(hits)
+        hits.update(indices_of(minus if sp_l == PLUS else plus))  # left factor annihilates index j: a = j
+        hits.update(T - j for j in indices_of(minus if sp_r == PLUS else plus))  # right one: T - a = j
+        return hits
 
     return QuadraticModeOperator(rule, support, bil.prefactor.denominator, (bil, exponent))
 
@@ -209,26 +220,32 @@ def _split_sign(mono: ChargedMonomial) -> int:
     the neutral order, where the even index ``2j`` stands left of the odd
     index ``2p+1`` exactly when ``j > p``."""
     plus, minus = mono
-    swaps = sum(1 for p in plus for j in minus if j > p)
+    swaps = sum((minus >> (p + 1)).bit_count() for p in indices_of(plus))
     return -1 if swaps % 2 else 1
 
 
 def to_charged_monomial(mono: Monomial) -> tuple[int, ChargedMonomial]:
     """Signed dictionary image of a neutral monomial: the odd indices form the
     ``psi+`` block and the even ones the ``psi-`` block."""
-    plus: list[int] = []
-    minus: list[int] = []
-    for n in mono:
-        species, m = charged_mode_of(creation(n))
-        (plus if species == PLUS else minus).append(-m - 1)
-    image = (tuple(plus), tuple(minus))
+    plus = minus = 0
+    for n in indices_of(mono):
+        if n & 1:  # psi+_{-p-1}, the image of the neutral mode -(2p+1)-1/2
+            plus |= 1 << (n >> 1)
+        else:  # psi-_{-j-1}, the image of the neutral mode -2j-1/2
+            minus |= 1 << (n >> 1)
+    image = (plus, minus)
     return _split_sign(image), image
 
 
 def from_charged_monomial(mono: ChargedMonomial) -> tuple[int, Monomial]:
     """Signed inverse image of a charged monomial."""
     plus, minus = mono
-    return _split_sign(mono), tuple(sorted([2 * p + 1 for p in plus] + [2 * j for j in minus]))
+    neutral = 0
+    for p in indices_of(plus):
+        neutral |= 1 << (2 * p + 1)
+    for j in indices_of(minus):
+        neutral |= 1 << (2 * j)
+    return _split_sign(mono), neutral
 
 
 def _transport(state: FockState, signed_image: Callable, space: Space) -> FockState:
@@ -265,7 +282,7 @@ class ConjugatedOperator:
 
 
 def format_charged_monomial(mono: ChargedMonomial) -> str:
-    plus, minus = mono
+    plus, minus = map(indices_of, mono)
     factors = [f"psi+[{-j - 1}]" for j in reversed(plus)] + [f"psi-[{-j - 1}]" for j in reversed(minus)]
     return " ".join(factors + ["|0>"]) if factors else "|0>"
 
@@ -275,7 +292,14 @@ def format_charged_monomial(mono: ChargedMonomial) -> str:
 
 def _report_key(mono: ChargedMonomial):
     """Weight, then the modes of each block as printed (increasing)."""
-    return cweight2(mono), tuple(tuple(-j - 1 for j in reversed(block)) for block in mono)
+    return cweight2(mono), tuple(tuple(-j - 1 for j in reversed(indices_of(block))) for block in mono)
+
+
+def _from_indices(mono) -> ChargedMonomial:
+    """The monomial of a pair of index tuples; ``ValueError`` for anything else."""
+    if type(mono) is not tuple or len(mono) != 2:
+        raise ValueError(f"not a pair of index tuples: {mono}")
+    return mask_of(mono[0]), mask_of(mono[1])
 
 
 CHARGED = Space(
@@ -284,6 +308,7 @@ CHARGED = Space(
     apply_charged_mode_to_monomial,
     operator.index,  # every integer is the code of one charged mode
     lambda mono: type(mono) is tuple and len(mono) == 2 and all(NEUTRAL.is_canonical(block) for block in mono),
+    _from_indices,
     _report_key,
     format_charged_monomial,
 )

@@ -35,7 +35,7 @@ from multiprocessing import Pool
 
 from . import suites as _suites
 from . import virasoro as vir
-from .fock import FockState, enumerate_basis, format_state, parse_fraction, parse_half
+from .fock import FockState, enumerate_basis, format_state, parse_fraction, parse_half, parse_int
 from .heisenberg import h_mode
 from .modeops import ModeOperator
 from .verify import VerificationReport
@@ -69,12 +69,17 @@ def _report_lines(reports: list[VerificationReport], as_json: bool) -> list[str]
     return [rep.summary() for rep in reports]
 
 
+def _int_flag(text: str) -> int:
+    """An ASCII integer literal (see :func:`~fockcheck.fock.parse_int`)."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _size_flag(text: str) -> int:
     """A non-negative ``int`` size (``--mmax``, ``--kmax``, ``--qmax``, ``--nmax``)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    value = _int_flag(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
     return value
@@ -115,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--family", choices=["half", "half~", "one", "one~", "lambda"])
     ver.add_argument("--lambda", type=_fraction_flag, default=None, metavar="p/q")
     ver.add_argument("--b", type=_fraction_flag, default=None, metavar="p/q")
-    ver.add_argument("--jobs", type=int, default=None)
+    ver.add_argument("--jobs", type=_int_flag, default=None)
     ver.add_argument("--json", action="store_true")
     ver.add_argument("--out", default=None, metavar="FILE")
 
@@ -281,22 +286,23 @@ def cmd_decompose(args) -> int:
     return 0 if ok else 1
 
 
+# integer literals are ASCII ``-?[0-9]+``, as in :func:`~fockcheck.fock.parse_int`
 _TOKEN_RES = [
-    (re.compile(r"phi\[(-?\d+)/2\]$"), lambda m: ModeOperator(int(m.group(1)))),
-    (re.compile(r"h\[(-?\d+)\]$"), lambda m: h_mode(int(m.group(1)))),
-    (re.compile(r"Lhalf\[(-?\d+)\]$"), lambda m: vir.l_half_mode(int(m.group(1)))),
-    (re.compile(r"L1\[(-?\d+)\]$"), lambda m: vir.sugawara_l1_mode(int(m.group(1)))),
+    (re.compile(r"phi\[(-?[0-9]+)/2\]", re.ASCII), lambda m: ModeOperator(int(m.group(1)))),
+    (re.compile(r"h\[(-?[0-9]+)\]", re.ASCII), lambda m: h_mode(int(m.group(1)))),
+    (re.compile(r"Lhalf\[(-?[0-9]+)\]", re.ASCII), lambda m: vir.l_half_mode(int(m.group(1)))),
+    (re.compile(r"L1\[(-?[0-9]+)\]", re.ASCII), lambda m: vir.sugawara_l1_mode(int(m.group(1)))),
     (
-        re.compile(r"Llb\[(-?\d+(?:/\d+)?),(-?\d+(?:/\d+)?);(-?\d+)\]$"),
+        re.compile(r"Llb\[(-?[0-9]+(?:/[0-9]+)?),(-?[0-9]+(?:/[0-9]+)?);(-?[0-9]+)\]", re.ASCII),
         lambda m: vir.lambda_family(parse_fraction(m.group(1)), parse_fraction(m.group(2)))(int(m.group(3))),
     ),
-    (re.compile(r"J\[(\d+),(-?\d+)\]$"), lambda m: jk_mode_neutral(int(m.group(1)), int(m.group(2)))),
+    (re.compile(r"J\[([0-9]+),(-?[0-9]+)\]", re.ASCII), lambda m: jk_mode_neutral(int(m.group(1)), int(m.group(2)))),
 ]
 
 
 def _token_operator(token: str):
     for pattern, build in _TOKEN_RES:
-        matched = pattern.match(token)
+        matched = pattern.fullmatch(token)
         if matched:
             return build(matched)
     raise ValueError("unknown operator token")

@@ -8,13 +8,19 @@ when the mode creates, so normal ordering needs no call into the space.
 This module defines the neutral space :data:`NEUTRAL`, and
 :mod:`fockcheck.charged` the charged one.
 
-A neutral monomial is stored as a strictly increasing tuple of non-negative
-integers ``(n_1, ..., n_k)``, standing for the product
+A neutral monomial is stored as an ``int`` bitmask: bit ``n`` is set when
+``phi[-n-1/2]`` is present, so the vacuum is ``0``.  It stands for the
+product
 
     phi[-n_k-1/2] ... phi[-n_2-1/2] phi[-n_1-1/2] |0>
 
-written with the most negative mode leftmost.  Every neutral sign is
-derived from this single factor-order convention.
+over its set bits ``n_1 < ... < n_k``, written with the most negative mode
+leftmost.  Every neutral sign is derived from this single factor-order
+convention: a mode acting on index ``n`` passes the factors of the occupied
+indices above ``n``, so its sign is the parity of a popcount.  Index tuples
+``(n_1, ..., n_k)`` appear only at the edges (:func:`mask_of` and
+:func:`indices_of`): building a state from its monomial, rendering, parsing
+and the report order, which is weight, then the index tuple.
 
 Neutral mode indices are half-integers.  They are encoded throughout as
 *twice* the value, an odd ``int``: ``t = 2*m``.  Negative ``t`` creates the
@@ -33,14 +39,13 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterator
 
-Monomial = tuple[int, ...]
+Monomial = int
 
-VACUUM: Monomial = ()
+VACUUM: Monomial = 0
 
 
 def creation(n: int) -> int:
@@ -63,9 +68,35 @@ def check_mode(t: int) -> int:
     return t
 
 
+def mask_of(indices: tuple[int, ...]) -> Monomial:
+    """The monomial of a strictly increasing tuple of non-negative ``int``
+    indices; anything else raises ``ValueError``."""
+    if not (
+        type(indices) is tuple
+        and all(type(n) is int for n in indices)
+        and all(a < b for a, b in zip(indices, indices[1:]))
+        and not (indices and indices[0] < 0)
+    ):
+        raise ValueError(f"not a strictly increasing tuple of non-negative int indices: {indices}")
+    mono = 0
+    for n in indices:
+        mono |= 1 << n
+    return mono
+
+
+def indices_of(mono: Monomial) -> tuple[int, ...]:
+    """The occupied indices of a monomial, increasing."""
+    out = []
+    while mono:
+        low = mono & -mono
+        out.append(low.bit_length() - 1)
+        mono ^= low
+    return tuple(out)
+
+
 def weight2(mono: Monomial) -> int:
     """Twice the weight sum((n_i + 1/2)); always a non-negative integer."""
-    return sum(2 * n + 1 for n in mono)
+    return sum(2 * n + 1 for n in indices_of(mono))
 
 
 def weight(mono: Monomial) -> Fraction:
@@ -78,37 +109,30 @@ def apply_mode_to_monomial(t: int, mono: Monomial) -> tuple[int, Monomial] | Non
     Returns ``(sign, monomial)`` or ``None`` when the result is zero.  The
     sign is ``(-1)**g`` where ``g`` counts the factors standing to the left
     of the affected slot in the canonical product, i.e. the occupied indices
-    strictly greater than the target index.
+    strictly greater than the target index: a popcount of the mask above it.
     """
     if t < 0:
-        n = (-t - 1) // 2
-        pos = bisect_left(mono, n)
-        if pos < len(mono) and mono[pos] == n:
+        n = (-t - 1) >> 1
+        bit = 1 << n
+        if mono & bit:
             return None
-        sign = -1 if (len(mono) - pos) % 2 else 1
-        return sign, mono[:pos] + (n,) + mono[pos:]
-    n = (t - 1) // 2
-    pos = bisect_left(mono, n)
-    if pos == len(mono) or mono[pos] != n:
+        return (-1 if (mono >> n).bit_count() & 1 else 1), mono | bit
+    n = (t - 1) >> 1
+    bit = 1 << n
+    if not mono & bit:
         return None
-    sign = -1 if (len(mono) - pos - 1) % 2 else 1
-    return sign, mono[:pos] + mono[pos + 1 :]
+    return (-1 if (mono >> (n + 1)).bit_count() & 1 else 1), mono ^ bit
 
 
 def _is_canonical(mono: Monomial) -> bool:
-    """True for a strictly increasing tuple of non-negative ``int`` indices."""
-    return (
-        type(mono) is tuple
-        and all(type(n) is int for n in mono)
-        and all(a < b for a, b in zip(mono, mono[1:]))
-        and not (mono and mono[0] < 0)
-    )
+    """True for a non-negative ``int`` mask (``bool`` is not one)."""
+    return type(mono) is int and mono >= 0
 
 
 def format_monomial(mono: Monomial) -> str:
     if not mono:
         return "|0>"
-    factors = " ".join(f"phi[{-(2 * n + 1)}/2]" for n in reversed(mono))
+    factors = " ".join(f"phi[{-(2 * n + 1)}/2]" for n in reversed(indices_of(mono)))
     return f"{factors} |0>"
 
 
@@ -123,9 +147,20 @@ class Space:
     vacuum: Hashable  # the vacuum monomial
     act: Callable[[int, Any], tuple[int, Any] | None]  # one mode on one monomial
     check_mode: Callable[[int], int]  # returns a valid mode code, else raises ValueError
-    is_canonical: Callable[[Any], bool]
+    is_canonical: Callable[[Any], bool]  # a monomial as stored
+    from_indices: Callable[[Any], Any]  # the monomial of an index form, else raises ValueError
     sort_key: Callable[[Any], Any]  # report order of monomials
     format_monomial: Callable[[Any], str]
+
+    def monomial(self, mono) -> Any:
+        """``mono``, given as stored or in index form, as stored; ``ValueError``
+        when it is neither."""
+        if self.is_canonical(mono):
+            return mono
+        try:
+            return self.from_indices(mono)
+        except ValueError:
+            raise ValueError(f"not a canonical {self.name} monomial: {mono}") from None
 
 
 NEUTRAL = Space(
@@ -134,7 +169,8 @@ NEUTRAL = Space(
     apply_mode_to_monomial,
     check_mode,
     _is_canonical,
-    lambda mono: (weight2(mono), mono),
+    mask_of,
+    lambda mono: (weight2(mono), indices_of(mono)),
     format_monomial,
 )
 
@@ -168,12 +204,11 @@ class FockState:
         return cls({}, 1, space)
 
     @classmethod
-    def monomial(cls, mono: Iterable, coeff: Fraction | int = 1, space: Space = NEUTRAL) -> "FockState":
-        mono = tuple(mono)
-        if not space.is_canonical(mono):
-            raise ValueError(f"not a canonical {space.name} monomial: {mono}")
+    def monomial(cls, mono, coeff: Fraction | int = 1, space: Space = NEUTRAL) -> "FockState":
+        """``coeff`` times the monomial ``mono`` of ``space``, given as stored
+        or in index form (see :meth:`Space.monomial`)."""
         coeff = Fraction(coeff)
-        return cls({mono: coeff.numerator}, coeff.denominator, space)
+        return cls({space.monomial(mono): coeff.numerator}, coeff.denominator, space)
 
     @classmethod
     def vacuum(cls, space: Space = NEUTRAL) -> "FockState":
@@ -184,7 +219,8 @@ class FockState:
         return not self.terms
 
     def coefficient(self, mono) -> Fraction:
-        return Fraction(self.terms.get(tuple(mono), 0), self.denominator)
+        """The coefficient of ``mono``, given as stored or in index form."""
+        return Fraction(self.terms.get(self.space.monomial(mono), 0), self.denominator)
 
     def _combine(self, other: "FockState", sign: int) -> "FockState":
         """``self + sign * other`` over the lcm of the two denominators."""
@@ -271,7 +307,7 @@ def enumerate_basis(weight_cut2: int) -> list[Monomial]:
     """
     if weight_cut2 < 0:
         raise ValueError("weight cut must be non-negative")
-    return [mono for _, mono in sorted(increasing_tuples(1, 2, weight_cut2))]
+    return [mask_of(mono) for _, mono in sorted(increasing_tuples(1, 2, weight_cut2))]
 
 
 # -- text form ---------------------------------------------------------------
@@ -280,8 +316,10 @@ def enumerate_basis(weight_cut2: int) -> list[Monomial]:
 # either space as sums of ``coeff monomial`` terms; :func:`parse_state`
 # parses the neutral grammar back.
 
-_PHI_RE = re.compile(r"phi\[(-?\d+)/2\]")
-_COEFF_RE = re.compile(r"(-?\d+)(?:/(\d+))?$")
+# Every integer literal is ASCII ``-?[0-9]+``: no sign but a leading minus,
+# no spaces, underscores or other digits.
+_PHI_RE = re.compile(r"phi\[(-?[0-9]+)/2\]", re.ASCII)
+_COEFF_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?", re.ASCII)
 
 
 def format_state(state: FockState) -> str:
@@ -299,8 +337,16 @@ def format_state(state: FockState) -> str:
     return "".join(parts)
 
 
+def parse_int(text: str) -> int:
+    """An integer literal ``-?[0-9]+`` in ASCII digits; anything else raises ``ValueError``."""
+    if not re.fullmatch(r"-?[0-9]+", text, re.ASCII):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_fraction(text: str) -> Fraction:
-    m = _COEFF_RE.match(text.strip())
+    """An exact rational literal ``p`` or ``p/q`` (ASCII integer literals, ``q`` unsigned)."""
+    m = _COEFF_RE.fullmatch(text)
     if not m:
         raise ValueError(f"not an exact rational: {text!r}")
     num = int(m.group(1))
@@ -318,7 +364,7 @@ def _parse_term(text: str) -> FockState:
         raise ValueError(f"term must end with |0>: {text!r}")
     coeff = Fraction(1)
     start = 0
-    if _COEFF_RE.match(tokens[0]):
+    if _COEFF_RE.fullmatch(tokens[0]):
         coeff = parse_fraction(tokens[0])
         start = 1
     state = FockState.vacuum()
@@ -355,13 +401,10 @@ def parse_state(text: str) -> FockState:
 
 def parse_half(text: str) -> int:
     """Parse a half-integer literal (``8`` or ``15/2``) to its twice-encoding."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if den.strip() != "2":
-            raise ValueError(f"half-integers must have denominator 2: {text!r}")
-        return int(num)
-    return 2 * int(text)
+    num, slash, den = text.partition("/")
+    if slash and den != "2":
+        raise ValueError(f"half-integers must have denominator 2: {text!r}")
+    return parse_int(num) if slash else 2 * parse_int(num)
 
 
 def iter_modes(max_index2: int) -> Iterator[int]:

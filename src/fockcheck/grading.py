@@ -17,22 +17,20 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .fock import Monomial, apply_mode_to_monomial, increasing_tuples, weight, weight2
+from .fock import Monomial, apply_mode_to_monomial, increasing_tuples, indices_of, mask_of, weight, weight2
 
 Partition = tuple[int, ...]
 
 
 def dg(mono: Monomial) -> int:
-    odd = sum(1 for n in mono if n % 2)
-    return odd - (len(mono) - odd)
+    odd = sum(n & 1 for n in indices_of(mono))
+    return 2 * odd - mono.bit_count()
 
 
 def vacuum_like(n: int) -> Monomial:
-    if n == 0:
-        return ()
-    if n > 0:
-        return tuple(range(1, 2 * n, 2))
-    return tuple(range(0, -2 * n - 1, 2))
+    if n >= 0:
+        return mask_of(tuple(range(1, 2 * n, 2)))
+    return mask_of(tuple(range(0, -2 * n - 1, 2)))
 
 
 def deg_h(mono: Monomial) -> int:
@@ -44,18 +42,20 @@ def deg_h(mono: Monomial) -> int:
     """
     diff2 = weight2(mono) - weight2(vacuum_like(dg(mono)))
     if diff2 < 0 or diff2 % 4:
-        raise ValueError(f"grading defect: monomial {mono} has weight defect {Fraction(diff2, 2)}")
+        raise ValueError(f"grading defect: monomial {indices_of(mono)} has weight defect {Fraction(diff2, 2)}")
     return diff2 // 4
 
 
 def sector_basis(n: int, k: int) -> list[Monomial]:
-    """All monomials with charge ``n`` and energy ``k``, in lexicographic order:
-    the tuples of :func:`~fockcheck.fock.increasing_tuples` (index ``m`` costs
-    ``2m + 1``) of twice-weight exactly ``4k + weight2(v_n)`` and charge ``n``."""
+    """All monomials with charge ``n`` and energy ``k``, in lexicographic order
+    of their index tuples: the tuples of
+    :func:`~fockcheck.fock.increasing_tuples` (index ``m`` costs ``2m + 1``)
+    of twice-weight exactly ``4k + weight2(v_n)`` and charge ``n``."""
     if k < 0:
         raise ValueError("energy grade must be non-negative")
     target2 = 4 * k + weight2(vacuum_like(n))
-    return [mono for total, mono in increasing_tuples(1, 2, target2) if total == target2 and dg(mono) == n]
+    sector = (mask_of(mono) for total, mono in increasing_tuples(1, 2, target2) if total == target2)
+    return [mono for mono in sector if dg(mono) == n]
 
 
 def partition_count(k: int) -> int:
@@ -97,7 +97,7 @@ def lemma_vector(parts: Partition) -> Monomial:
     if any(p <= 0 for p in parts) or any(a < b for a, b in zip(parts, parts[1:])):
         raise ValueError(f"not a partition: {parts}")
     ell = len(parts)
-    mono: Monomial = tuple(range(0, 2 * ell, 2))
+    mono = mask_of(tuple(range(0, 2 * ell, 2)))
     for j in range(ell - 1, -1, -1):
         t = -4 * (parts[j] - j) + 1
         hit = apply_mode_to_monomial(t, mono)

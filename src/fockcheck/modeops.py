@@ -8,7 +8,10 @@ with constant weight shift.  They are never materialised: a
 finitely many ``i`` whose summand can act on it without annihilating
 everything.  A summand acts nonzero only if every annihilator among its two
 factors targets a mode present in the monomial, or both factors create,
-which pins ``i`` to a finite window.
+which pins ``i`` to a finite window.  The support is a set, walked over the
+set bits of the monomial's masks, and each operator memoises ``rule(i)``
+per free index, so a coefficient is computed once however many monomials
+it meets; the memo spans the index range of the monomials acted on.
 
 The operator classes are shared by both spaces: a mode is an ``int`` code
 of the space of the state acted on (see :mod:`fockcheck.fock`), and the
@@ -40,7 +43,8 @@ other operator (affine combinations, single modes, wrappers) gets a new
 private table: a column there is its ``apply`` on the one-monomial state,
 and a coefficient of it outside ``(1/D)Z`` raises ``ArithmeticError``, so an
 undersized declaration is caught monomial by monomial, also inside an
-affine combination.
+affine combination.  An affine combination asks for its parts' tables once
+per space and holds them.
 
 Normal ordering of a pair subtracts the vacuum expectation.  As an action
 this means: when the left factor annihilates and the right one creates, the
@@ -111,6 +115,11 @@ class QuadraticModeOperator:
     possibly overcomplete, set).  All summands must shift weight by the same
     amount so the operator is homogeneous.  ``key`` names the construction
     for the column store.
+
+    ``summands`` memoises ``rule(i)`` for every ``i`` the support has
+    yielded, so an operator computes each coefficient once.  The support of
+    a monomial lies within the weight shift of its largest index, so the memo
+    is bounded by the index range of the monomials the operator has acted on.
     """
 
     def __init__(
@@ -124,13 +133,17 @@ class QuadraticModeOperator:
         self.support = support
         self.denominator = denominator
         self.key = key
+        self.summands: dict[int, Pair] = {}
 
     def accumulate(self, act: Callable, mono, k: int, acc: dict) -> None:
         """Add ``k * D * self`` on ``mono`` into ``acc``, in ``int`` numerators;
         ``act`` is the single-mode action of the space of ``mono``."""
-        rule = self.rule
+        rule, summands = self.rule, self.summands
         for i in self.support(mono):
-            p, q, w = rule(i)
+            pair = summands.get(i)
+            if pair is None:
+                pair = summands[i] = rule(i)
+            p, q, w = pair
             if w:
                 apply_pair_to_monomial(act, p, q, mono, acc, w * k)
 
@@ -247,20 +260,10 @@ def compose(table: ColumnTable, col: Iterable[tuple[Any, int]], factor: int, acc
             acc[out] = get(out, 0) + c * d
 
 
-def _add_columns(parts: Iterable[tuple[Any, int]], state: FockState, acc: dict) -> None:
-    """Add ``w * D * op`` on ``state`` into ``acc`` for each ``(op, w)`` of
-    ``parts``, in numerators over the state's denominator, with ``D`` the
-    denominator of ``op``."""
-    space = state.space
-    terms = state.terms.items()
-    for op, w in parts:
-        compose(COLUMNS.table(op, space), terms, w, acc)
-
-
 def apply_columns(op, state: FockState) -> FockState:
     """``op`` on ``state``, through its columns."""
     acc: dict = {}
-    _add_columns(((op, 1),), state, acc)
+    compose(COLUMNS.table(op, state.space), state.terms.items(), 1, acc)
     return FockState(acc, state.denominator * op.denominator, state.space)
 
 
@@ -290,16 +293,19 @@ def falling(m: int, order: int) -> int:
     return out
 
 
-def pair_support(T: int) -> Callable[[Monomial], list[int]]:
+def pair_support(T: int) -> Callable[[Monomial], set[int]]:
     """The support bound of a neutral pair sum whose summand at free index
     ``i`` pairs the modes ``-i-1/2`` and ``-(T-i)-1/2``."""
 
-    def support(mono: Monomial) -> list[int]:
+    def support(mono: Monomial) -> set[int]:
         hits = set(range(0, T + 1))  # both factors create
-        for n in mono:
+        while mono:  # each occupied index n, lowest first
+            low = mono & -mono
+            n = low.bit_length() - 1
             hits.add(-n - 1)  # left factor annihilates n
             hits.add(T + n + 1)  # right factor annihilates n
-        return sorted(hits)
+            mono ^= low
+        return hits
 
     return support
 
@@ -335,7 +341,8 @@ class AffineOperator:
     the scalar's denominator, and its action adds the parts' columns, read
     from each part's :class:`ColumnTable`, in ``int`` numerators over D, so
     a part whose column does not fit its own declared denominator raises
-    ``ArithmeticError``.
+    ``ArithmeticError``.  It asks for its parts' tables once per space and
+    holds them, with each part's weight over D, in ``tables``.
     """
 
     def __init__(self, parts: Sequence[tuple[Fraction | int, object]], scalar: Fraction | int = 0):
@@ -344,15 +351,23 @@ class AffineOperator:
         self.denominator = math.lcm(
             self.scalar.denominator, *(c.denominator * op.denominator for c, op in self.parts)
         )
+        self.tables: dict[Space, list[tuple[ColumnTable, int]]] = {}
 
     def apply(self, state: FockState) -> FockState:
-        den = self.denominator
+        den, space = self.denominator, state.space
         acc: dict = {}
         if self.scalar:
             w = self.scalar.numerator * (den // self.scalar.denominator)
             acc = {mono: w * k for mono, k in state.terms.items()}
-        parts = ((op, c.numerator * (den // (c.denominator * op.denominator))) for c, op in self.parts)
-        _add_columns(parts, state, acc)
+        tables = self.tables.get(space)
+        if tables is None:
+            tables = self.tables[space] = [
+                (COLUMNS.table(op, space), c.numerator * (den // (c.denominator * op.denominator)))
+                for c, op in self.parts
+            ]
+        terms = state.terms.items()
+        for table, w in tables:
+            compose(table, terms, w, acc)
         return FockState(acc, state.denominator * den, state.space)
 
 

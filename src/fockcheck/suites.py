@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 from . import charged as ch
 from . import virasoro as vir
 from . import winf
-from .fock import NEUTRAL, FockState, Space, enumerate_basis, format_state, iter_modes, weight
+from .fock import NEUTRAL, FockState, Space, enumerate_basis, format_state, indices_of, iter_modes, weight
 from .grading import (
     dg,
     lemma_vector,
@@ -125,7 +125,8 @@ def suite_sectors(nmax: int = 4, kmax: int = 8) -> list[VerificationReport]:
                 inj.expect(
                     (mono in sector, seen.setdefault(mono, parts)),
                     (True, parts),
-                    lambda: f"partition {parts} -> {mono}: (in sector (0, {k}), first partition sent there)",
+                    lambda: f"partition {parts} -> {indices_of(mono)}: "
+                    f"(in sector (0, {k}), first partition sent there)",
                 )
     return [dims, inj]
 
@@ -376,10 +377,15 @@ def suite_iso(weight_cut2: int = 16, mmax: int = 4, max_index2: int = 15) -> lis
             sign, image = ch.to_charged_monomial(mono)
             images.add(image)
             back_sign, back = ch.from_charged_monomial(image)
-            bij.expect((back_sign * sign, back), (1, mono), lambda: f"round trip of {mono} through {image}")
+            bij.expect(
+                (back_sign * sign, indices_of(back)),
+                (1, indices_of(mono)),
+                lambda: f"round trip of {indices_of(mono)} through {tuple(map(indices_of, image))}",
+            )
         expected_images = set(cbasis)
+        as_indices = lambda monos: sorted(tuple(map(indices_of, mono)) for mono in monos)[:3]
         bij.expect(
-            (sorted(expected_images - images)[:3], sorted(images - expected_images)[:3]),
+            (as_indices(expected_images - images), as_indices(images - expected_images)),
             ([], []),
             lambda: "(missing, extra) images of the weight-truncated basis in the charged basis",
         )

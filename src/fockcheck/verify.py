@@ -22,8 +22,12 @@ relation to :func:`bracket_check` or :func:`field_identity_check`.  Every
 operator is quasi-finite: it sends a basis monomial to a finite combination
 of monomials, its *column*.  :func:`bracket_check` builds each mode operator
 once per check, asks :meth:`fockcheck.modeops.ColumnStore.table` for its
-column table once, and composes both orders of every grid pair, and the
+column table once, and composes the bracket of every grid pair, and the
 expected side, on those tables through :func:`fockcheck.modeops.compose`.
+The bracket is composed once per unordered pair: a swapped pair ``(n, m)``
+reuses ``±`` the bracket of ``(m, n)`` on the same basis vector, and a
+commutator's diagonal is zero, while the expected side is evaluated for
+every ordered pair.
 The column format is :mod:`fockcheck.modeops`'s alone: it decides where
 the columns live (a keyed operator's in the process-wide store, any
 other's in a private table that dies with the check) and walks them.
@@ -165,12 +169,19 @@ def bracket_check(
     ``scalar`` the identity part.  ``basis`` holds monomials of ``space``.
     Both sides and the expected operators are composed from column tables,
     one per mode index, so each operator acts on each monomial at most once
-    however many pairs use it.  Each grid pair is composed in ``int``
+    however many pairs use it.  Each grid pair is compared in ``int``
     numerators over one common denominator: the lcm of ``D_m * D_n``, of
     ``coefficient.denominator * D_k`` for every summand and of the scalar's
     denominator.  A case holds when the bracket minus the expected side has
     no nonzero numerator; only a failing case builds the two sides as
     states, to render them.  ``params`` are added to the report's.
+
+    The bracket is composed once per unordered pair: the loop runs over the
+    basis, and on each vector ``B = A_m A_n v ± A_n A_m v`` is held, in
+    numerators over ``D_m * D_n``, until the swapped pair ``(n, m)`` reads
+    it as ``±B``.  A commutator's diagonal ``[A_m, A_m]`` is the zero
+    vector.  The expected side is evaluated for every ordered pair, and
+    failures are reported pair-major, then in basis order.
     """
     if kind not in ("commutator", "anticommutator"):
         raise ValueError(f"unknown bracket kind {kind!r}")
@@ -186,41 +197,60 @@ def bracket_check(
         return tables[i]
 
     with VerificationReport(name, {"kind": kind, "pairs": len(pairs), "basis": len(basis), **params}) as report:
+        grid = []
         for m, n in pairs:
             ops, scalar = expected(m, n)
             tm, tn = table(m), table(n)
             ops = [(c, table(k)) for c, k in ops if c]
             product = tm.op.denominator * tn.op.denominator
             den = math.lcm(product, scalar.denominator, *(c.denominator * t.op.denominator for c, t in ops))
-            factor = den // product
-            scalar = _scaled(scalar, den)
             ops = [(_scaled(c, den // t.op.denominator), t) for c, t in ops]
+            grid.append((m, n, tm, tn, den, den // product, _scaled(scalar, den), ops))
+        twins = {(n, m) for m, n in pairs if m != n}  # pairs whose swapped pair is in the grid too
 
-            def sides(mono, lhs: dict, rhs: dict, rsign: int) -> None:
-                """Add the bracket on ``mono`` into ``lhs`` and ``rsign`` times
-                the expected side into ``rhs``, in numerators over ``den``."""
-                compose(tm, tn[mono], factor, lhs)
-                compose(tn, tm[mono], sign * factor, lhs)
-                rhs[mono] = rhs.get(mono, 0) + rsign * scalar
+        failing: list[tuple[int, int]] = []
+        for b, mono in enumerate(basis):
+            held: dict = {}  # the bracket of each pair whose twin has not read it yet
+            for j, (m, n, tm, tn, den, factor, scalar, ops) in enumerate(grid):
+                bracket = held.pop((n, m), None)
+                if bracket is not None:
+                    factor *= sign
+                else:
+                    bracket = {}
+                    if m != n or sign > 0:
+                        compose(tm, tn[mono], 1, bracket)
+                        compose(tn, tm[mono], sign, bracket)
+                    if (m, n) in twins:
+                        held[m, n] = bracket
+                defect = {out: factor * c for out, c in bracket.items()}
+                defect[mono] = defect.get(mono, 0) - scalar
                 for c, t in ops:
-                    compose(t, ((mono, rsign * c),), 1, rhs)
-
-            def states(mono) -> tuple[FockState, FockState]:
-                lhs: dict = {}
-                rhs: dict = {}
-                sides(mono, lhs, rhs, 1)
-                return FockState(lhs, den, space), FockState(rhs, den, space)
-
-            report.cases_run += len(basis)
-            for mono in basis:
-                defect: dict = {}
-                sides(mono, defect, defect, -1)
+                    compose(t, ((mono, -c),), 1, defect)
                 if any(defect.values()):
-                    report.fail(
-                        lambda: f"(m={m}, n={n}) on {format_state(FockState.monomial(mono, space=space))}",
-                        lambda: states(mono),
-                    )
+                    failing.append((j, b))
+
+        report.cases_run += len(grid) * len(basis)
+        for j, b in sorted(failing):
+            m, n, tm, tn, den, factor, scalar, ops = grid[j]
+            mono = basis[b]
+            report.fail(
+                lambda: f"(m={m}, n={n}) on {format_state(FockState.monomial(mono, space=space))}",
+                lambda: _sides(grid[j], mono, sign, space),
+            )
     return report
+
+
+def _sides(row: tuple, mono, sign: int, space: Space) -> tuple[FockState, FockState]:
+    """The bracket and the expected side of one grid row of
+    :func:`bracket_check` on ``mono``, as states."""
+    m, n, tm, tn, den, factor, scalar, ops = row
+    lhs: dict = {}
+    compose(tm, tn[mono], factor, lhs)
+    compose(tn, tm[mono], sign * factor, lhs)
+    rhs = {mono: scalar}
+    for c, t in ops:
+        compose(t, ((mono, c),), 1, rhs)
+    return FockState(lhs, den, space), FockState(rhs, den, space)
 
 
 def field_identity_check(

@@ -30,6 +30,7 @@ from .heisenberg import h_mode
 from .modeops import (
     COLUMNS,
     AffineOperator,
+    ColumnTable,
     FermionBilinear,
     apply_columns,
     bilinear_mode,
@@ -85,20 +86,30 @@ def sugawara_window(n: int, mono: Monomial) -> range:
     return range(n - bound, bound + 1)
 
 
+class HTables(dict):
+    """The column store's table of ``h_k`` by ``k``, each asked for once."""
+
+    def __missing__(self, k: int) -> ColumnTable:
+        table = self[k] = COLUMNS.table(h_mode(k), NEUTRAL)
+        return table
+
+
 # The column store keeps every L^1 column this computes, so the cache keeps
 # none: it only counts calls, which perfbench/child.py reads through
 # cache_info().
 @lru_cache(maxsize=0)
-def _sugawara_on_monomial(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
+def _sugawara_on_monomial(n: int, mono: Monomial, h_tables: HTables | None = None) -> tuple[tuple[Monomial, int], ...]:
     """``L^1_n mono`` as ``(monomial, int)`` pairs, numerators over
     :attr:`SugawaraOperator.denominator`, composed from the ``h`` columns of
-    the column store."""
+    the column store, read through ``h_tables`` (a new :class:`HTables` if
+    none is given)."""
+    h = HTables() if h_tables is None else h_tables
     acc: dict[Monomial, int] = {}
     for k in sugawara_window(n, mono):
         if 2 * k < n:
             continue  # the term at n - k is the same product
         twice = 1 if 2 * k == n else 2
-        compose(COLUMNS.table(h_mode(n - k), NEUTRAL), COLUMNS.table(h_mode(k), NEUTRAL)[mono], twice, acc)
+        compose(h[n - k], h[k][mono], twice, acc)
     # each h column is over 2, and L^1 carries a factor 1/2: over 8 in all
     return tuple((m, c) for m, c in acc.items() if c)
 
@@ -111,8 +122,9 @@ class SugawaraOperator:
     product is composed from the stored ``h`` columns in ``int`` numerators
     over 2, so a column of ``L^1_n`` has numerators over 8.  Its key
     ``("L1", n)`` puts those columns in the column store, which computes
-    each once through :func:`_sugawara_on_monomial`.  It acts on the
-    neutral space only, and its column is where that is checked.
+    each once through :func:`_sugawara_on_monomial`.  The ``h`` tables it
+    reads are asked for once per operator and held in ``h_tables``.  It acts
+    on the neutral space only, and its column is where that is checked.
     """
 
     denominator = 8
@@ -120,12 +132,13 @@ class SugawaraOperator:
     def __init__(self, n: int):
         self.n = n
         self.key = ("L1", n)
+        self.h_tables = HTables()
 
     def column(self, space: Space, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
         """The column on the neutral monomial ``mono``, computed afresh."""
         if space is not NEUTRAL:
             raise ValueError(f"L^1 acts on the neutral space, not on a {space.name} state")
-        return _sugawara_on_monomial(self.n, mono)
+        return _sugawara_on_monomial(self.n, mono, self.h_tables)
 
     def apply(self, state: FockState) -> FockState:
         return apply_columns(self, state)

@@ -165,13 +165,9 @@ class MatrixLift:
 
 
 def max_slot(basis: Sequence[ChargedMonomial]) -> int:
-    top = 1
-    for plus, minus in basis:
-        if plus:
-            top = max(top, plus[-1] + 1)
-        if minus:
-            top = max(top, minus[-1] + 2)
-    return top
+    """One more than every ``psi+`` index and two more than every ``psi-``
+    index of ``basis``, and at least 1."""
+    return max([1] + [max(plus.bit_length(), minus.bit_length() + 1) for plus, minus in basis])
 
 
 def scalar_defect_check(

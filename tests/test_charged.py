@@ -26,7 +26,16 @@ from fockcheck.charged import (
     to_charged,
     to_charged_monomial,
 )
-from fockcheck.fock import FockState, annihilation, apply_mode, creation, enumerate_basis, format_state
+from fockcheck.fock import (
+    FockState,
+    annihilation,
+    apply_mode,
+    creation,
+    enumerate_basis,
+    format_state,
+    indices_of,
+    mask_of,
+)
 from fockcheck.grading import dg
 from fockcheck.heisenberg import h_mode
 from fockcheck.suites import LAMBDA_PAIRS
@@ -75,7 +84,7 @@ def factor_count_action(species, m, mono):
     """``psi^species_m`` on the product of ``mono``'s factors, written out as a
     list (the ``psi+`` block, then the ``psi-`` block, each by increasing
     mode); the sign counts the factors the mode passes."""
-    plus, minus = mono
+    plus, minus = map(indices_of, mono)
     factors = [(PLUS, -j - 1) for j in sorted(plus, reverse=True)]
     factors += [(MINUS, -j - 1) for j in sorted(minus, reverse=True)]
     if m <= -1:
@@ -91,7 +100,7 @@ def factor_count_action(species, m, mono):
         passed = factors.index(partner)
         del factors[passed]
     block = {sp: tuple(sorted(-mode - 1 for s, mode in factors if s == sp)) for sp in (PLUS, MINUS)}
-    return (-1) ** passed, (block[PLUS], block[MINUS])
+    return (-1) ** passed, (mask_of(block[PLUS]), mask_of(block[MINUS]))
 
 
 def test_mode_action_matches_factor_counting():
@@ -179,8 +188,8 @@ def test_state_map_examples():
     assert to_charged(FockState.vacuum()) == FockState.vacuum(CHARGED)
     v1 = FockState.monomial((1,))
     assert to_charged(v1) == cstate(((0,), ()))
-    sign, image = to_charged_monomial((0, 2))
-    assert image == ((), (0, 1)) and sign in (1, -1)
+    sign, image = to_charged_monomial(mask_of((0, 2)))
+    assert image == CHARGED.monomial(((), (0, 1))) and sign in (1, -1)
 
 
 def test_state_map_charge_and_weight():

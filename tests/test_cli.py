@@ -383,6 +383,29 @@ def test_negative_and_empty_sizes_are_usage_errors(capsys, argv):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "heisenberg", "--mmax", "1_0"),
+        ("verify", "heisenberg", "--mmax", " 1"),
+        ("verify", "clifford", "--weight-cut", "1_6"),
+        ("verify", "all", "--jobs", "\uff12"),  # fullwidth 2
+        ("jacobi", "--which", "DA", "--qmax", "1_2"),
+        ("verify", "virasoro", "--family", "lambda", "--lambda", "\u0661/\u0663"),  # Arabic-Indic 1/3
+        ("verify", "virasoro", "--family", "lambda", "--b", " 1/3"),
+        ("apply", "h[\u0660] phi[-\u0665/2] |0>"),  # Arabic-Indic 0 and 5
+    ],
+)
+def test_integer_literals_take_ascii_digits_only(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
 SIZE_FLOORS = {"--weight-cut": "0", "--max-index": "1/2", "--mmax": "0", "--kmax": "0"}
 
 

@@ -16,7 +16,9 @@ from fockcheck.fock import (
     enumerate_basis,
     format_monomial,
     format_state,
+    indices_of,
     iter_modes,
+    mask_of,
     parse_half,
     parse_state,
     weight,
@@ -108,7 +110,7 @@ def test_action_matches_clifford_oracle(word_len):
     for word in words:
         expected = clifford_reduce(word, memo)
         got = chain_apply(word)
-        assert dict(got.sorted_terms()) == {m: Fraction(c) for m, c in expected.items()}, word
+        assert dict(got.sorted_terms()) == {mask_of(m): Fraction(c) for m, c in expected.items()}, word
 
 
 def test_anticommutator_on_monomials_small_grid():
@@ -125,7 +127,7 @@ def test_anticommutator_on_monomials_small_grid():
 def test_create_then_annihilate_is_identity_when_absent():
     for mono in enumerate_basis(10):
         for n in range(6):
-            if n in mono:
+            if n in indices_of(mono):
                 continue
             v = FockState.monomial(mono)
             assert apply_mode(annihilation(n), apply_mode(creation(n), v)) == v
@@ -167,18 +169,18 @@ def test_enumeration_counts_match_product_oracle():
 
 
 def test_enumeration_order_and_edges():
-    assert enumerate_basis(0) == [()]
-    assert enumerate_basis(1) == [(), (0,)]
+    assert enumerate_basis(0) == [mask_of(())]
+    assert enumerate_basis(1) == [mask_of(()), mask_of((0,))]
     b = enumerate_basis(8)
-    keys = [(weight2(m), m) for m in b]
+    keys = [(weight2(m), indices_of(m)) for m in b]
     assert keys == sorted(keys)
     assert len(set(b)) == len(b)
 
 
 def test_weight_values():
-    assert weight(()) == 0
-    assert weight((0, 2)) == Fraction(3)
-    assert weight((1,)) == Fraction(3, 2)
+    assert weight(mask_of(())) == 0
+    assert weight(mask_of((0, 2))) == Fraction(3)
+    assert weight(mask_of((1,))) == Fraction(3, 2)
 
 
 def test_format_and_parse_round_trip():
@@ -191,7 +193,7 @@ def test_format_and_parse_round_trip():
     assert parse_state(text) == state
     assert parse_state("0").is_zero
     assert format_state(FockState.zero()) == "0"
-    assert format_monomial((2,)) == "phi[-5/2] |0>"
+    assert format_monomial(mask_of((2,))) == "phi[-5/2] |0>"
     assert format_state(FockState.monomial((2,), -1)) == "-1 phi[-5/2] |0>"
 
 
@@ -200,6 +202,18 @@ def test_parse_half_literals():
     assert parse_half("15/2") == 15
     with pytest.raises(ValueError):
         parse_half("3/4")
+
+
+@pytest.mark.parametrize("text", ["1_6", " 8", "8 ", "\u0668", "+8", "15/2 ", "15/ 2", "\uff11\uff15/2"])
+def test_parse_half_takes_ascii_integer_literals_only(text):
+    with pytest.raises(ValueError):
+        parse_half(text)
+
+
+@pytest.mark.parametrize("text", ["1_0 |0>", "\u0661/3 |0>", "phi[-\u0665/2] |0>", "phi[-1_5/2] |0>"])
+def test_parse_state_takes_ascii_integer_literals_only(text):
+    with pytest.raises(ValueError):
+        parse_state(text)
 
 
 def test_round_trip_over_basis_states():
@@ -213,7 +227,7 @@ def test_round_trip_over_basis_states():
 
 
 def test_state_is_kept_in_lowest_terms():
-    m = (0, 2)
+    m = mask_of((0, 2))
     state = FockState({m: 2}, 4)
     assert state == FockState({m: 1}, 2)
     assert state.denominator == 2 and state.terms == {m: 1}
@@ -221,27 +235,27 @@ def test_state_is_kept_in_lowest_terms():
     whole = half + half
     assert whole.denominator == 1 and whole == FockState.vacuum()
     # a common factor of every numerator cancels too, not only of the first
-    assert FockState({(): 6, (1,): -9}, 15) == FockState({(): 2, (1,): -3}, 5)
+    assert FockState({mask_of(()): 6, mask_of((1,)): -9}, 15) == FockState({mask_of(()): 2, mask_of((1,)): -3}, 5)
 
 
 def test_zero_state_is_the_empty_map_over_one():
-    a = FockState({(0,): 3, (1,): -1}, 7)
-    for zero in (a - a, a.scale(0), FockState({(0,): 0}, 5), FockState.zero()):
+    a = FockState({mask_of((0,)): 3, mask_of((1,)): -1}, 7)
+    for zero in (a - a, a.scale(0), FockState({mask_of((0,)): 0}, 5), FockState.zero()):
         assert zero.terms == {} and zero.denominator == 1 and zero.is_zero
         assert zero == FockState.zero()
 
 
 def test_zero_numerators_are_dropped():
-    state = FockState({(0,): 0, (1,): 4, (2,): 0}, 6)
-    assert state.terms == {(1,): 2} and state.denominator == 3
-    b = FockState({(0,): 1, (1,): 1}, 2)
-    c = FockState({(0,): 1, (1,): -1}, 2)
-    assert (b + c).terms == {(0,): 1} and (b + c).denominator == 1
+    state = FockState({mask_of((0,)): 0, mask_of((1,)): 4, mask_of((2,)): 0}, 6)
+    assert state.terms == {mask_of((1,)): 2} and state.denominator == 3
+    b = FockState({mask_of((0,)): 1, mask_of((1,)): 1}, 2)
+    c = FockState({mask_of((0,)): 1, mask_of((1,)): -1}, 2)
+    assert (b + c).terms == {mask_of((0,)): 1} and (b + c).denominator == 1
 
 
 def test_coefficient_is_a_fraction():
-    state = FockState({(1,): 3}, 4)
-    assert state.coefficient((1,)) == Fraction(3, 4)
+    state = FockState({mask_of((1,)): 3}, 4)
+    assert state.coefficient((1,)) == Fraction(3, 4) == state.coefficient(mask_of((1,)))
     assert isinstance(state.coefficient((1,)), Fraction)
     assert isinstance(state.coefficient((0,)), Fraction) and state.coefficient((0,)) == 0
 
@@ -257,7 +271,7 @@ def test_states_of_different_spaces_do_not_combine():
 @pytest.mark.parametrize("denominator", [0, -1, -6])
 def test_nonpositive_denominator_raises(denominator):
     with pytest.raises(ValueError, match="denominator must be positive"):
-        FockState({(0,): 1}, denominator)
+        FockState({mask_of((0,)): 1}, denominator)
     with pytest.raises(ValueError, match="denominator must be positive"):
         FockState({}, denominator)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fockcheck.fock import enumerate_basis, weight
+from fockcheck.fock import enumerate_basis, indices_of, mask_of, weight
 from fockcheck.grading import (
     deg_h,
     dg,
@@ -17,16 +17,16 @@ from fockcheck.grading import (
 
 
 def test_dg_examples():
-    assert dg(()) == 0
-    assert dg((2,)) == -1  # phi[-5/2]|0>
-    assert dg((0, 3, 5)) == 1  # phi[-11/2] phi[-7/2] phi[-1/2] |0>
+    assert dg(mask_of(())) == 0
+    assert dg(mask_of((2,))) == -1  # phi[-5/2]|0>
+    assert dg(mask_of((0, 3, 5))) == 1  # phi[-11/2] phi[-7/2] phi[-1/2] |0>
 
 
 def test_vacuum_like_vectors():
-    assert vacuum_like(0) == ()
-    assert vacuum_like(1) == (1,)
-    assert vacuum_like(-2) == (0, 2)
-    assert vacuum_like(3) == (1, 3, 5)
+    assert indices_of(vacuum_like(0)) == ()
+    assert indices_of(vacuum_like(1)) == (1,)
+    assert indices_of(vacuum_like(-2)) == (0, 2)
+    assert indices_of(vacuum_like(3)) == (1, 3, 5)
     for n in range(-5, 6):
         assert dg(vacuum_like(n)) == n
         assert deg_h(vacuum_like(n)) == 0
@@ -39,8 +39,8 @@ def test_vacuum_like_weights(n):
 
 
 def test_deg_h_examples():
-    assert deg_h((2,)) == 1
-    assert deg_h((0, 3, 5)) == 4
+    assert deg_h(mask_of((2,))) == 1
+    assert deg_h(mask_of((0, 3, 5))) == 4
 
 
 def test_deg_h_integrality_up_to_weight_12():
@@ -50,7 +50,7 @@ def test_deg_h_integrality_up_to_weight_12():
 
 def test_parity_compatibility():
     for mono in enumerate_basis(20):
-        assert dg(mono) % 2 == len(mono) % 2
+        assert dg(mono) % 2 == len(indices_of(mono)) % 2
 
 
 def test_sector_partition_of_basis():
@@ -67,8 +67,8 @@ def test_sector_partition_of_basis():
 
 
 def test_sector_examples():
-    assert sector_basis(0, 0) == [()]
-    assert (2,) in sector_basis(-1, 1)
+    assert sector_basis(0, 0) == [mask_of(())]
+    assert mask_of((2,)) in sector_basis(-1, 1)
     assert len(sector_basis(0, 4)) == partition_count(4) == 5
 
 
@@ -102,8 +102,8 @@ def test_partitions_enumeration():
 
 
 def test_lemma_vector_examples():
-    assert lemma_vector(()) == ()
-    assert lemma_vector((1,)) == (0, 1)  # phi[-3/2] phi[-1/2] |0>
+    assert indices_of(lemma_vector(())) == ()
+    assert indices_of(lemma_vector((1,))) == (0, 1)  # phi[-3/2] phi[-1/2] |0>
     mono = lemma_vector((2, 1))
     assert (dg(mono), deg_h(mono)) == (0, 3)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fockcheck.fock import FockState, enumerate_basis, format_state
+from fockcheck.fock import FockState, enumerate_basis, format_state, indices_of, mask_of
 from fockcheck.grading import deg_h, dg, sector_basis, vacuum_like
 from fockcheck.heisenberg import (
     h_mode,
@@ -25,7 +25,7 @@ def h_oracle(n, mono, span=12):
     must match an occupied slot and pure-creation terms need i, T-i >= 0.
     """
     acc = {}
-    word_tail = tuple(-(2 * m + 1) for m in reversed(mono))
+    word_tail = tuple(-(2 * m + 1) for m in reversed(indices_of(mono)))
     for i in range(-span, span + 1):
         p = -(2 * i + 1)
         q = -(2 * (-2 * n - 1 - i) + 1)
@@ -37,7 +37,7 @@ def h_oracle(n, mono, span=12):
         if contraction:
             for m, c in clifford_reduce(word_tail).items():
                 acc[m] = acc.get(m, 0) - sign * contraction * c
-    return {m: c for m, c in acc.items() if c}
+    return {mask_of(m): c for m, c in acc.items() if c}
 
 
 @pytest.mark.parametrize("n", [-2, -1, 0, 1, 2])

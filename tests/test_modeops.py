@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,9 +18,10 @@ from fockcheck.charged import (
     ChargedBilinear,
     charged_bilinear_mode,
     enumerate_charged_basis,
+    hA_mode,
     lA_lambda_b_mode,
 )
-from fockcheck.fock import NEUTRAL, FockState, apply_mode, enumerate_basis, weight2
+from fockcheck.fock import NEUTRAL, FockState, apply_mode, enumerate_basis, mask_of, weight2
 from fockcheck.modeops import (
     COLUMNS,
     AffineOperator,
@@ -399,7 +401,8 @@ def test_an_operator_without_a_key_gets_a_new_private_table():
     registered = set(COLUMNS.tables)
     first, second = COLUMNS.table(op, NEUTRAL), COLUMNS.table(op, NEUTRAL)
     assert first is not second and not first and first.store is None
-    assert dict(first[(0, 2)]) == dict(h_mode(1).column(NEUTRAL, (0, 2)))
+    mono = mask_of((0, 2))
+    assert dict(first[mono]) == dict(h_mode(1).column(NEUTRAL, mono))
     assert set(COLUMNS.tables) == registered and all(t is not first for t in COLUMNS.tables.values())
 
 
@@ -421,7 +424,7 @@ def test_reading_a_monomial_twice_computes_its_column_once(monkeypatch):
 
     monkeypatch.setattr(ColumnTable, "__missing__", counted_missing)
     COLUMNS.clear()
-    mono = (0, 1, 3)
+    mono = mask_of((0, 1, 3))
     for op in (h_mode(2), Counted()):
         table = COLUMNS.table(op, NEUTRAL)
         assert table[mono] is table[mono]
@@ -457,3 +460,57 @@ def test_store_tables_hold_only_what_fill_inserted():
     lam_mode = virasoro.lambda_family(lam, b)
     assert virasoro_bracket("lam", "L(lam,b)", lam_mode, virasoro.central_charge(lam), 2, basis).passed
     assert sum(len(table) for table in COLUMNS.tables.values()) == COLUMNS.entries > 0
+
+
+def test_a_quadratic_operator_computes_each_coefficient_once():
+    calls = Counter()
+    h = h_mode(1)
+
+    def rule(i):
+        calls[i] += 1
+        return h.rule(i)
+
+    op = QuadraticModeOperator(rule, h.support, h.denominator, ("counted", 1))
+    basis = enumerate_basis(10)
+    for _ in range(2):
+        for mono in basis:
+            assert dict(op.column(NEUTRAL, mono)) == dict(h.column(NEUTRAL, mono))
+    # the memo holds exactly the indices the support yielded, each rule(i) once
+    yielded = set().union(*(op.support(mono) for mono in basis))
+    assert set(calls.values()) == {1} and set(calls) == set(op.summands) == yielded
+
+
+def test_an_affine_operator_asks_for_each_part_table_once_per_space(monkeypatch):
+    calls = []
+    lookup = ColumnStore.table
+
+    def counted_table(self, op, space):
+        calls.append((op.key, space))
+        return lookup(self, op, space)
+
+    monkeypatch.setattr(ColumnStore, "table", counted_table)
+    neutral = AffineOperator([(1, h_mode(1)), (Fraction(1, 3), h_mode(-1))], 2)
+    charged = AffineOperator([(1, hA_mode(1))])
+    for mono in enumerate_basis(8):
+        neutral.apply(FockState.monomial(mono))
+    for mono in enumerate_charged_basis(8):
+        charged.apply(FockState.monomial(mono, space=CHARGED))
+    assert calls == [(("h", 1), NEUTRAL), (("h", -1), NEUTRAL), (hA_mode(1).key, CHARGED)]
+
+
+def test_an_l1_operator_asks_for_each_h_table_once(monkeypatch):
+    COLUMNS.clear()
+    calls = Counter()
+    lookup = ColumnStore.table
+
+    def counted_table(self, op, space):
+        calls[op.key] += 1
+        return lookup(self, op, space)
+
+    monkeypatch.setattr(ColumnStore, "table", counted_table)
+    op = sugawara_l1_mode(1)
+    basis = enumerate_basis(12)
+    columns = [op.column(NEUTRAL, mono) for mono in basis]
+    assert calls and set(calls.values()) == {1} and set(calls) == {("h", k) for k in op.h_tables}
+    # the same columns as through a new set of tables, which asks once per term
+    assert columns == [virasoro._sugawara_on_monomial(1, mono) for mono in basis]

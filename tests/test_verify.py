@@ -8,9 +8,9 @@ import pytest
 
 from fockcheck import virasoro
 from fockcheck.charged import CHARGED, hA_mode
-from fockcheck.fock import FockState, enumerate_basis, format_state
+from fockcheck.fock import FockState, enumerate_basis, format_state, iter_modes
 from fockcheck.heisenberg import h_mode
-from fockcheck.modeops import AffineOperator, FermionBilinear
+from fockcheck.modeops import AffineOperator, FermionBilinear, ModeOperator
 from fockcheck.verify import (
     MAX_WITNESSES,
     VerificationReport,
@@ -19,7 +19,13 @@ from fockcheck.verify import (
     fraction_free_rank,
     merge_reports,
 )
-from fockcheck.suites import heisenberg_expected, square_grid, virasoro_bracket, virasoro_expected
+from fockcheck.suites import (
+    clifford_expected,
+    heisenberg_expected,
+    square_grid,
+    virasoro_bracket,
+    virasoro_expected,
+)
 
 
 def test_bracket_check_passes_heisenberg():
@@ -50,6 +56,12 @@ def test_red_bracket_witness_renders_fractional_sides():
 def test_bracket_check_rejects_a_non_canonical_basis_monomial():
     with pytest.raises(ValueError, match="not a canonical neutral monomial"):
         bracket_check("h", "commutator", h_mode, heisenberg_expected, [(1, -1)], [(), (1, 0)])
+    # a basis holds monomials as stored: masks, never negative or bool
+    for bad in (-1, True):
+        with pytest.raises(ValueError, match="not a canonical neutral monomial"):
+            bracket_check("h", "commutator", h_mode, heisenberg_expected, [(1, -1)], [0, bad])
+    with pytest.raises(ValueError, match="not a canonical charged monomial"):
+        bracket_check("h", "commutator", hA_mode, heisenberg_expected, [(1, -1)], [(0, 0), (0, -1)], CHARGED)
 
 
 def test_bracket_check_rejects_a_basis_monomial_with_a_non_int_index():
@@ -89,6 +101,61 @@ def test_failing_bracket_cases_render_the_lowest_terms_states():
     assert report.cases_run == 25 * len(basis)
     assert report.failures_total == len(failing) == 2 * len(basis) > MAX_WITNESSES
     assert report.failures == failing[:MAX_WITNESSES]
+
+
+def plain_failures(kind, mode, expected, pairs, basis):
+    """``(pair, witness)`` for every failing case of a bracket grid, both sides
+    by plain state arithmetic, pair-major, then in basis order."""
+    sign = 1 if kind == "anticommutator" else -1
+    failing = []
+    for m, n in pairs:
+        ops, scalar = expected(m, n)
+        for mono in basis:
+            v = FockState.monomial(mono)
+            lhs = mode(m).apply(mode(n).apply(v)) + mode(n).apply(mode(m).apply(v)).scale(sign)
+            rhs = v.scale(scalar)
+            for c, k in ops:
+                rhs = rhs + mode(k).apply(v).scale(c)
+            if lhs != rhs:
+                witness = f"(m={m}, n={n}) on {format_state(v)}"
+                failing.append(((m, n), {"witness": witness, "lhs": format_state(lhs), "rhs": format_state(rhs)}))
+    return failing
+
+
+CLIFFORD_GRID = [(s, t) for s in iter_modes(5) for t in iter_modes(5)]
+GRIDS = {
+    "commutator": (h_mode, heisenberg_expected, square_grid(2)),
+    "anticommutator": (ModeOperator, clifford_expected, CLIFFORD_GRID),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRIDS))
+def test_a_defect_only_in_swapped_pairs_fails_exactly_those(kind):
+    # the bracket of (n, m) is read back from (m, n); an expected side wrong
+    # only for m > n must fail exactly those cases, with the plain sides
+    mode, right, grid = GRIDS[kind]
+    basis = enumerate_basis(6)
+    wrong = lambda m, n: (right(m, n)[0], right(m, n)[1] + (Fraction(1, 3) if m > n else 0))
+    assert bracket_check("right", kind, mode, right, grid, basis).passed
+    report = bracket_check("swapped", kind, mode, wrong, grid, basis)
+    failing = plain_failures(kind, mode, wrong, grid, basis)
+    assert report.cases_run == len(grid) * len(basis)
+    assert {pair for pair, _ in failing} == {(m, n) for m, n in grid if m > n}
+    assert report.failures_total == len(failing) == sum(m > n for m, n in grid) * len(basis)
+    assert report.failures == [witness for _, witness in failing[:MAX_WITNESSES]]
+
+
+def test_a_nonzero_expected_diagonal_fails_the_diagonal():
+    # [A_m, A_m] is the zero vector, never composed; a nonzero expected side
+    # there must still fail, with the bracket rendered as 0
+    basis = enumerate_basis(6)
+    wrong = lambda m, n: ([], Fraction(1, 3)) if m == n else heisenberg_expected(m, n)
+    report = bracket_check("diagonal", "commutator", h_mode, wrong, square_grid(2), basis)
+    failing = plain_failures("commutator", h_mode, wrong, square_grid(2), basis)
+    assert {pair for pair, _ in failing} == {(m, m) for m in range(-2, 3)}
+    assert report.failures_total == len(failing) == 5 * len(basis)
+    assert report.failures == [witness for _, witness in failing[:MAX_WITNESSES]]
+    assert all(failure["lhs"] == "0" for failure in report.failures)
 
 
 def test_bracket_check_rejects_an_unknown_kind():
