@@ -231,8 +231,7 @@ def bracket_check(
 
         report.cases_run += len(grid) * len(basis)
         for j, b in sorted(failing):
-            m, n, tm, tn, den, factor, scalar, ops = grid[j]
-            mono = basis[b]
+            (m, n, *_), mono = grid[j], basis[b]
             report.fail(
                 lambda: f"(m={m}, n={n}) on {format_state(FockState.monomial(mono, space=space))}",
                 lambda: _sides(grid[j], mono, sign, space),
