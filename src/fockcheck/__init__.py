@@ -28,7 +28,7 @@ from .fock import (
 )
 from .grading import deg_h, dg, lemma_vector, partition_count, sector_basis, vacuum_like, weight
 from .heisenberg import h_mode, highest_weight_check, spanning_check
-from .modeops import FermionBilinear, bilinear_mode, normal_order_pair
+from .modeops import FermionBilinear, bilinear_mode
 from .qchar import CharacterSeries, char_product_form, char_sum_form, char_trace, jacobi_check
 from .suites import SUITES, run_suite
 from .verify import VerificationReport, bracket_check, field_identity_check

@@ -23,8 +23,8 @@ acts on one block as the neutral mode ``code | 1`` acts on a neutral
 monomial: a ``psi+`` creator or a ``psi-`` annihilator on the ``psi+``
 block, a ``psi-`` creator or a ``psi+`` annihilator on the ``psi-`` block
 with the extra sign ``(-1)**plus.bit_count()`` for passing the ``psi+`` block.
-The Clifford sign rule thus lives once, in
-:func:`fockcheck.fock.apply_mode_to_monomial`.
+The Clifford sign rule thus lives once, in :func:`fockcheck.fock.mode_bits`,
+which ``CHARGED.decode`` prefixes with the block a mode acts on.
 
 The neutral space maps onto this one by the mode dictionary
 
@@ -57,6 +57,7 @@ from .fock import (
     increasing_tuples,
     indices_of,
     mask_of,
+    mode_bits,
 )
 from .modeops import AffineOperator, QuadraticModeOperator, falling
 
@@ -156,14 +157,15 @@ def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> QuadraticModeO
         c = pref * falling(-a - 1, a_ord) * falling(-b - 1, b_ord)
         return 2 * a + l_bit, 2 * b + r_bit, c
 
-    def support(mono: ChargedMonomial) -> set[int]:
+    def support(mono: ChargedMonomial) -> list[int]:
         plus, minus = mono
-        hits = set(range(T + 1, 0))  # both create: T+1 <= a <= -1
-        hits.update(indices_of(minus if sp_l == PLUS else plus))  # left factor annihilates index j: a = j
-        hits.update(T - j for j in indices_of(minus if sp_r == PLUS else plus))  # right one: T - a = j
+        hits = list(range(T + 1, 0))  # both create: T+1 <= a <= -1
+        hits += indices_of(minus if sp_l == PLUS else plus)  # left factor annihilates index j: a = j
+        # the left one creates and the right one annihilates index j: T - a = j, a <= -1
+        hits += [T - j for j in indices_of(minus if sp_r == PLUS else plus) if j > T]
         return hits
 
-    return QuadraticModeOperator(rule, support, bil.prefactor.denominator, (bil, exponent))
+    return QuadraticModeOperator(rule, support, bil.prefactor.denominator, (bil, exponent), CHARGED)
 
 
 H_CHARGED_BILINEAR = ChargedBilinear(Fraction(1), 0, PLUS, 0, MINUS, 0)
@@ -208,11 +210,6 @@ def charged_mode_of(t: int) -> tuple[int, int]:
     if t % 4 == 1:  # the modes -2j-3/2: creation of odd indices / psi+ side
         return PLUS, (t - 1) // 4
     return MINUS, (t - 3) // 4
-
-
-def neutral_mode_of(species: int, m: int) -> int:
-    """Inverse of the mode dictionary."""
-    return 4 * m + 1 if species == PLUS else 4 * m + 3
 
 
 def _split_sign(mono: ChargedMonomial) -> int:
@@ -311,6 +308,7 @@ CHARGED = Space(
     _from_indices,
     _report_key,
     format_charged_monomial,
+    lambda code: (int((code < 0) == (code & 1)), *mode_bits(code | 1)),  # block 0 is psi+, 1 is psi-
 )
 
 # perfbench/layers.py traces the charged layer under these names.

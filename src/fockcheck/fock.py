@@ -103,6 +103,14 @@ def weight(mono: Monomial) -> Fraction:
     return Fraction(weight2(mono), 2)
 
 
+def mode_bits(t: int) -> tuple[int, int, int]:
+    """The mode ``t`` (twice-encoded) as bit operations ``(bit, need, shift)``:
+    it acts nonzero on ``mono`` when ``mono & bit == need``, giving ``mono ^
+    bit`` with the sign ``(-1)**(mono >> shift).bit_count()``."""
+    n = ((t - 1) if t > 0 else (-t - 1)) >> 1
+    return 1 << n, (1 << n) if t > 0 else 0, n + 1
+
+
 def apply_mode_to_monomial(t: int, mono: Monomial) -> tuple[int, Monomial] | None:
     """Action of the mode ``t`` (twice-encoded) on a basis monomial.
 
@@ -111,17 +119,10 @@ def apply_mode_to_monomial(t: int, mono: Monomial) -> tuple[int, Monomial] | Non
     of the affected slot in the canonical product, i.e. the occupied indices
     strictly greater than the target index: a popcount of the mask above it.
     """
-    if t < 0:
-        n = (-t - 1) >> 1
-        bit = 1 << n
-        if mono & bit:
-            return None
-        return (-1 if (mono >> n).bit_count() & 1 else 1), mono | bit
-    n = (t - 1) >> 1
-    bit = 1 << n
-    if not mono & bit:
+    bit, need, shift = mode_bits(t)
+    if mono & bit != need:
         return None
-    return (-1 if (mono >> (n + 1)).bit_count() & 1 else 1), mono ^ bit
+    return (-1 if (mono >> shift).bit_count() & 1 else 1), mono ^ bit
 
 
 def _is_canonical(mono: Monomial) -> bool:
@@ -151,6 +152,7 @@ class Space:
     from_indices: Callable[[Any], Any]  # the monomial of an index form, else raises ValueError
     sort_key: Callable[[Any], Any]  # report order of monomials
     format_monomial: Callable[[Any], str]
+    decode: Callable[[int], tuple[int, ...]]  # a mode code as its mode_bits, led by its block if there are two
 
     def monomial(self, mono) -> Any:
         """``mono``, given as stored or in index form, as stored; ``ValueError``
@@ -172,6 +174,7 @@ NEUTRAL = Space(
     mask_of,
     lambda mono: (weight2(mono), indices_of(mono)),
     format_monomial,
+    mode_bits,
 )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .fock import FockState
+from .fock import NEUTRAL, FockState
 from .grading import partition_count, partitions, sector_basis, vacuum_like
 from .modeops import AffineOperator, FermionBilinear, QuadraticModeOperator, bilinear_mode, pair_support
 from .verify import VerificationReport, field_identity_check, fraction_free_rank
@@ -31,7 +31,7 @@ def h_mode(n: int) -> QuadraticModeOperator:
     def rule(i: int):
         return -(2 * i + 1), -(2 * (T - i) + 1), -1 if i % 2 == 0 else 1
 
-    return QuadraticModeOperator(rule, pair_support(T), 2, ("h", n))
+    return QuadraticModeOperator(rule, pair_support(T), 2, ("h", n), NEUTRAL)
 
 
 HEISENBERG_BILINEAR = FermionBilinear(Fraction(1, 2), 0, 0, 0, 1, -1)

@@ -8,15 +8,14 @@ with constant weight shift.  They are never materialised: a
 finitely many ``i`` whose summand can act on it without annihilating
 everything.  A summand acts nonzero only if every annihilator among its two
 factors targets a mode present in the monomial, or both factors create,
-which pins ``i`` to a finite window.  The support is a set, walked over the
-set bits of the monomial's masks, and each operator memoises ``rule(i)``
-per free index, so a coefficient is computed once however many monomials
-it meets; the memo spans the index range of the monomials acted on.
+which pins ``i`` to a finite window.  The support lists each such ``i``
+once, walked over the set bits of the monomial's masks.
 
 The operator classes are shared by both spaces: a mode is an ``int`` code
-of the space of the state acted on (see :mod:`fockcheck.fock`), and the
-pair action reads the single-mode action from that state's space.  Only
-the constructors differ, because the two field expansions differ.
+of a space (see :mod:`fockcheck.fock`), and a quadratic operator carries
+the space it acts on.  Only the constructors differ, because the two field
+expansions differ.  :func:`apply_pair_to_monomial`, the pair action through
+the space's single-mode action, is the reference for the column loop.
 
 Every operator declares a ``denominator`` D: each coefficient of its action
 on a basis monomial lies in ``(1/D)Z``.  The action on one monomial is the
@@ -28,23 +27,27 @@ denominators and adds their columns in ``int`` numerators over it.
 Every column is read as ``table[mono]`` from the operator's column table,
 which :meth:`ColumnStore.table` alone hands out; a missing column is
 computed on read, and a store table writes its own columns.  Operators are
-composed on columns by :func:`compose`, the one loop that applies a column
-table to a vector.  A primitive operator carries a ``key`` that names its
+composed on columns by :func:`compose`, the one loop that applies an
+operator to a vector through its :data:`Factor`: an affine combination's
+parts' tables with their weights plus its scalar, any other operator's own
+table.  A primitive operator carries a ``key`` that names its
 construction: ``(bil, exponent)`` for :func:`bilinear_mode` and
 :func:`~fockcheck.charged.charged_bilinear_mode`, ``("h", n)`` for
 :func:`~fockcheck.heisenberg.h_mode` and ``("L1", n)`` for
-:class:`~fockcheck.virasoro.SugawaraOperator`; its ``column(space, mono)``
-computes a column afresh.  Equal keys build equal operators, so they share
-one table of the process-wide :data:`COLUMNS` store, which computes each
-column once.  The key names the construction, not the mathematical operator:
-two constructions a check compares (``h_mode`` and ``h_mode_bilinear``, a
-tilde bilinear and its :func:`parity_flip`) never share a column.  Any
+:class:`~fockcheck.virasoro.SugawaraOperator`, and a ``space``; its
+``column(mono, intern)`` computes a column afresh.  Equal keys build equal
+operators, so they share one table of the process-wide :data:`COLUMNS`
+store, which computes each column once; asking for a keyed operator's
+table on another space raises ``ValueError``.  The key names the
+construction, not the mathematical operator: two constructions a check
+compares (``h_mode`` and ``h_mode_bilinear``, a tilde bilinear and its
+:func:`parity_flip`) never share a column.  Any
 other operator (affine combinations, single modes, wrappers) gets a new
 private table: a column there is its ``apply`` on the one-monomial state,
 and a coefficient of it outside ``(1/D)Z`` raises ``ArithmeticError``, so an
 undersized declaration is caught monomial by monomial, also inside an
 affine combination.  An affine combination asks for its parts' tables once
-per space and holds them.
+per space and holds them in its factor.
 
 Normal ordering of a pair subtracts the vacuum expectation.  As an action
 this means: when the left factor annihilates and the right one creates, the
@@ -64,25 +67,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from .fock import FockState, Monomial, Space, add_term, apply_mode, check_mode
+from .fock import NEUTRAL, FockState, Monomial, Space, add_term, apply_mode
 
 Pair = tuple[int, int, int]  # left mode code, right mode code, coefficient numerator
 Column = tuple[tuple[Any, int], ...]  # (monomial, int numerator over the operator's denominator)
-
-
-def normal_order_pair(p: int, q: int) -> tuple[tuple[int, int], int, Fraction]:
-    """Data of ``:phi_p phi_q:`` with annihilators moved right.
-
-    Returns ``((p', q'), sign, contraction)`` where the normal-ordered pair
-    equals ``sign * phi_p' phi_q'`` as an operator and
-    ``phi_p phi_q - contraction`` as a reordering identity; the contraction
-    is the vacuum expectation ``<0| phi_p phi_q |0> = delta(p, -q) [p > 0]``.
-    """
-    check_mode(p)
-    check_mode(q)
-    if p > 0 and q < 0:
-        return (q, p), -1, Fraction(1) if p == -q else Fraction(0)
-    return (p, q), 1, Fraction(0)
+# An operator as the outer factor of compose: (column table, weight) parts and
+# a scalar, both numerators over the operator's denominator.
+Factor = tuple[tuple[tuple["ColumnTable", int], ...], int]
 
 
 def apply_pair_to_monomial(act: Callable, p: int, q: int, mono, acc: dict, coeff: int) -> None:
@@ -107,19 +98,22 @@ def apply_pair_to_monomial(act: Callable, p: int, q: int, mono, acc: dict, coeff
 
 
 class QuadraticModeOperator:
-    """Lazy sum ``sum_i (w_i / D) :X_{p_i} Y_{q_i}:`` with finite action.
+    """Lazy sum ``sum_i (w_i / D) :X_{p_i} Y_{q_i}:`` with finite action on ``space``.
 
     ``rule(i)`` yields the ``i``-th summand ``(p, q, w)`` with the ``int``
     numerator ``w`` over the declared ``denominator`` D; ``support(mono)``
-    yields every ``i`` whose summand can act nonzero on ``mono`` (a finite,
-    possibly overcomplete, set).  All summands must shift weight by the same
-    amount so the operator is homogeneous.  ``key`` names the construction
-    for the column store.
+    yields, once each, every ``i`` whose summand can act nonzero on ``mono``
+    (a finite, possibly overcomplete, list).  All summands must shift weight
+    by the same amount so the operator is homogeneous.  ``key`` names the
+    construction for the column store, and ``space`` is the one space it
+    acts on.
 
     ``summands`` memoises ``rule(i)`` for every ``i`` the support has
-    yielded, so an operator computes each coefficient once.  The support of
-    a monomial lies within the weight shift of its largest index, so the memo
-    is bounded by the index range of the monomials the operator has acted on.
+    yielded, so each coefficient is computed once: the factor acting first
+    and the second as ``space.decode`` bit operations, then the numerator
+    with the normal-order sign of :func:`apply_pair_to_monomial` folded in;
+    a zero numerator adds zeros, which the column drops.  The memo is
+    bounded by the index range of the monomials the operator has acted on.
     """
 
     def __init__(
@@ -128,39 +122,84 @@ class QuadraticModeOperator:
         support: Callable[[object], Iterable[int]],
         denominator: int,
         key: Hashable,
+        space: Space,
     ):
         self.rule = rule
         self.support = support
         self.denominator = denominator
         self.key = key
-        self.summands: dict[int, Pair] = {}
+        self.space = space
+        self.summands: dict[int, tuple] = {}
 
-    def accumulate(self, act: Callable, mono, k: int, acc: dict) -> None:
-        """Add ``k * D * self`` on ``mono`` into ``acc``, in ``int`` numerators;
-        ``act`` is the single-mode action of the space of ``mono``."""
-        rule, summands = self.rule, self.summands
-        for i in self.support(mono):
-            pair = summands.get(i)
-            if pair is None:
-                pair = summands[i] = rule(i)
-            p, q, w = pair
-            if w:
-                apply_pair_to_monomial(act, p, q, mono, acc, w * k)
+    def summand(self, i: int) -> tuple:
+        """Memoise and return ``rule(i)`` decoded."""
+        p, q, w = self.rule(i)
+        (first, second, w), decode = ((p, q, -w) if q < 0 <= p else (q, p, w)), self.space.decode
+        out = self.summands[i] = (*decode(first), *decode(second), w)
+        return out
 
-    def column(self, space: Space, mono) -> Column:
-        """The column on the monomial ``mono`` of ``space``, computed afresh."""
-        acc: dict = {}
-        self.accumulate(space.act, mono, 1, acc)
-        return tuple(acc.items())
+    def column(self, mono, intern: Callable) -> Column:
+        """The column on ``mono``, computed afresh in one loop with no call
+        per summand, its monomials passed through ``intern(m, m)``.  A neutral
+        monomial is one mask; a charged one is two blocks, and a mode on the
+        ``psi-`` block also passes the ``psi+`` one."""
+        summands, acc = self.summands, {}
+        get = acc.get
+        if self.space is NEUTRAL:
+            for i in self.support(mono):
+                try:
+                    e = summands[i]
+                except KeyError:
+                    e = self.summand(i)
+                b1, n1, s1, b2, n2, s2, w = e
+                if mono & b1 != n1:
+                    continue
+                mid = mono ^ b1
+                if mid & b2 != n2:
+                    continue
+                out = mid ^ b2
+                acc[out] = get(out, 0) + (-w if ((mono >> s1) ^ (mid >> s2)).bit_count() & 1 else w)
+        else:
+            plus, minus = mono
+            for i in self.support(mono):
+                try:
+                    e = summands[i]
+                except KeyError:
+                    e = self.summand(i)
+                x1, b1, n1, s1, x2, b2, n2, s2, w = e
+                p, m = plus, minus  # the sign's parity is that of the popcount of odd
+                if x1:
+                    if m & b1 != n1:
+                        continue
+                    odd = (m >> s1) ^ p
+                    m ^= b1
+                else:
+                    if p & b1 != n1:
+                        continue
+                    odd = p >> s1
+                    p ^= b1
+                if x2:
+                    if m & b2 != n2:
+                        continue
+                    odd ^= (m >> s2) ^ p
+                    m ^= b2
+                else:
+                    if p & b2 != n2:
+                        continue
+                    odd ^= p >> s2
+                    p ^= b2
+                out = (p, m)
+                acc[out] = get(out, 0) + (-w if odd.bit_count() & 1 else w)
+        return tuple([(intern(m, m), c) for m, c in acc.items() if c])
 
     def apply(self, state: FockState) -> FockState:
         return apply_columns(self, state)
 
 
 # Columns the store holds before its tables are emptied.  At their default
-# cut-offs the five neutral bracket-grid suites fill 15,730 columns in one
-# process (12,685 of quadratic operators, 3,045 of L^1), and all fourteen
-# suites 26,249; 32768 holds a whole run and bounds the memory of larger
+# cut-offs the five neutral bracket-grid suites fill 14,965 columns in one
+# process (12,036 of quadratic operators, 2,929 of L^1), and all fourteen
+# suites 25,256; 32768 holds a whole run and bounds the memory of larger
 # cut-offs.
 STORE_SIZE = 32768
 
@@ -168,8 +207,8 @@ STORE_SIZE = 32768
 class ColumnTable(dict):
     """The columns of ``op`` on ``space`` by monomial; reading a missing one
     computes it.  A table of ``store`` writes its own columns: it computes
-    one by ``op.column``, empties the store first if it is full, interns the
-    monomials and counts the insertion.  A private table (``store`` is
+    one by ``op.column`` with the store's interning, empties the store first
+    if it is full and counts the insertion.  A private table (``store`` is
     ``None``) computes one through :func:`apply_declared`."""
 
     __slots__ = ("op", "space", "store")
@@ -184,12 +223,10 @@ class ColumnTable(dict):
             scale = op.denominator // out.denominator
             col = self[mono] = tuple((m, n * scale) for m, n in out.terms.items())
             return col
-        col = op.column(self.space, mono)  # may fill other columns first: L^1 reads h columns
+        intern = store.interned.setdefault
+        col = op.column(mono, intern)  # may fill other columns first: L^1 reads h columns
         if store.entries >= STORE_SIZE:
             store.clear()
-        intern = store.interned.setdefault
-        if any(intern(m, m) is not m for m, _ in col):
-            col = tuple((intern(m, m), c) for m, c in col)
         self[intern(mono, mono)] = col
         store.entries += 1
         return col
@@ -201,10 +238,10 @@ class ColumnStore:
     ``tables[(key, space)]`` is the :class:`ColumnTable` of the operator
     built by ``key``: a monomial maps to the tuple of ``(monomial,
     numerator)`` pairs, over the operator's declared denominator, that its
-    ``column(space, mono)`` computes.  A store table writes its own columns.
-    Monomials are interned, so a monomial met in many columns is stored
-    once, and a column whose monomials are all interned already is kept as
-    computed.  The registry keeps one table, possibly empty, per ``(key,
+    ``column(mono, intern)`` computes.  A store table writes its own columns.
+    Monomials are interned as the column is built (an L^1 column takes them
+    from the stored ``h`` columns), so a monomial met in many columns is
+    stored once.  The registry keeps one table, possibly empty, per ``(key,
     space)`` asked for, with the operator that first asked, for the whole
     process.  When :data:`STORE_SIZE` columns are held, the next insertion
     first empties every table in place.  It starts empty.
@@ -217,12 +254,17 @@ class ColumnStore:
 
     def table(self, op, space: Space) -> ColumnTable:
         """The column table of ``op`` on ``space``: the store's own for an
-        operator with a ``key``, a new private one for any other."""
+        operator with a ``key``, a new private one for any other.  A keyed
+        operator acts on its own ``space`` only; asking for another raises
+        ``ValueError`` and registers nothing."""
         key = getattr(op, "key", None)
         if key is None:
             return ColumnTable(op, space)
         table = self.tables.get((key, space))
         if table is None:
+            if op.space is not space:
+                name = f"{type(op).__name__} {key}"
+                raise ValueError(f"{name} acts on the {op.space.name} space, not on a {space.name} state")
             table = self.tables[key, space] = ColumnTable(op, space, self)
         return table
 
@@ -248,22 +290,40 @@ def apply_declared(op, mono, space: Space) -> FockState:
     return out
 
 
-def compose(table: ColumnTable, col: Iterable[tuple[Any, int]], factor: int, acc: dict) -> None:
-    """Add ``factor * D * op`` on the vector ``col`` of ``(monomial,
-    numerator)`` pairs into ``acc``, for the operator ``op`` whose columns
-    ``table`` holds and its denominator ``D``.  Every product of an operator
-    with columns is this loop."""
+def as_factor(table: ColumnTable) -> Factor:
+    """The operator of ``table`` as an outer factor of :func:`compose`: an
+    :class:`AffineOperator` contributes its parts' tables and its scalar
+    (:meth:`AffineOperator.factor`), any other operator ``table`` itself
+    with weight 1."""
+    op = table.op
+    return op.factor(table.space) if isinstance(op, AffineOperator) else (((table, 1),), 0)
+
+
+def compose(factor: Factor, col: Iterable[tuple[Any, int]], scale: int, acc: dict) -> None:
+    """Add ``scale * D * A`` on the vector ``col`` of ``(monomial,
+    numerator)`` pairs into ``acc``, for the operator ``A`` over ``D`` whose
+    factor is ``((table_j, w_j), ...), s``: ``A = sum_j (w_j / D) D_j op_j
+    + (s / D) Id``, with ``table_j`` holding the columns of ``op_j`` over
+    ``D_j``.  ``col`` is read once per part.  Every product of an operator
+    with columns is this loop, but for the ``h`` products inside an ``L^1``
+    column (:func:`fockcheck.virasoro._sugawara_on_monomial`)."""
     get = acc.get
-    for mid, c in col:
-        c *= factor
-        for out, d in table[mid]:
-            acc[out] = get(out, 0) + c * d
+    tables, scalar = factor
+    if scalar:
+        for mid, c in col:
+            acc[mid] = get(mid, 0) + scale * scalar * c
+    for table, w in tables:
+        w *= scale
+        for mid, c in col:
+            c *= w
+            for out, d in table[mid]:
+                acc[out] = get(out, 0) + c * d
 
 
 def apply_columns(op, state: FockState) -> FockState:
     """``op`` on ``state``, through its columns."""
     acc: dict = {}
-    compose(COLUMNS.table(op, state.space), state.terms.items(), 1, acc)
+    compose(as_factor(COLUMNS.table(op, state.space)), state.terms.items(), 1, acc)
     return FockState(acc, state.denominator * op.denominator, state.space)
 
 
@@ -293,17 +353,21 @@ def falling(m: int, order: int) -> int:
     return out
 
 
-def pair_support(T: int) -> Callable[[Monomial], set[int]]:
+def pair_support(T: int) -> Callable[[Monomial], list[int]]:
     """The support bound of a neutral pair sum whose summand at free index
-    ``i`` pairs the modes ``-i-1/2`` and ``-(T-i)-1/2``."""
+    ``i`` pairs the modes ``-i-1/2`` and ``-(T-i)-1/2``: disjoint lists by
+    which of the two factors annihilates."""
 
-    def support(mono: Monomial) -> set[int]:
-        hits = set(range(0, T + 1))  # both factors create
-        while mono:  # each occupied index n, lowest first
+    both = list(range(0, T + 1))  # both factors create
+
+    def support(mono: Monomial) -> list[int]:
+        hits = both.copy()
+        while mono:  # each occupied index n = m - 1, lowest first
             low = mono & -mono
-            n = low.bit_length() - 1
-            hits.add(-n - 1)  # left factor annihilates n
-            hits.add(T + n + 1)  # right factor annihilates n
+            m = low.bit_length()
+            hits.append(-m)  # left factor annihilates n
+            if T + m >= 0:
+                hits.append(T + m)  # left factor creates, right one annihilates n
             mono ^= low
         return hits
 
@@ -331,7 +395,7 @@ def bilinear_mode(bil: FermionBilinear, exponent: int) -> QuadraticModeOperator:
             c = -c
         return -(2 * i + 1), -(2 * j + 1), c
 
-    return QuadraticModeOperator(rule, pair_support(T), bil.prefactor.denominator, (bil, exponent))
+    return QuadraticModeOperator(rule, pair_support(T), bil.prefactor.denominator, (bil, exponent), NEUTRAL)
 
 
 class AffineOperator:
@@ -342,7 +406,7 @@ class AffineOperator:
     from each part's :class:`ColumnTable`, in ``int`` numerators over D, so
     a part whose column does not fit its own declared denominator raises
     ``ArithmeticError``.  It asks for its parts' tables once per space and
-    holds them, with each part's weight over D, in ``tables``.
+    holds them, as its :meth:`factor`, in ``factors``.
     """
 
     def __init__(self, parts: Sequence[tuple[Fraction | int, object]], scalar: Fraction | int = 0):
@@ -351,24 +415,24 @@ class AffineOperator:
         self.denominator = math.lcm(
             self.scalar.denominator, *(c.denominator * op.denominator for c, op in self.parts)
         )
-        self.tables: dict[Space, list[tuple[ColumnTable, int]]] = {}
+        self.factors: dict[Space, Factor] = {}
+
+    def factor(self, space: Space) -> Factor:
+        """Its parts' tables on ``space`` with their weights over D, and the
+        scalar's numerator over D: the factor :func:`compose` applies."""
+        factor = self.factors.get(space)
+        if factor is None:
+            den = self.denominator
+            tables = tuple(
+                (COLUMNS.table(op, space), c.numerator * (den // (c.denominator * op.denominator))) for c, op in self.parts
+            )
+            factor = self.factors[space] = tables, self.scalar.numerator * (den // self.scalar.denominator)
+        return factor
 
     def apply(self, state: FockState) -> FockState:
-        den, space = self.denominator, state.space
         acc: dict = {}
-        if self.scalar:
-            w = self.scalar.numerator * (den // self.scalar.denominator)
-            acc = {mono: w * k for mono, k in state.terms.items()}
-        tables = self.tables.get(space)
-        if tables is None:
-            tables = self.tables[space] = [
-                (COLUMNS.table(op, space), c.numerator * (den // (c.denominator * op.denominator)))
-                for c, op in self.parts
-            ]
-        terms = state.terms.items()
-        for table, w in tables:
-            compose(table, terms, w, acc)
-        return FockState(acc, state.denominator * den, state.space)
+        compose(self.factor(state.space), state.terms.items(), 1, acc)
+        return FockState(acc, state.denominator * self.denominator, state.space)
 
 
 def zero_operator() -> AffineOperator:

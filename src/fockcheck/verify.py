@@ -23,7 +23,11 @@ operator is quasi-finite: it sends a basis monomial to a finite combination
 of monomials, its *column*.  :func:`bracket_check` builds each mode operator
 once per check, asks :meth:`fockcheck.modeops.ColumnStore.table` for its
 column table once, and composes the bracket of every grid pair, and the
-expected side, on those tables through :func:`fockcheck.modeops.compose`.
+expected side, through :func:`fockcheck.modeops.compose`.  In each product
+the inner factor is read from its table at the basis vector and the outer
+one is composed through its factor (:func:`fockcheck.modeops.as_factor`),
+which for an affine combination reads its parts' tables: so an affine
+mode's private table holds only its columns at the basis vectors.
 The bracket is composed once per unordered pair: a swapped pair ``(n, m)``
 reuses ``±`` the bracket of ``(m, n)`` on the same basis vector, and a
 commutator's diagonal is zero, while the expected side is evaluated for
@@ -51,7 +55,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .fock import NEUTRAL, FockState, Space, format_state
-from .modeops import COLUMNS, ColumnTable, apply_declared, compose
+from .modeops import COLUMNS, ColumnTable, apply_declared, as_factor, compose
 
 MAX_WITNESSES = 20  # failures kept per report; failures_total counts them all
 
@@ -169,17 +173,19 @@ def bracket_check(
     ``scalar`` the identity part.  ``basis`` holds monomials of ``space``.
     Both sides and the expected operators are composed from column tables,
     one per mode index, so each operator acts on each monomial at most once
-    however many pairs use it.  Each grid pair is compared in ``int``
-    numerators over one common denominator: the lcm of ``D_m * D_n``, of
-    ``coefficient.denominator * D_k`` for every summand and of the scalar's
-    denominator.  A case holds when the bracket minus the expected side has
-    no nonzero numerator; only a failing case builds the two sides as
-    states, to render them.  ``params`` are added to the report's.
+    however many pairs use it; the outer factor of a product goes through
+    the operator's factor, an affine mode's parts.  Each grid pair is
+    compared in ``int`` numerators over one common denominator: the lcm of
+    ``D_m * D_n``, of ``coefficient.denominator * D_k`` for every summand and
+    of the scalar's denominator.  A case holds when popping the expected
+    side's numerators against the bracket's leaves no difference and no
+    nonzero numerator; only a failing case builds the two sides as states,
+    to render them.  ``params`` are added to the report's.
 
     The bracket is composed once per unordered pair: the loop runs over the
     basis, and on each vector ``B = A_m A_n v ± A_n A_m v`` is held, in
-    numerators over ``D_m * D_n``, until the swapped pair ``(n, m)`` reads
-    it as ``±B``.  A commutator's diagonal ``[A_m, A_m]`` is the zero
+    numerators over ``D_m * D_n``, for the swapped pair ``(n, m)`` to read
+    as ``±B`` (and a repeated pair as ``B``).  A commutator's diagonal ``[A_m, A_m]`` is the zero
     vector.  The expected side is evaluated for every ordered pair, and
     failures are reported pair-major, then in basis order.
     """
@@ -198,36 +204,45 @@ def bracket_check(
 
     with VerificationReport(name, {"kind": kind, "pairs": len(pairs), "basis": len(basis), **params}) as report:
         grid = []
-        for m, n in pairs:
+        source: dict = {}  # the row that composes the bracket of each pair
+        for j, (m, n) in enumerate(pairs):
             ops, scalar = expected(m, n)
             tm, tn = table(m), table(n)
             ops = [(c, table(k)) for c, k in ops if c]
             product = tm.op.denominator * tn.op.denominator
             den = math.lcm(product, scalar.denominator, *(c.denominator * t.op.denominator for c, t in ops))
-            ops = [(_scaled(c, den // t.op.denominator), t) for c, t in ops]
-            grid.append((m, n, tm, tn, den, den // product, _scaled(scalar, den), ops))
-        twins = {(n, m) for m, n in pairs if m != n}  # pairs whose swapped pair is in the grid too
+            want = tuple((t, _scaled(c, den // t.op.denominator)) for c, t in ops), _scaled(scalar, den)
+            lift = den // product
+            if (m, n) in source:
+                src = source[m, n]
+            elif (n, m) in source:  # the swapped pair's bracket, read as its sign times B
+                src, lift = source[n, m], sign * lift
+            else:
+                src = source[m, n] = j
+            grid.append((m, n, as_factor(tm), tm, as_factor(tn), tn, den, lift, want, src))
 
         failing: list[tuple[int, int]] = []
         for b, mono in enumerate(basis):
-            held: dict = {}  # the bracket of each pair whose twin has not read it yet
-            for j, (m, n, tm, tn, den, factor, scalar, ops) in enumerate(grid):
-                bracket = held.pop((n, m), None)
-                if bracket is not None:
-                    factor *= sign
-                else:
-                    bracket = {}
+            held: dict = {}  # the bracket of each composing row on this vector
+            at = ((mono, 1),)
+            for j, (m, n, fm, tm, fn, tn, den, lift, want, src) in enumerate(grid):
+                if src == j:
+                    bracket = held[j] = {}
                     if m != n or sign > 0:
-                        compose(tm, tn[mono], 1, bracket)
-                        compose(tn, tm[mono], sign, bracket)
-                    if (m, n) in twins:
-                        held[m, n] = bracket
-                defect = {out: factor * c for out, c in bracket.items()}
-                defect[mono] = defect.get(mono, 0) - scalar
-                for c, t in ops:
-                    compose(t, ((mono, -c),), 1, defect)
-                if any(defect.values()):
-                    failing.append((j, b))
+                        compose(fm, tn[mono], 1, bracket)
+                        compose(fn, tm[mono], sign, bracket)
+                else:
+                    bracket = held[src]
+                rhs: dict = {}
+                compose(want, at, 1, rhs)
+                pop = rhs.pop
+                for out, c in bracket.items():  # pop the expected side against the bracket
+                    if lift * c != pop(out, 0):
+                        break
+                else:
+                    if not any(rhs.values()):
+                        continue
+                failing.append((j, b))
 
         report.cases_run += len(grid) * len(basis)
         for j, b in sorted(failing):
@@ -242,13 +257,13 @@ def bracket_check(
 def _sides(row: tuple, mono, sign: int, space: Space) -> tuple[FockState, FockState]:
     """The bracket and the expected side of one grid row of
     :func:`bracket_check` on ``mono``, as states."""
-    m, n, tm, tn, den, factor, scalar, ops = row
+    m, n, fm, tm, fn, tn, den, _, want, _ = row
+    lift = den // (tm.op.denominator * tn.op.denominator)
     lhs: dict = {}
-    compose(tm, tn[mono], factor, lhs)
-    compose(tn, tm[mono], sign * factor, lhs)
-    rhs = {mono: scalar}
-    for c, t in ops:
-        compose(t, ((mono, c),), 1, rhs)
+    compose(fm, tn[mono], lift, lhs)
+    compose(fn, tm[mono], sign * lift, lhs)
+    rhs: dict = {}
+    compose(want, ((mono, 1),), 1, rhs)
     return FockState(lhs, den, space), FockState(rhs, den, space)
 
 

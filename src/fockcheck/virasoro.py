@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .fock import NEUTRAL, FockState, Monomial, Space, weight2
+from .fock import NEUTRAL, FockState, Monomial, weight2
 from .heisenberg import h_mode
 from .modeops import (
     COLUMNS,
@@ -34,7 +34,6 @@ from .modeops import (
     FermionBilinear,
     apply_columns,
     bilinear_mode,
-    compose,
     parity_flip,
     zero_operator,
 )
@@ -100,16 +99,21 @@ class HTables(dict):
 @lru_cache(maxsize=0)
 def _sugawara_on_monomial(n: int, mono: Monomial, h_tables: HTables | None = None) -> tuple[tuple[Monomial, int], ...]:
     """``L^1_n mono`` as ``(monomial, int)`` pairs, numerators over
-    :attr:`SugawaraOperator.denominator`, composed from the ``h`` columns of
-    the column store, read through ``h_tables`` (a new :class:`HTables` if
-    none is given)."""
+    :attr:`SugawaraOperator.denominator`: the products ``h_{n-k} h_k`` for
+    the ``k >= n/2`` of the window, composed inline from the ``h`` columns
+    of the column store, read through ``h_tables`` (a new :class:`HTables`
+    if none is given)."""
     h = HTables() if h_tables is None else h_tables
     acc: dict[Monomial, int] = {}
-    for k in sugawara_window(n, mono):
-        if 2 * k < n:
-            continue  # the term at n - k is the same product
+    get = acc.get
+    window = sugawara_window(n, mono)
+    for k in range(max(window.start, (n + 1) // 2), window.stop):  # k < n/2 is the term at n - k
         twice = 1 if 2 * k == n else 2
-        compose(h[n - k], h[k][mono], twice, acc)
+        outer = h[n - k]
+        for mid, c in h[k][mono]:
+            c *= twice
+            for out, d in outer[mid]:
+                acc[out] = get(out, 0) + c * d
     # each h column is over 2, and L^1 carries a factor 1/2: over 8 in all
     return tuple((m, c) for m, c in acc.items() if c)
 
@@ -124,20 +128,20 @@ class SugawaraOperator:
     ``("L1", n)`` puts those columns in the column store, which computes
     each once through :func:`_sugawara_on_monomial`.  The ``h`` tables it
     reads are asked for once per operator and held in ``h_tables``.  It acts
-    on the neutral space only, and its column is where that is checked.
+    on the neutral space only.
     """
 
     denominator = 8
+    space = NEUTRAL
 
     def __init__(self, n: int):
         self.n = n
         self.key = ("L1", n)
         self.h_tables = HTables()
 
-    def column(self, space: Space, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
-        """The column on the neutral monomial ``mono``, computed afresh."""
-        if space is not NEUTRAL:
-            raise ValueError(f"L^1 acts on the neutral space, not on a {space.name} state")
+    def column(self, mono: Monomial, intern: Callable) -> tuple[tuple[Monomial, int], ...]:
+        """The column on ``mono``, computed afresh; its monomials are those
+        of the stored ``h`` columns, so ``intern`` is not needed."""
         return _sugawara_on_monomial(self.n, mono, self.h_tables)
 
     def apply(self, state: FockState) -> FockState:

@@ -22,7 +22,6 @@ from fockcheck.charged import (
     hA_mode,
     lA_family,
     lA_lambda_b_mode,
-    neutral_mode_of,
     to_charged,
     to_charged_monomial,
 )
@@ -160,6 +159,11 @@ def test_charged_virasoro_brackets(lam, b):
                 if m == -n:
                     rhs = rhs + v.scale(Fraction(m**3 - m, 12) * c)
                 assert lhs == rhs, (lam, b, m, n, mono)
+
+
+def neutral_mode_of(species: int, m: int) -> int:
+    """Inverse of the mode dictionary, as an oracle for ``charged_mode_of``."""
+    return 4 * m + 1 if species == PLUS else 4 * m + 3
 
 
 def test_mode_dictionary_entries():

@@ -66,7 +66,7 @@ def first_summand_flipped(f):
             p, q, c = op.rule(i)
             return p, q, -c if i == 0 else c
 
-        return QuadraticModeOperator(rule, op.support, op.denominator, ("first summand flipped", op.key))
+        return QuadraticModeOperator(rule, op.support, op.denominator, ("first summand flipped", op.key), op.space)
 
     return mode
 

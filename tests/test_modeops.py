@@ -21,7 +21,7 @@ from fockcheck.charged import (
     hA_mode,
     lA_lambda_b_mode,
 )
-from fockcheck.fock import NEUTRAL, FockState, apply_mode, enumerate_basis, mask_of, weight2
+from fockcheck.fock import NEUTRAL, FockState, add_term, apply_mode, check_mode, enumerate_basis, mask_of, weight2
 from fockcheck.modeops import (
     COLUMNS,
     AffineOperator,
@@ -32,7 +32,6 @@ from fockcheck.modeops import (
     QuadraticModeOperator,
     apply_pair_to_monomial,
     bilinear_mode,
-    normal_order_pair,
     parity_flip,
     zero_operator,
 )
@@ -41,6 +40,21 @@ from fockcheck.suites import LAMBDA_PAIRS, heisenberg_expected, square_grid, vir
 from fockcheck.verify import bracket_check, field_identity_check
 from fockcheck.virasoro import SugawaraOperator, l_half_mode, sugawara_l1_mode
 from fockcheck.winf import jk_mode_charged, jk_mode_neutral
+
+
+def normal_order_pair(p: int, q: int) -> tuple[tuple[int, int], int, Fraction]:
+    """Data of ``:phi_p phi_q:`` with annihilators moved right, as an oracle.
+
+    Returns ``((p', q'), sign, contraction)`` where the normal-ordered pair
+    equals ``sign * phi_p' phi_q'`` as an operator and
+    ``phi_p phi_q - contraction`` as a reordering identity; the contraction
+    is the vacuum expectation ``<0| phi_p phi_q |0> = delta(p, -q) [p > 0]``.
+    """
+    check_mode(p)
+    check_mode(q)
+    if p > 0 and q < 0:
+        return (q, p), -1, Fraction(1) if p == -q else Fraction(0)
+    return (p, q), 1, Fraction(0)
 
 
 def test_normal_order_pair_cases():
@@ -301,20 +315,22 @@ def test_bilinear_rejects_bad_signs():
 
 def fresh_column(op, mono, space):
     """The column of a keyed operator on ``mono`` as a dict, computed without
-    the column store: a quadratic operator's own ``accumulate``, and for
-    ``L^1_n`` the sum ``(1/2) sum_k :h_{n-k} h_k:`` over a ``k`` range wider
-    than any window, from ``accumulate``d ``h`` columns (over 2 each, so
-    the numerators over 4 of the sum are those over 8 of ``L^1_n``)."""
+    the column store or the column kernel: for a quadratic operator the sum
+    over ``support(mono)`` of :func:`apply_pair_to_monomial` on ``rule(i)``,
+    zeros dropped, and for ``L^1_n`` the sum ``(1/2) sum_k :h_{n-k} h_k:``
+    over a ``k`` range wider than any window, from such ``h`` columns (over 2
+    each, so the numerators over 4 of the sum are those over 8 of ``L^1_n``)."""
     acc = {}
     if isinstance(op, SugawaraOperator):
         for k in range(-12, 13):
             a, b = sorted((op.n - k, k))
-            mid = {}
-            h_mode(b).accumulate(space.act, mono, 1, mid)
-            for m, c in mid.items():
-                h_mode(a).accumulate(space.act, m, c, acc)
+            for m, c in fresh_column(h_mode(b), mono, space).items():
+                for out, d in fresh_column(h_mode(a), m, space).items():
+                    add_term(acc, out, c * d)
     else:
-        op.accumulate(space.act, mono, 1, acc)
+        for i in op.support(mono):
+            p, q, w = op.rule(i)
+            apply_pair_to_monomial(space.act, p, q, mono, acc, w)
     return acc
 
 
@@ -330,6 +346,7 @@ def test_stored_columns_equal_fresh_ones_on_a_cold_and_a_warm_store():
             for mono in bases[space]:
                 col = COLUMNS.table(op, space)[mono]
                 assert dict(col) == fresh_column(op, mono, space), (label, mono, warm)
+                assert col == op.column(mono, COLUMNS.interned.setdefault), (label, mono, warm)
                 assert len(dict(col)) == len(col) and all(c for _, c in col), (label, mono)
                 assert COLUMNS.table(op, space)[mono] is col, (label, mono)
                 probed += 1
@@ -393,6 +410,21 @@ def test_store_is_cleared_whole_at_its_bound(monkeypatch):
     assert COLUMNS.tables[("h", 1), NEUTRAL] is h_table
 
 
+def test_a_column_asked_for_on_another_space_registers_nothing():
+    charged_state = FockState.vacuum(CHARGED)
+    neutral_state = FockState.monomial((0, 1))
+    for op, state in (
+        (h_mode(1), charged_state),
+        (charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, PLUS, 0, MINUS, 0), -2), neutral_state),
+        (sugawara_l1_mode(0), charged_state),
+    ):
+        registered = dict(COLUMNS.tables)
+        with pytest.raises(ValueError, match=f"acts on the {op.space.name} space, not on a {state.space.name} state"):
+            op.apply(state)
+        assert COLUMNS.tables.keys() == registered.keys()
+        assert all(COLUMNS.tables[key] is table for key, table in registered.items())
+
+
 def test_an_operator_without_a_key_gets_a_new_private_table():
     op = AffineOperator([(1, h_mode(1))])
     # its part is keyed: that table is the store's own, the same one every time
@@ -402,7 +434,7 @@ def test_an_operator_without_a_key_gets_a_new_private_table():
     first, second = COLUMNS.table(op, NEUTRAL), COLUMNS.table(op, NEUTRAL)
     assert first is not second and not first and first.store is None
     mono = mask_of((0, 2))
-    assert dict(first[mono]) == dict(h_mode(1).column(NEUTRAL, mono))
+    assert dict(first[mono]) == dict(h_mode(1).column(mono, {}.setdefault))
     assert set(COLUMNS.tables) == registered and all(t is not first for t in COLUMNS.tables.values())
 
 
@@ -445,7 +477,7 @@ def test_a_held_store_table_fills_its_misses_without_asking_the_store(monkeypatc
     monos = enumerate_basis(12)[:10]
     assert len(monos) == 10 and not table
     for mono in monos:
-        assert dict(table[mono]) == dict(h_mode(2).column(NEUTRAL, mono))
+        assert dict(table[mono]) == dict(h_mode(2).column(mono, {}.setdefault))
     assert len(table) == COLUMNS.entries == 10
     assert calls == []
 
@@ -470,11 +502,11 @@ def test_a_quadratic_operator_computes_each_coefficient_once():
         calls[i] += 1
         return h.rule(i)
 
-    op = QuadraticModeOperator(rule, h.support, h.denominator, ("counted", 1))
+    op = QuadraticModeOperator(rule, h.support, h.denominator, ("counted", 1), NEUTRAL)
     basis = enumerate_basis(10)
     for _ in range(2):
         for mono in basis:
-            assert dict(op.column(NEUTRAL, mono)) == dict(h.column(NEUTRAL, mono))
+            assert dict(op.column(mono, {}.setdefault)) == dict(h.column(mono, {}.setdefault))
     # the memo holds exactly the indices the support yielded, each rule(i) once
     yielded = set().union(*(op.support(mono) for mono in basis))
     assert set(calls.values()) == {1} and set(calls) == set(op.summands) == yielded
@@ -510,7 +542,7 @@ def test_an_l1_operator_asks_for_each_h_table_once(monkeypatch):
     monkeypatch.setattr(ColumnStore, "table", counted_table)
     op = sugawara_l1_mode(1)
     basis = enumerate_basis(12)
-    columns = [op.column(NEUTRAL, mono) for mono in basis]
+    columns = [op.column(mono, {}.setdefault) for mono in basis]
     assert calls and set(calls.values()) == {1} and set(calls) == {("h", k) for k in op.h_tables}
     # the same columns as through a new set of tables, which asks once per term
     assert columns == [virasoro._sugawara_on_monomial(1, mono) for mono in basis]

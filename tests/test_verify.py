@@ -1,16 +1,17 @@
 """The relation-checking harness itself: determinism, witnesses, rank, memo."""
 
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from fockcheck import virasoro
-from fockcheck.charged import CHARGED, hA_mode
+from fockcheck import suites, virasoro
+from fockcheck.charged import CHARGED, enumerate_charged_basis, hA_mode, lA_family
 from fockcheck.fock import FockState, enumerate_basis, format_state, iter_modes
 from fockcheck.heisenberg import h_mode
-from fockcheck.modeops import AffineOperator, FermionBilinear, ModeOperator
+from fockcheck.modeops import AffineOperator, ColumnTable, FermionBilinear, ModeOperator
 from fockcheck.verify import (
     MAX_WITNESSES,
     VerificationReport,
@@ -227,6 +228,49 @@ def test_bracket_check_memo_dies_with_the_check(monkeypatch):
     monkeypatch.setattr(virasoro, "L_HALF_BILINEAR", FermionBilinear(Fraction(1), 0, 1, 0, 1, 1))
     report = virasoro_bracket("half", "L1/2", family, Fraction(1, 2), 2, basis)
     assert not report.passed and report.failures
+
+
+def test_an_affine_mode_fills_only_its_basis_columns(monkeypatch):
+    # the outer factor of each product reads an affine mode's parts, so its
+    # private table only ever holds the columns at the basis vectors
+    filled = {}
+    missing = ColumnTable.__missing__
+
+    def recorded(self, mono):
+        if self.store is None:
+            filled.setdefault(id(self), (self, set()))[1].add(mono)
+        return missing(self, mono)
+
+    monkeypatch.setattr(ColumnTable, "__missing__", recorded)
+    basis, cbasis = enumerate_basis(10), enumerate_charged_basis(10)
+    lam, b = Fraction(1, 3), Fraction(2, 5)
+    assert suites.lambda_bracket(lam, b, 2, basis).passed
+    neutral = list(filled.values())
+    filled.clear()
+    family = lA_family(lam, b)
+    assert virasoro_bracket("lA", "LA", family, virasoro.central_charge(lam), 2, cbasis, CHARGED).passed
+    for tables, want in ((neutral, basis), (list(filled.values()), cbasis)):
+        assert len(tables) == 7  # the modes -3..3, those past 2 on the expected side only
+        for table, monos in tables:
+            assert isinstance(table.op, AffineOperator) and monos == set(want) == set(table)
+
+
+def test_a_red_affine_grid_keeps_its_count_and_witnesses(monkeypatch):
+    # b^2 + (39/10) lam b - (17/10) b vanishes at the five pairs the suite
+    # checks; at (2/7, 3) it breaks the mode-0 constant.  The count and the
+    # witnesses (sha256 of their JSON) are pinned to those of the engine that
+    # read every affine column, basis or not, from the combination's own table.
+    constant = virasoro.lambda_b_constant
+
+    def perturbed(lam, b):
+        return constant(lam, b) + b * b + Fraction(39, 10) * lam * b - Fraction(17, 10) * b
+
+    monkeypatch.setattr(virasoro, "lambda_b_constant", perturbed)
+    report = suites.lambda_bracket(Fraction(2, 7), Fraction(3), 3, enumerate_basis(16))
+    assert (report.cases_run, report.failures_total) == (1617, 198)
+    assert report.failures[0] == {"witness": "(m=-3, n=3) on |0>", "lhs": "-3329/112 |0>", "rhs": "-40981/560 |0>"}
+    digest = hashlib.sha256(json.dumps(report.to_dict()["failures"]).encode()).hexdigest()
+    assert digest == "2f1ba1fca7ede6b5258548be4549665dec33584bcde51b6f708a0d78bca1ad7b"
 
 
 def test_failure_list_keeps_a_bounded_number_of_witnesses():
