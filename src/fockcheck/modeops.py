@@ -134,7 +134,9 @@ class QuadraticModeOperator:
     def summand(self, i: int) -> tuple:
         """Memoise and return ``rule(i)`` decoded."""
         p, q, w = self.rule(i)
-        (first, second, w), decode = ((p, q, -w) if q < 0 <= p else (q, p, w)), self.space.decode
+        # the right factor acts first, but an annihilator left of a creator is swapped past it
+        first, second, w = (p, q, -w) if q < 0 <= p else (q, p, w)
+        decode = self.space.decode
         out = self.summands[i] = (*decode(first), *decode(second), w)
         return out
 
