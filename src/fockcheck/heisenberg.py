@@ -18,20 +18,22 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .fock import NEUTRAL, FockState
+from .fock import FockState
 from .grading import partition_count, partitions, sector_basis, vacuum_like
-from .modeops import AffineOperator, FermionBilinear, QuadraticModeOperator, bilinear_mode, pair_support
+from .modeops import AffineOperator, FermionBilinear, QuadraticModeOperator, bilinear_mode, pair_sum
 from .verify import VerificationReport, field_identity_check, fraction_free_rank
 
 
 def h_mode(n: int) -> QuadraticModeOperator:
-    """The mode h_n as its explicit alternating pair sum, in numerators ``-+1`` over 2."""
+    """The mode h_n as its explicit alternating pair sum, in numerators ``-+1``
+    over 2; :func:`~fockcheck.modeops.pair_sum` folds each summand with its
+    mirror, of the opposite sign, into one of ``-+2`` over 2."""
     T = -2 * n - 1  # the two paper-style indices of each summand add to T
 
     def rule(i: int):
         return -(2 * i + 1), -(2 * (T - i) + 1), -1 if i % 2 == 0 else 1
 
-    return QuadraticModeOperator(rule, pair_support(T), 2, ("h", n), NEUTRAL)
+    return pair_sum(rule, T, 2, ("h", n))
 
 
 HEISENBERG_BILINEAR = FermionBilinear(Fraction(1, 2), 0, 0, 0, 1, -1)

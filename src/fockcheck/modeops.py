@@ -8,8 +8,9 @@ with constant weight shift.  They are never materialised: a
 finitely many ``i`` whose summand can act on it without annihilating
 everything.  A summand acts nonzero only if every annihilator among its two
 factors targets a mode present in the monomial, or both factors create,
-which pins ``i`` to a finite window.  The support lists each such ``i``
-once, walked over the set bits of the monomial's masks.
+which pins ``i`` to a finite window.  The support lists such ``i`` once
+each, walked over the set bits of the monomial's masks; a neutral pair sum
+(:func:`pair_sum`) has one summand per unordered mode pair.
 
 The operator classes are shared by both spaces: a mode is an ``int`` code
 of a space (see :mod:`fockcheck.fock`), and a quadratic operator carries
@@ -355,25 +356,33 @@ def falling(m: int, order: int) -> int:
     return out
 
 
-def pair_support(T: int) -> Callable[[Monomial], list[int]]:
-    """The support bound of a neutral pair sum whose summand at free index
-    ``i`` pairs the modes ``-i-1/2`` and ``-(T-i)-1/2``: disjoint lists by
-    which of the two factors annihilates."""
+def pair_sum(rule: Callable[[int], Pair], T: int, denominator: int, key: Hashable) -> QuadraticModeOperator:
+    """The neutral pair sum ``sum_i rule(i)`` whose summand at free index
+    ``i`` pairs the modes ``-i-1/2`` and ``-(T-i)-1/2``, one summand per
+    unordered mode pair.  As ``:phi_p phi_q: = -:phi_q phi_p:``, the summand
+    at ``2i < T`` carries ``w_i - w_{T-i}`` and the mirrored one at ``2i >
+    T`` reads 0, as does the midpoint ``2i = T``, which squares a mode.  The
+    support lists only ``i`` with ``2i < T``, each once: those where both
+    factors create, then ``-m`` for each occupied index ``n = m - 1`` that
+    the left factor annihilates."""
 
-    both = list(range(0, T + 1))  # both factors create
+    def folded(i: int) -> Pair:
+        p, q, w = rule(i)
+        return (p, q, w - rule(T - i)[2]) if 2 * i < T else (p, q, 0)
+
+    both = list(range(0, (T + 1) // 2))  # both factors create
 
     def support(mono: Monomial) -> list[int]:
         hits = both.copy()
         while mono:  # each occupied index n = m - 1, lowest first
             low = mono & -mono
             m = low.bit_length()
-            hits.append(-m)  # left factor annihilates n
-            if T + m >= 0:
-                hits.append(T + m)  # left factor creates, right one annihilates n
+            if T + 2 * m > 0:  # -m < T + m: not the mirror nor the midpoint
+                hits.append(-m)  # left factor annihilates n
             mono ^= low
         return hits
 
-    return support
+    return QuadraticModeOperator(folded, support, denominator, key, NEUTRAL)
 
 
 def bilinear_mode(bil: FermionBilinear, exponent: int) -> QuadraticModeOperator:
@@ -397,7 +406,7 @@ def bilinear_mode(bil: FermionBilinear, exponent: int) -> QuadraticModeOperator:
             c = -c
         return -(2 * i + 1), -(2 * j + 1), c
 
-    return QuadraticModeOperator(rule, pair_support(T), bil.prefactor.denominator, (bil, exponent), NEUTRAL)
+    return pair_sum(rule, T, bil.prefactor.denominator, (bil, exponent))
 
 
 class AffineOperator:

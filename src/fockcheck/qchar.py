@@ -22,9 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .fock import FockState, enumerate_basis, weight2
-from .grading import dg, partition_count, partitions, vacuum_like, weight
-from .heisenberg import raising_string
+from .fock import enumerate_basis, weight2
+from .grading import dg, partition_count, vacuum_like
 from .verify import VerificationReport
 
 
@@ -192,23 +191,6 @@ def character_triple_check(qmax_half: int) -> VerificationReport:
                 report.expect(
                     trace.at(qh), other.at(qh), lambda: f"trace vs {name}: z-coefficients of q^{Fraction(qh, 2)}"
                 )
-    return report
-
-
-def virasoro_weight_check(nmax: int, kmax: int) -> VerificationReport:
-    """Each spanning vector ``h_{-k_l}...h_{-k_1} v_n`` is an L0 eigenvector
-    with eigenvalue ``2(k_1+...+k_l) + weight(v_n)``."""
-    from .virasoro import l_half_mode
-
-    l0 = l_half_mode(0)
-    with VerificationReport("virasoro_weights", {"nmax": nmax, "kmax": kmax}) as report:
-        for n in range(-nmax, nmax + 1):
-            vn = FockState.monomial(vacuum_like(n))
-            base = weight(vacuum_like(n))
-            for k in range(kmax + 1):
-                for parts in partitions(k):
-                    vec = raising_string(parts, vn)
-                    report.expect(l0.apply(vec), vec.scale(2 * k + base), lambda: f"L0 on n={n} partition={parts}")
     return report
 
 

@@ -71,6 +71,17 @@ def first_summand_flipped(f):
     return mode
 
 
+def mirror_sign_flipped(f):
+    def pair_sum(rule, T, denominator, key):
+        def flipped(i):
+            p, q, w = rule(i)
+            return (p, q, -w) if 2 * i > T else (p, q, w)
+
+        return f(flipped, T, denominator, ("mirror sign flipped", key))
+
+    return pair_sum
+
+
 CBASIS = charged.enumerate_charged_basis(6)
 
 
@@ -159,7 +170,8 @@ CONTROLS = [
     ("character_triple", qchar, "binomial_factor", doubled_factor, lambda: [qchar.character_triple_check(8)]),
     ("jacobi", qchar, "binomial_factor", doubled_factor, lambda: [qchar.jacobi_check("DA", 4)]),
     ("jacobi", qchar, "binomial_factor", doubled_factor, lambda: [qchar.jacobi_check("A", 4)]),
-    ("virasoro_weights", qchar, "weight", plus_one, lambda: [qchar.virasoro_weight_check(1, 2)]),
+    # a neutral pair sum folding in its mirrored summands with the wrong sign, w_i + w_{T-i}
+    ("heisenberg_bracket", heisenberg, "pair_sum", mirror_sign_flipped, lambda: suites.suite_heisenberg(2, 6)),
     ("winf_scalar_defect", winf, "_rising", plus_one, lambda: [winf.scalar_defect_check(1, 1, 1, -1, CBASIS)]),
     # operator level; the central-charge term (m^3 - m)/12 needs |m| >= 2
     ("virasoro_lambda", virasoro, "central_charge", plus_half, lambda_bracket),

@@ -1,5 +1,6 @@
 """Normal ordering of mode pairs and the lazy quadratic operators."""
 
+import math
 import os
 import subprocess
 import sys
@@ -35,7 +36,7 @@ from fockcheck.modeops import (
     parity_flip,
     zero_operator,
 )
-from fockcheck.heisenberg import h_mode, h_mode_bilinear
+from fockcheck.heisenberg import HEISENBERG_BILINEAR, h_mode, h_mode_bilinear
 from fockcheck.suites import LAMBDA_PAIRS, heisenberg_expected, square_grid, virasoro_bracket, virasoro_expected
 from fockcheck.verify import bracket_check, field_identity_check
 from fockcheck.virasoro import SugawaraOperator, l_half_mode, sugawara_l1_mode
@@ -158,6 +159,45 @@ def test_support_bound_is_sound():
                 for e in range(-6, 3):
                     op = bilinear_mode(FermionBilinear(Fraction(1), 0, a, b, sl, sr), e)
                     assert out_of_support_summands(op, basis, NEUTRAL), (a, b, sl, sr, e)
+
+
+def unfolded_summands(bil: FermionBilinear, exponent: int) -> list[tuple[int, int, int]]:
+    """The summands ``(p, q, w)`` of the ``z**exponent`` coefficient of
+    ``bil`` at every free index ``|i| <= 24``, as written, with numerators
+    over the prefactor's denominator read off the expansion ``(d^a phi)(s z)
+    = sum_m phi_{-m-1/2} m(m-1)...(m-a+1) s^(m-a) z^(m-a)``."""
+    pref, a, b = Fraction(bil.prefactor), bil.dleft, bil.dright
+    T = exponent - bil.zshift + a + b
+    out = []
+    for i in range(-24, 25):
+        j = T - i
+        c = pref * math.prod(i - k for k in range(a)) * math.prod(j - k for k in range(b))
+        c *= bil.sleft ** ((i - a) % 2) * bil.sright ** ((j - b) % 2)
+        out.append((-(2 * i + 1), -(2 * j + 1), int(c * pref.denominator)))
+    return out
+
+
+def test_each_neutral_pair_sum_equals_its_unfolded_sum():
+    # one summand per unordered mode pair: the support yields each i once, only 2i < T
+    sums = [
+        (FermionBilinear(Fraction(1), 0, a, b, sl, sr), e, None)
+        for a, b in ORDERS
+        for sl in (1, -1)
+        for sr in (1, -1)
+        for e in range(-6, 3)
+    ]
+    sums += [(HEISENBERG_BILINEAR, -2 * n - 1, n) for n in range(-3, 4)]
+    for bil, e, n in sums:
+        op = bilinear_mode(bil, e) if n is None else h_mode_bilinear(n)
+        T = e - bil.zshift + bil.dleft + bil.dright
+        summands = unfolded_summands(bil, e)
+        for mono in enumerate_basis(10):
+            hits = list(op.support(mono))
+            assert len(set(hits)) == len(hits) and all(2 * i < T for i in hits), (bil, e, mono)
+            acc = {}
+            for p, q, w in summands:
+                apply_pair_to_monomial(NEUTRAL.act, p, q, mono, acc, w)
+            assert dict(op.column(mono, {}.setdefault)) == acc, (bil, e, mono)
     cbasis = enumerate_charged_basis(10)
     for a, b in ORDERS:
         for left in (PLUS, MINUS):

@@ -16,7 +16,6 @@ from fockcheck.qchar import (
     geometric_factor,
     jacobi_check,
     sector_refinement_check,
-    virasoro_weight_check,
 )
 
 small_series = st.builds(
@@ -91,11 +90,6 @@ def test_jacobi_rejects_unknown():
 
 def test_sector_refinement():
     assert sector_refinement_check(19).passed
-
-
-def test_virasoro_weight_eigenvalues():
-    report = virasoro_weight_check(3, 4)
-    assert report.passed, report.failures[:2]
 
 
 def test_virasoro_weight_named_cases():
