@@ -159,6 +159,17 @@ def test_support_bound_is_sound():
                 for e in range(-6, 3):
                     op = bilinear_mode(FermionBilinear(Fraction(1), 0, a, b, sl, sr), e)
                     assert out_of_support_summands(op, basis, NEUTRAL), (a, b, sl, sr, e)
+    cbasis = enumerate_charged_basis(10)
+    for a, b in ORDERS:
+        for left in (PLUS, MINUS):
+            for right in (PLUS, MINUS):
+                for e in range(-6, 3):
+                    op = charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, left, a, right, b), e)
+                    assert out_of_support_summands(op, cbasis, CHARGED), (left, a, right, b, e)
+    # the W_{1+infinity} generators at the orders and shifts the closed-form grid reaches
+    for k in range(4):
+        for n in range(-6, 7):
+            assert out_of_support_summands(jk_mode_charged(k, n), cbasis, CHARGED), (k, n)
 
 
 def unfolded_summands(bil: FermionBilinear, exponent: int) -> list[tuple[int, int, int]]:
@@ -179,16 +190,10 @@ def unfolded_summands(bil: FermionBilinear, exponent: int) -> list[tuple[int, in
 
 def test_each_neutral_pair_sum_equals_its_unfolded_sum():
     # one summand per unordered mode pair: the support yields each i once, only 2i < T
-    sums = [
-        (FermionBilinear(Fraction(1), 0, a, b, sl, sr), e, None)
-        for a, b in ORDERS
-        for sl in (1, -1)
-        for sr in (1, -1)
-        for e in range(-6, 3)
-    ]
-    sums += [(HEISENBERG_BILINEAR, -2 * n - 1, n) for n in range(-3, 4)]
-    for bil, e, n in sums:
-        op = bilinear_mode(bil, e) if n is None else h_mode_bilinear(n)
+    bils = [FermionBilinear(Fraction(1), 0, a, b, sl, sr) for a, b in ORDERS for sl in (1, -1) for sr in (1, -1)]
+    sums = [(bilinear_mode(bil, e), bil, e) for bil in bils for e in range(-6, 3)]
+    sums += [(h_mode_bilinear(n), HEISENBERG_BILINEAR, -2 * n - 1) for n in range(-3, 4)]
+    for op, bil, e in sums:
         T = e - bil.zshift + bil.dleft + bil.dright
         summands = unfolded_summands(bil, e)
         for mono in enumerate_basis(10):
@@ -198,17 +203,6 @@ def test_each_neutral_pair_sum_equals_its_unfolded_sum():
             for p, q, w in summands:
                 apply_pair_to_monomial(NEUTRAL.act, p, q, mono, acc, w)
             assert dict(op.column(mono, {}.setdefault)) == acc, (bil, e, mono)
-    cbasis = enumerate_charged_basis(10)
-    for a, b in ORDERS:
-        for left in (PLUS, MINUS):
-            for right in (PLUS, MINUS):
-                for e in range(-6, 3):
-                    op = charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, left, a, right, b), e)
-                    assert out_of_support_summands(op, cbasis, CHARGED), (left, a, right, b, e)
-    # the W_{1+infinity} generators at the orders and shifts the closed-form grid reaches
-    for k in range(4):
-        for n in range(-6, 7):
-            assert out_of_support_summands(jk_mode_charged(k, n), cbasis, CHARGED), (k, n)
 
 
 def off_denominator_coefficients(op, basis, space):
