@@ -15,8 +15,9 @@ each, walked over the set bits of the monomial's masks; a neutral pair sum
 The operator classes are shared by both spaces: a mode is an ``int`` code
 of a space (see :mod:`fockcheck.fock`), and a quadratic operator carries
 the space it acts on.  Only the constructors differ, because the two field
-expansions differ.  :func:`apply_pair_to_monomial`, the pair action through
-the space's single-mode action, is the reference for the column loop.
+expansions differ.  Every fermion bilinear, the window-matrix lift
+:class:`~fockcheck.winf.MatrixLift` included, acts through the one column
+loop of :meth:`QuadraticModeOperator.column`.
 
 Every operator declares a ``denominator`` D: each coefficient of its action
 on a basis monomial lies in ``(1/D)Z``.  The action on one monomial is the
@@ -34,8 +35,9 @@ parts' tables with their weights plus its scalar, any other operator's own
 table.  A primitive operator carries a ``key`` that names its
 construction: ``(bil, exponent)`` for :func:`bilinear_mode` and
 :func:`~fockcheck.charged.charged_bilinear_mode`, ``("h", n)`` for
-:func:`~fockcheck.heisenberg.h_mode` and ``("L1", n)`` for
-:class:`~fockcheck.virasoro.SugawaraOperator`, and a ``space``; its
+:func:`~fockcheck.heisenberg.h_mode`, ``("L1", n)`` for
+:class:`~fockcheck.virasoro.SugawaraOperator` and ``("lift", entries)``
+for :class:`~fockcheck.winf.MatrixLift`, and a ``space``; its
 ``column(mono, intern)`` computes a column afresh.  Equal keys build equal
 operators, so they share one table of the process-wide :data:`COLUMNS`
 store, which computes each column once; asking for a keyed operator's
@@ -68,34 +70,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from .fock import NEUTRAL, FockState, Monomial, Space, add_term, apply_mode
+from .fock import NEUTRAL, FockState, Monomial, Space, apply_mode
 
 Pair = tuple[int, int, int]  # left mode code, right mode code, coefficient numerator
 Column = tuple[tuple[Any, int], ...]  # (monomial, int numerator over the operator's denominator)
 # An operator as the outer factor of compose: (column table, weight) parts and
 # a scalar, both numerators over the operator's denominator.
 Factor = tuple[tuple[tuple["ColumnTable", int], ...], int]
-
-
-def apply_pair_to_monomial(act: Callable, p: int, q: int, mono, acc: dict, coeff: int) -> None:
-    """Accumulate ``coeff * :X_p X_q: mono`` into ``acc``.
-
-    ``act`` is the single-mode action of the space the mode codes ``p`` and
-    ``q`` belong to; a negative code creates.
-    """
-    if q < 0 <= p:
-        first, second, sign = p, q, -1
-    else:
-        first, second, sign = q, p, 1
-    hit = act(first, mono)
-    if hit is None:
-        return
-    s1, mid = hit
-    hit = act(second, mid)
-    if hit is None:
-        return
-    s2, out = hit
-    add_term(acc, out, coeff * (sign * s1 * s2))
 
 
 class QuadraticModeOperator:
@@ -111,9 +92,9 @@ class QuadraticModeOperator:
 
     ``summands`` memoises ``rule(i)`` for every ``i`` the support has
     yielded, so each coefficient is computed once: the factor acting first
-    and the second as ``space.decode`` bit operations, then the numerator
-    with the normal-order sign of :func:`apply_pair_to_monomial` folded in;
-    a zero numerator adds zeros, which the column drops.  The memo is
+    and the second as ``space.decode`` bit operations, then the numerator,
+    negated when an annihilator stands left of a creator (the normal-order
+    swap); a zero numerator adds zeros, which the column drops.  The memo is
     bounded by the index range of the monomials the operator has acted on.
     """
 
@@ -202,8 +183,8 @@ class QuadraticModeOperator:
 # Columns the store holds before its tables are emptied.  At their default
 # cut-offs the five neutral bracket-grid suites fill 14,965 columns in one
 # process (12,036 of quadratic operators, 2,929 of L^1), and all fourteen
-# suites 25,256; 32768 holds a whole run and bounds the memory of larger
-# cut-offs.
+# suites 25,586 (330 of window-matrix lifts); 32768 holds a whole run and
+# bounds the memory of larger cut-offs.
 STORE_SIZE = 32768
 
 

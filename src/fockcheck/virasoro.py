@@ -97,13 +97,11 @@ class HTables(dict):
 # none: it only counts calls, which perfbench/child.py reads through
 # cache_info().
 @lru_cache(maxsize=0)
-def _sugawara_on_monomial(n: int, mono: Monomial, h_tables: HTables | None = None) -> tuple[tuple[Monomial, int], ...]:
+def _sugawara_on_monomial(n: int, mono: Monomial, h: HTables) -> tuple[tuple[Monomial, int], ...]:
     """``L^1_n mono`` as ``(monomial, int)`` pairs, numerators over
     :attr:`SugawaraOperator.denominator`: the products ``h_{n-k} h_k`` for
     the ``k >= n/2`` of the window, composed inline from the ``h`` columns
-    of the column store, read through ``h_tables`` (a new :class:`HTables`
-    if none is given)."""
-    h = HTables() if h_tables is None else h_tables
+    of the column store, read through ``h``."""
     acc: dict[Monomial, int] = {}
     get = acc.get
     window = sugawara_window(n, mono)

@@ -18,10 +18,11 @@ the two window matrices (:func:`winf_expected`).  The bracket grid is
 checked against that closed form on the Fock space.
 
 Lifting ``E_{r,s}`` to the normal-ordered bilinear ``:psi+_{-r} psi-_{s-1}:``
-(:class:`MatrixLift`) reproduces the Fock operators exactly modulo the same
-scalar.  :func:`scalar_defect_check` declares the Fock bracket equal to the
-lifted matrix commutator plus that scalar, and the bracket harness
-evaluates it; it stays as the evidence for the lift.
+(:class:`MatrixLift`, a quadratic operator with one summand per matrix
+entry) reproduces the Fock operators exactly modulo the same scalar.
+:func:`scalar_defect_check` declares the Fock bracket equal to the lifted
+matrix commutator plus that scalar, and the bracket harness evaluates it;
+it stays as the evidence for the lift.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .charged import (
     charged_code,
 )
 from .fock import FockState, add_term
-from .modeops import apply_pair_to_monomial, falling
+from .modeops import QuadraticModeOperator, apply_columns, falling
 from .verify import VerificationReport, bracket_check
 
 Matrix = dict[tuple[int, int], int]
@@ -147,21 +148,19 @@ def glinf_cocycle(a: Matrix, b: Matrix) -> int:
     return out
 
 
-class MatrixLift:
-    """Fock-space lift ``E_{r,s} -> :psi+_{-r} psi-_{s-1}:`` of a window matrix."""
-
-    denominator = 1
+class MatrixLift(QuadraticModeOperator):
+    """Fock-space lift ``E_{r,s} -> :psi+_{-r} psi-_{s-1}:`` of a window matrix:
+    one summand per entry, over 1; equal matrices share the key ``("lift", entries)``."""
 
     def __init__(self, matrix: Matrix):
-        self.pairs = [(charged_code(PLUS, -r), charged_code(MINUS, s - 1), w) for (r, s), w in matrix.items()]
+        entries = tuple(matrix.items())
+        pairs = [(charged_code(PLUS, -r), charged_code(MINUS, s - 1), w) for (r, s), w in entries]
+        every = range(len(pairs))
+        super().__init__(pairs.__getitem__, lambda mono: every, 1, ("lift", entries), CHARGED)
 
+    # its own method, as perfbench/layers.py times winf.lift_s through vars(MatrixLift)["apply"]
     def apply(self, state: FockState) -> FockState:
-        act = state.space.act
-        acc: dict[ChargedMonomial, int] = {}
-        for mono, c in state.terms.items():
-            for p, q, w in self.pairs:
-                apply_pair_to_monomial(act, p, q, mono, acc, w * c)
-        return FockState(acc, state.denominator, state.space)
+        return apply_columns(self, state)
 
 
 def max_slot(basis: Sequence[ChargedMonomial]) -> int:

@@ -31,7 +31,6 @@ from fockcheck.modeops import (
     FermionBilinear,
     ModeOperator,
     QuadraticModeOperator,
-    apply_pair_to_monomial,
     bilinear_mode,
     parity_flip,
     zero_operator,
@@ -40,7 +39,7 @@ from fockcheck.heisenberg import HEISENBERG_BILINEAR, h_mode, h_mode_bilinear
 from fockcheck.suites import LAMBDA_PAIRS, heisenberg_expected, square_grid, virasoro_bracket, virasoro_expected
 from fockcheck.verify import bracket_check, field_identity_check
 from fockcheck.virasoro import SugawaraOperator, l_half_mode, sugawara_l1_mode
-from fockcheck.winf import jk_mode_charged, jk_mode_neutral
+from fockcheck.winf import MatrixLift, glinf_matrix, jk_mode_charged, jk_mode_neutral, matrix_commutator
 
 
 def normal_order_pair(p: int, q: int) -> tuple[tuple[int, int], int, Fraction]:
@@ -56,6 +55,28 @@ def normal_order_pair(p: int, q: int) -> tuple[tuple[int, int], int, Fraction]:
     if p > 0 and q < 0:
         return (q, p), -1, Fraction(1) if p == -q else Fraction(0)
     return (p, q), 1, Fraction(0)
+
+
+def apply_pair_to_monomial(act, p: int, q: int, mono, acc: dict, coeff: int) -> None:
+    """Accumulate ``coeff * :X_p X_q: mono`` into ``acc``, as an oracle for
+    the column loop.
+
+    ``act`` is the single-mode action of the space the mode codes ``p`` and
+    ``q`` belong to; a negative code creates.
+    """
+    if q < 0 <= p:
+        first, second, sign = p, q, -1
+    else:
+        first, second, sign = q, p, 1
+    hit = act(first, mono)
+    if hit is None:
+        return
+    s1, mid = hit
+    hit = act(second, mid)
+    if hit is None:
+        return
+    s2, out = hit
+    add_term(acc, out, coeff * (sign * s1 * s2))
 
 
 def test_normal_order_pair_cases():
@@ -247,6 +268,11 @@ def declared_operators():
                 for right in (PLUS, MINUS):
                     bil = ChargedBilinear(Fraction(-2, 3), 0, left, a, right, b)
                     yield ("charged bilinear", left, a, right, b, e), charged_bilinear_mode(bil, e), CHARGED
+    for k in range(3):
+        for n in range(-2, 3):
+            yield ("lift", k, n), MatrixLift(glinf_matrix(k, n, 6)), CHARGED
+    commutator = matrix_commutator(glinf_matrix(1, 1, 9), glinf_matrix(2, -2, 9), 5)
+    yield ("lift commutator",), MatrixLift(commutator), CHARGED
     for t in (-3, -1, 1, 3):
         yield ("phi", t), ModeOperator(t), NEUTRAL
 
@@ -371,7 +397,7 @@ def fresh_column(op, mono, space):
 def test_stored_columns_equal_fresh_ones_on_a_cold_and_a_warm_store():
     bases = {NEUTRAL: enumerate_basis(8), CHARGED: enumerate_charged_basis(8)}
     keyed = [(label, op, space) for label, op, space in declared_operators() if getattr(op, "key", None) is not None]
-    assert {type(op) for _, op, _ in keyed} == {QuadraticModeOperator, SugawaraOperator}
+    assert {type(op) for _, op, _ in keyed} == {QuadraticModeOperator, SugawaraOperator, MatrixLift}
     COLUMNS.clear()
     virasoro._sugawara_on_monomial.cache_clear()
     probed = 0
@@ -394,6 +420,10 @@ def test_compared_constructions_never_share_a_key():
         assert virasoro.sugawara_l1_mode(n).key == ("L1", n)
         # the flip is an affine combination: it computes its own action
         assert getattr(virasoro.l_half_tilde_family_flip()(n), "key", None) is None
+    # a lift's key is its matrix: different matrices never share one, equal ones do
+    lifts = [MatrixLift(glinf_matrix(k, n, 6)) for k in range(3) for n in range(-2, 3)]
+    assert len({lift.key for lift in lifts}) == len(lifts)
+    assert MatrixLift(glinf_matrix(1, 2, 6)).key == MatrixLift(glinf_matrix(1, 2, 6)).key
 
 
 def test_store_is_empty_on_import():
@@ -451,6 +481,7 @@ def test_a_column_asked_for_on_another_space_registers_nothing():
         (h_mode(1), charged_state),
         (charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, PLUS, 0, MINUS, 0), -2), neutral_state),
         (sugawara_l1_mode(0), charged_state),
+        (MatrixLift(glinf_matrix(0, 1, 6)), neutral_state),
     ):
         registered = dict(COLUMNS.tables)
         with pytest.raises(ValueError, match=f"acts on the {op.space.name} space, not on a {state.space.name} state"):
@@ -579,4 +610,4 @@ def test_an_l1_operator_asks_for_each_h_table_once(monkeypatch):
     columns = [op.column(mono, {}.setdefault) for mono in basis]
     assert calls and set(calls.values()) == {1} and set(calls) == {("h", k) for k in op.h_tables}
     # the same columns as through a new set of tables, which asks once per term
-    assert columns == [virasoro._sugawara_on_monomial(1, mono) for mono in basis]
+    assert columns == [virasoro._sugawara_on_monomial(1, mono, virasoro.HTables()) for mono in basis]

@@ -299,7 +299,7 @@ def test_sugawara_columns_match_the_uncached_normal_ordered_sum():
             for k in range(-20, 21):
                 a, b = sorted((n - k, k))
                 want = want + h_mode(a).apply(h_mode(b).apply(v))
-            column = dict(virasoro._sugawara_on_monomial(n, mono))  # int numerators over 8
+            column = dict(virasoro._sugawara_on_monomial(n, mono, virasoro.HTables()))  # int numerators over 8
             assert FockState(column, virasoro.SugawaraOperator.denominator) == want, (n, mono)
 
 
