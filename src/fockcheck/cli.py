@@ -35,9 +35,11 @@ from multiprocessing import Pool
 
 from . import suites as _suites
 from . import virasoro as vir
-from .fock import FockState, enumerate_basis, format_state, parse_fraction, parse_half, parse_int
+from .fock import INTEGER, PHI_RE, FockState, enumerate_basis, format_state, parse_fraction, parse_half, parse_int
+from .grading import partition_count, sector_basis
 from .heisenberg import h_mode
 from .modeops import ModeOperator
+from .qchar import char_product_form, char_sum_form, char_trace, jacobi_check
 from .verify import VerificationReport
 from .winf import jk_mode_neutral
 
@@ -69,76 +71,59 @@ def _report_lines(reports: list[VerificationReport], as_json: bool) -> list[str]
     return [rep.summary() for rep in reports]
 
 
-def _int_flag(text: str) -> int:
-    """An ASCII integer literal (see :func:`~fockcheck.fock.parse_int`)."""
-    try:
-        return parse_int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _flag(parse, floor=None, shown=str):
+    """An argparse ``type``: ``parse`` the text, then reject a value below ``floor``.
 
+    A ``ValueError`` from ``parse`` becomes the flag's usage error, with the
+    same message; ``shown`` renders the floor and the value in the other one.
+    """
 
-def _size_flag(text: str) -> int:
-    """A non-negative ``int`` size (``--mmax``, ``--kmax``, ``--qmax``, ``--nmax``)."""
-    value = _int_flag(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
-    return value
-
-
-def _half_flag(floor2: int):
-    """A half-integer flag whose twice-encoded value is at least ``floor2``."""
-
-    def parse(text: str) -> int:
+    def convert(text: str):
         try:
-            value2 = parse_half(text)
+            value = parse(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
-        if value2 < floor2:
-            raise argparse.ArgumentTypeError(f"must be at least {Fraction(floor2, 2)}, not {Fraction(value2, 2)}")
-        return value2
+        if floor is not None and value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {shown(floor)}, not {shown(value)}")
+        return value
 
-    return parse
-
-
-def _fraction_flag(text: str) -> Fraction:
-    try:
-        return parse_fraction(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fockcheck", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    size = _flag(parse_int, 0)
+    fraction = _flag(parse_fraction)
 
     ver = sub.add_parser("verify", help="run an exact verification suite")
     ver.add_argument("target", choices=sorted(_suites.SUITES) + ["virasoro", "all"])
-    ver.add_argument("--weight-cut", type=_half_flag(0), default=None, metavar="p/2")
-    ver.add_argument("--max-index", type=_half_flag(1), default=None, metavar="p/2")
-    ver.add_argument("--mmax", type=_size_flag, default=None)
-    ver.add_argument("--kmax", type=_size_flag, default=None)
+    ver.add_argument("--weight-cut", type=_flag(parse_half, 0, lambda v: Fraction(v, 2)), default=None, metavar="p/2")
+    ver.add_argument("--max-index", type=_flag(parse_half, 1, lambda v: Fraction(v, 2)), default=None, metavar="p/2")
+    ver.add_argument("--mmax", type=size, default=None)
+    ver.add_argument("--kmax", type=size, default=None)
     ver.add_argument("--family", choices=["half", "half~", "one", "one~", "lambda"])
-    ver.add_argument("--lambda", type=_fraction_flag, default=None, metavar="p/q")
-    ver.add_argument("--b", type=_fraction_flag, default=None, metavar="p/q")
-    ver.add_argument("--jobs", type=_int_flag, default=None)
+    ver.add_argument("--lambda", type=fraction, default=None, metavar="p/q")
+    ver.add_argument("--b", type=fraction, default=None, metavar="p/q")
+    ver.add_argument("--jobs", type=_flag(parse_int), default=None)
     ver.add_argument("--json", action="store_true")
     ver.add_argument("--out", default=None, metavar="FILE")
 
     cha = sub.add_parser("character", help="print a truncated graded dimension")
-    cha.add_argument("--qmax", type=_size_flag, required=True)
+    cha.add_argument("--qmax", type=size, required=True)
     cha.add_argument("--form", choices=["trace", "product", "sum"], default="trace")
     cha.add_argument("--json", action="store_true")
     cha.add_argument("--out", default=None, metavar="FILE")
 
     jac = sub.add_parser("jacobi", help="check a product/sum identity coefficient-exactly")
     jac.add_argument("--which", choices=["DA", "A"], required=True)
-    jac.add_argument("--qmax", type=_size_flag, required=True)
+    jac.add_argument("--qmax", type=size, required=True)
     jac.add_argument("--json", action="store_true")
     jac.add_argument("--out", default=None, metavar="FILE")
 
     dec = sub.add_parser("decompose", help="tabulate sector dimensions against p(k)")
-    dec.add_argument("--nmax", type=_size_flag, default=4)
-    dec.add_argument("--kmax", type=_size_flag, default=8)
+    dec.add_argument("--nmax", type=size, default=4)
+    dec.add_argument("--kmax", type=size, default=8)
     dec.add_argument("--json", action="store_true")
     dec.add_argument("--out", default=None, metavar="FILE")
 
@@ -213,10 +198,6 @@ def pool_size(jobs: int, tasks: int) -> int:
     return min(jobs, cpus, tasks)
 
 
-def _worker(name: str) -> list[VerificationReport]:
-    return _suites.run_suite(name)
-
-
 def _verify_all(jobs: int = 1) -> list[VerificationReport]:
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, not {jobs}")
@@ -224,9 +205,9 @@ def _verify_all(jobs: int = 1) -> list[VerificationReport]:
     size = pool_size(jobs, len(names))
     if size > 1:
         with Pool(size) as pool:
-            chunks = pool.map(_worker, names, chunksize=1)
+            chunks = pool.map(_suites.run_suite, names, chunksize=1)
     else:
-        chunks = [_worker(name) for name in names]
+        chunks = [_suites.run_suite(name) for name in names]
     return [rep for chunk in chunks for rep in chunk]
 
 
@@ -243,14 +224,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_character(args) -> int:
-    from .qchar import char_product_form, char_sum_form, char_trace
-
-    qmax_half = 2 * args.qmax
-    series = {
-        "trace": lambda: char_trace(qmax_half),
-        "product": lambda: char_product_form(qmax_half),
-        "sum": lambda: char_sum_form(qmax_half),
-    }[args.form]()
+    form = {"trace": char_trace, "product": char_product_form, "sum": char_sum_form}[args.form]
+    series = form(2 * args.qmax)
     if args.json:
         lines = [json.dumps(record, sort_keys=True) for record in series.records()]
     else:
@@ -260,16 +235,12 @@ def cmd_character(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    from .qchar import jacobi_check
-
     report = jacobi_check(args.which, args.qmax)
     _emit(_report_lines([report], args.json), args.out)
     return 0 if report.passed else 1
 
 
 def cmd_decompose(args) -> int:
-    from .grading import partition_count, sector_basis
-
     lines = []
     ok = True
     for n in range(-args.nmax, args.nmax + 1):
@@ -286,17 +257,18 @@ def cmd_decompose(args) -> int:
     return 0 if ok else 1
 
 
-# integer literals are ASCII ``-?[0-9]+``, as in :func:`~fockcheck.fock.parse_int`
+# every integer literal is :data:`~fockcheck.fock.INTEGER`, but ``k`` in ``J[k,n]`` is unsigned
+_RATIONAL = rf"{INTEGER}(?:/[0-9]+)?"
 _TOKEN_RES = [
-    (re.compile(r"phi\[(-?[0-9]+)/2\]", re.ASCII), lambda m: ModeOperator(int(m.group(1)))),
-    (re.compile(r"h\[(-?[0-9]+)\]", re.ASCII), lambda m: h_mode(int(m.group(1)))),
-    (re.compile(r"Lhalf\[(-?[0-9]+)\]", re.ASCII), lambda m: vir.l_half_mode(int(m.group(1)))),
-    (re.compile(r"L1\[(-?[0-9]+)\]", re.ASCII), lambda m: vir.sugawara_l1_mode(int(m.group(1)))),
+    (PHI_RE, lambda m: ModeOperator(int(m.group(1)))),
+    (re.compile(rf"h\[({INTEGER})\]", re.ASCII), lambda m: h_mode(int(m.group(1)))),
+    (re.compile(rf"Lhalf\[({INTEGER})\]", re.ASCII), lambda m: vir.l_half_mode(int(m.group(1)))),
+    (re.compile(rf"L1\[({INTEGER})\]", re.ASCII), lambda m: vir.sugawara_l1_mode(int(m.group(1)))),
     (
-        re.compile(r"Llb\[(-?[0-9]+(?:/[0-9]+)?),(-?[0-9]+(?:/[0-9]+)?);(-?[0-9]+)\]", re.ASCII),
+        re.compile(rf"Llb\[({_RATIONAL}),({_RATIONAL});({INTEGER})\]", re.ASCII),
         lambda m: vir.lambda_family(parse_fraction(m.group(1)), parse_fraction(m.group(2)))(int(m.group(3))),
     ),
-    (re.compile(r"J\[([0-9]+),(-?[0-9]+)\]", re.ASCII), lambda m: jk_mode_neutral(int(m.group(1)), int(m.group(2)))),
+    (re.compile(rf"J\[([0-9]+),({INTEGER})\]", re.ASCII), lambda m: jk_mode_neutral(int(m.group(1)), int(m.group(2)))),
 ]
 
 

@@ -320,9 +320,11 @@ def enumerate_basis(weight_cut2: int) -> list[Monomial]:
 # parses the neutral grammar back.
 
 # Every integer literal is ASCII ``-?[0-9]+``: no sign but a leading minus,
-# no spaces, underscores or other digits.
-_PHI_RE = re.compile(r"phi\[(-?[0-9]+)/2\]", re.ASCII)
-_COEFF_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?", re.ASCII)
+# no spaces, underscores or other digits.  Every pattern that reads a signed
+# integer is built from INTEGER.
+INTEGER = "-?[0-9]+"
+PHI_RE = re.compile(rf"phi\[({INTEGER})/2\]", re.ASCII)
+_COEFF_RE = re.compile(rf"({INTEGER})(?:/([0-9]+))?", re.ASCII)
 
 
 def format_state(state: FockState) -> str:
@@ -342,7 +344,7 @@ def format_state(state: FockState) -> str:
 
 def parse_int(text: str) -> int:
     """An integer literal ``-?[0-9]+`` in ASCII digits; anything else raises ``ValueError``."""
-    if not re.fullmatch(r"-?[0-9]+", text, re.ASCII):
+    if not re.fullmatch(INTEGER, text, re.ASCII):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
@@ -372,7 +374,7 @@ def _parse_term(text: str) -> FockState:
         start = 1
     state = FockState.vacuum()
     for tok in reversed(tokens[start:-1]):
-        m = _PHI_RE.fullmatch(tok)
+        m = PHI_RE.fullmatch(tok)
         if not m:
             raise ValueError(f"bad factor {tok!r}")
         state = apply_mode(check_mode(int(m.group(1))), state)

@@ -66,6 +66,7 @@ has integer powers of ``z`` only.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Sequence
@@ -247,7 +248,7 @@ class ColumnStore:
         table = self.tables.get((key, space))
         if table is None:
             if op.space is not space:
-                name = f"{type(op).__name__} {key}"
+                name = f"{type(op).__name__} {reprlib.repr(key)}"  # a lift's key holds every entry
                 raise ValueError(f"{name} acts on the {op.space.name} space, not on a {space.name} state")
             table = self.tables[key, space] = ColumnTable(op, space, self)
         return table

@@ -30,6 +30,7 @@ from .heisenberg import (
     spanning_check,
 )
 from .modeops import AffineOperator, FermionBilinear, ModeOperator, bilinear_mode, zero_operator
+from .qchar import character_triple_check, jacobi_check, sector_refinement_check
 from .verify import VerificationReport, bracket_check, field_identity_check, merge_reports
 
 
@@ -338,8 +339,6 @@ def suite_identities(mmax: int = 4, weight_cut2: int = 16) -> list[VerificationR
 
 
 def suite_characters(qmax_half: int = 19, jac_qmax: int = 12) -> list[VerificationReport]:
-    from .qchar import character_triple_check, jacobi_check, sector_refinement_check
-
     return [
         character_triple_check(qmax_half),
         jacobi_check("DA", jac_qmax),

@@ -248,6 +248,40 @@ def test_zero_denominator_flags_are_usage_errors(capsys, argv):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("verify heisenberg --mmax -1", "fockcheck verify: error: argument --mmax: must be at least 0, not -1"),
+        ("verify clifford --max-index 0", "fockcheck verify: error: argument --max-index: must be at least 1/2, not 0"),
+        (
+            "verify heisenberg --weight-cut=-1/2",
+            "fockcheck verify: error: argument --weight-cut: must be at least 0, not -1/2",
+        ),
+        (
+            "verify heisenberg --weight-cut 1/3",
+            "fockcheck verify: error: argument --weight-cut: half-integers must have denominator 2: '1/3'",
+        ),
+        ("verify all --jobs x", "fockcheck verify: error: argument --jobs: not an integer: 'x'"),
+        (
+            "verify virasoro --family lambda --lambda 1/0",
+            "fockcheck verify: error: argument --lambda: zero denominator: '1/0'",
+        ),
+        (
+            "verify virasoro --family lambda --b 1.5",
+            "fockcheck verify: error: argument --b: not an exact rational: '1.5'",
+        ),
+        ("character --qmax -2", "fockcheck character: error: argument --qmax: must be at least 0, not -2"),
+        ("jacobi --which DA --qmax=-1", "fockcheck jacobi: error: argument --qmax: must be at least 0, not -1"),
+        ("decompose --nmax ٣", "fockcheck decompose: error: argument --nmax: not an integer: '٣'"),
+    ],
+)
+def test_every_flag_converter_error_is_pinned(capsys, command, message):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == message
+
+
 def test_zero_denominator_in_apply_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "apply", "Llb[1/0,0;1] |0>")
     assert code == 2

@@ -100,8 +100,8 @@ def test_contraction_equals_vacuum_expectation():
 
 
 def test_pair_action_is_the_normal_ordered_product():
-    # the suites order every pair inside apply_pair_to_monomial; it must act as
-    # sign * phi_p' phi_q' with (p', q') and sign from normal_order_pair
+    # apply_pair_to_monomial, the oracle for the column loop, orders every pair;
+    # it must act as sign * phi_p' phi_q' with (p', q') and sign from normal_order_pair
     modes = range(-9, 10, 2)
     for mono in enumerate_basis(8):
         v = FockState.monomial(mono)
@@ -484,8 +484,9 @@ def test_a_column_asked_for_on_another_space_registers_nothing():
         (MatrixLift(glinf_matrix(0, 1, 6)), neutral_state),
     ):
         registered = dict(COLUMNS.tables)
-        with pytest.raises(ValueError, match=f"acts on the {op.space.name} space, not on a {state.space.name} state"):
+        with pytest.raises(ValueError, match=f"acts on the {op.space.name} space, not on a {state.space.name} state") as err:
             op.apply(state)
+        assert len(str(err.value)) <= 180
         assert COLUMNS.tables.keys() == registered.keys()
         assert all(COLUMNS.tables[key] is table for key, table in registered.items())
 
