@@ -35,7 +35,7 @@ from multiprocessing import Pool
 
 from . import suites as _suites
 from . import virasoro as vir
-from .fock import INTEGER, PHI_RE, FockState, enumerate_basis, format_state, parse_fraction, parse_half, parse_int
+from .fock import INTEGER, PHI_RE, RATIONAL, FockState, enumerate_basis, format_state, parse_fraction, parse_half, parse_int
 from .grading import partition_count, sector_basis
 from .heisenberg import h_mode
 from .modeops import ModeOperator
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--family", choices=["half", "half~", "one", "one~", "lambda"])
     ver.add_argument("--lambda", type=fraction, default=None, metavar="p/q")
     ver.add_argument("--b", type=fraction, default=None, metavar="p/q")
-    ver.add_argument("--jobs", type=_flag(parse_int), default=None)
+    ver.add_argument("--jobs", type=_flag(parse_int, 1), default=None)
     ver.add_argument("--json", action="store_true")
     ver.add_argument("--out", default=None, metavar="FILE")
 
@@ -199,8 +199,6 @@ def pool_size(jobs: int, tasks: int) -> int:
 
 
 def _verify_all(jobs: int = 1) -> list[VerificationReport]:
-    if jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, not {jobs}")
     names = list(_suites.SUITES)
     size = pool_size(jobs, len(names))
     if size > 1:
@@ -258,14 +256,13 @@ def cmd_decompose(args) -> int:
 
 
 # every integer literal is :data:`~fockcheck.fock.INTEGER`, but ``k`` in ``J[k,n]`` is unsigned
-_RATIONAL = rf"{INTEGER}(?:/[0-9]+)?"
 _TOKEN_RES = [
     (PHI_RE, lambda m: ModeOperator(int(m.group(1)))),
     (re.compile(rf"h\[({INTEGER})\]", re.ASCII), lambda m: h_mode(int(m.group(1)))),
     (re.compile(rf"Lhalf\[({INTEGER})\]", re.ASCII), lambda m: vir.l_half_mode(int(m.group(1)))),
     (re.compile(rf"L1\[({INTEGER})\]", re.ASCII), lambda m: vir.sugawara_l1_mode(int(m.group(1)))),
     (
-        re.compile(rf"Llb\[({_RATIONAL}),({_RATIONAL});({INTEGER})\]", re.ASCII),
+        re.compile(rf"Llb\[({RATIONAL}),({RATIONAL});({INTEGER})\]", re.ASCII),
         lambda m: vir.lambda_family(parse_fraction(m.group(1)), parse_fraction(m.group(2)))(int(m.group(3))),
     ),
     (re.compile(rf"J\[([0-9]+),({INTEGER})\]", re.ASCII), lambda m: jk_mode_neutral(int(m.group(1)), int(m.group(2)))),

@@ -321,10 +321,12 @@ def enumerate_basis(weight_cut2: int) -> list[Monomial]:
 
 # Every integer literal is ASCII ``-?[0-9]+``: no sign but a leading minus,
 # no spaces, underscores or other digits.  Every pattern that reads a signed
-# integer is built from INTEGER.
+# integer is built from INTEGER, and every one that reads a rational ``p`` or
+# ``p/q`` from RATIONAL.
 INTEGER = "-?[0-9]+"
+RATIONAL = rf"{INTEGER}(?:/[0-9]+)?"  # the denominator is unsigned
 PHI_RE = re.compile(rf"phi\[({INTEGER})/2\]", re.ASCII)
-_COEFF_RE = re.compile(rf"({INTEGER})(?:/([0-9]+))?", re.ASCII)
+_COEFF_RE = re.compile(RATIONAL, re.ASCII)
 
 
 def format_state(state: FockState) -> str:
@@ -351,14 +353,12 @@ def parse_int(text: str) -> int:
 
 def parse_fraction(text: str) -> Fraction:
     """An exact rational literal ``p`` or ``p/q`` (ASCII integer literals, ``q`` unsigned)."""
-    m = _COEFF_RE.fullmatch(text)
-    if not m:
+    if not _COEFF_RE.fullmatch(text):
         raise ValueError(f"not an exact rational: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
-    if not den:
+    num, _, den = text.partition("/")
+    if den and not int(den):
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(num, den)
+    return Fraction(int(num), int(den or 1))
 
 
 def _parse_term(text: str) -> FockState:

@@ -28,10 +28,10 @@ the inner factor is read from its table at the basis vector and the outer
 one is composed through its factor (:func:`fockcheck.modeops.as_factor`),
 which for an affine combination reads its parts' tables: so an affine
 mode's private table holds only its columns at the basis vectors.
-The bracket is composed once per unordered pair: a swapped pair ``(n, m)``
-reuses ``±`` the bracket of ``(m, n)`` on the same basis vector, and a
-commutator's diagonal is zero, while the expected side is evaluated for
-every ordered pair.
+A case is decided once per unordered pair: a later row ``(n, m)`` declared
+as ``s`` times its first row ``(m, n)`` (``s`` the bracket's sign) copies
+that row's verdict, exactly, as ``[A_n, A_m]_± = s [A_m, A_n]_±``; every
+other row composes its two sides into one difference vector.
 The column format is :mod:`fockcheck.modeops`'s alone: it decides where
 the columns live (a keyed operator's in the process-wide store, any
 other's in a private table that dies with the check) and walks them.
@@ -177,17 +177,21 @@ def bracket_check(
     the operator's factor, an affine mode's parts.  Each grid pair is
     compared in ``int`` numerators over one common denominator: the lcm of
     ``D_m * D_n``, of ``coefficient.denominator * D_k`` for every summand and
-    of the scalar's denominator.  A case holds when popping the expected
-    side's numerators against the bracket's leaves no difference and no
-    nonzero numerator; only a failing case builds the two sides as states,
-    to render them.  ``params`` are added to the report's.
+    of the scalar's denominator.  A case holds when the bracket minus the
+    expected side, composed into one dict of numerators, has no nonzero
+    value; only a failing case builds the two sides as states, to render
+    them.  ``params`` are added to the report's.
 
-    The bracket is composed once per unordered pair: the loop runs over the
-    basis, and on each vector ``B = A_m A_n v ± A_n A_m v`` is held, in
-    numerators over ``D_m * D_n``, for the swapped pair ``(n, m)`` to read
-    as ``±B`` (and a repeated pair as ``B``).  A commutator's diagonal ``[A_m, A_m]`` is the zero
-    vector.  The expected side is evaluated for every ordered pair, and
-    failures are reported pair-major, then in basis order.
+    A row ``(n, m)`` after the first row ``(m, n)`` of its pair (or a
+    repeated ``(m, n)``) mirrors it when its declaration, zero terms
+    dropped, is ``([(s * c, k) for c, k in ops], s * scalar)`` of the first
+    row's, ``s`` the bracket's sign (``+1`` for a repeat).  A mirror composes
+    nothing and copies the first row's verdict on every basis vector: this
+    is exact, as ``[A_n, A_m]_± = s [A_m, A_n]_±`` and both rows have the
+    same denominator, so its case is ``s`` times the same equation.  Every
+    other row composes ``A_m A_n v ± A_n A_m v`` (not on a commutator's
+    diagonal, which is zero) and minus the expected side into one dict.
+    Failures are reported pair-major, then in basis order.
     """
     if kind not in ("commutator", "anticommutator"):
         raise ValueError(f"unknown bracket kind {kind!r}")
@@ -204,45 +208,39 @@ def bracket_check(
 
     with VerificationReport(name, {"kind": kind, "pairs": len(pairs), "basis": len(basis), **params}) as report:
         grid = []
-        source: dict = {}  # the row that composes the bracket of each pair
+        evaluated = []  # (row, the rows sharing its verdict) of every row that composes its case
+        first: dict = {}  # each unordered pair's first row: its declaration and the rows sharing its verdict
         for j, (m, n) in enumerate(pairs):
             ops, scalar = expected(m, n)
+            ops = [(c, k) for c, k in ops if c]
             tm, tn = table(m), table(n)
-            ops = [(c, table(k)) for c, k in ops if c]
+            parts = [(c, table(k)) for c, k in ops]
             product = tm.op.denominator * tn.op.denominator
-            den = math.lcm(product, scalar.denominator, *(c.denominator * t.op.denominator for c, t in ops))
-            want = tuple((t, _scaled(c, den // t.op.denominator)) for c, t in ops), _scaled(scalar, den)
-            lift = den // product
-            if (m, n) in source:
-                src = source[m, n]
-            elif (n, m) in source:  # the swapped pair's bracket, read as its sign times B
-                src, lift = source[n, m], sign * lift
+            den = math.lcm(product, scalar.denominator, *(c.denominator * t.op.denominator for c, t in parts))
+            want = tuple((t, _scaled(c, den // t.op.denominator)) for c, t in parts), _scaled(scalar, den)
+            row = (m, n, as_factor(tm), tm, as_factor(tn), tn, den, den // product, want)
+            grid.append(row)
+            s = 1 if (m, n) in first else sign
+            head = first.get((m, n)) or first.get((n, m))
+            if head and (ops, scalar) == ([(s * c, k) for c, k in head[0]], s * head[1]):
+                head[2].append(j)  # a mirror: s times the first row's case on every vector
             else:
-                src = source[m, n] = j
-            grid.append((m, n, as_factor(tm), tm, as_factor(tn), tn, den, lift, want, src))
+                rows = [j]
+                evaluated.append((row, rows))
+                if not head:
+                    first[m, n] = ops, scalar, rows
 
         failing: list[tuple[int, int]] = []
         for b, mono in enumerate(basis):
-            held: dict = {}  # the bracket of each composing row on this vector
             at = ((mono, 1),)
-            for j, (m, n, fm, tm, fn, tn, den, lift, want, src) in enumerate(grid):
-                if src == j:
-                    bracket = held[j] = {}
-                    if m != n or sign > 0:
-                        compose(fm, tn[mono], 1, bracket)
-                        compose(fn, tm[mono], sign, bracket)
-                else:
-                    bracket = held[src]
-                rhs: dict = {}
-                compose(want, at, 1, rhs)
-                pop = rhs.pop
-                for out, c in bracket.items():  # pop the expected side against the bracket
-                    if lift * c != pop(out, 0):
-                        break
-                else:
-                    if not any(rhs.values()):
-                        continue
-                failing.append((j, b))
+            for (m, n, fm, tm, fn, tn, _, lift, want), rows in evaluated:
+                diff: dict = {}  # the bracket minus the expected side, in numerators over den
+                if m != n or sign > 0:  # a commutator's diagonal is the zero vector
+                    compose(fm, tn[mono], lift, diff)
+                    compose(fn, tm[mono], sign * lift, diff)
+                compose(want, at, -1, diff)
+                if any(diff.values()):
+                    failing.extend((j, b) for j in rows)
 
         report.cases_run += len(grid) * len(basis)
         for j, b in sorted(failing):
@@ -257,8 +255,7 @@ def bracket_check(
 def _sides(row: tuple, mono, sign: int, space: Space) -> tuple[FockState, FockState]:
     """The bracket and the expected side of one grid row of
     :func:`bracket_check` on ``mono``, as states."""
-    m, n, fm, tm, fn, tn, den, _, want, _ = row
-    lift = den // (tm.op.denominator * tn.op.denominator)
+    m, n, fm, tm, fn, tn, den, lift, want = row
     lhs: dict = {}
     compose(fm, tn[mono], lift, lhs)
     compose(fn, tm[mono], sign * lift, lhs)

@@ -262,6 +262,8 @@ def test_zero_denominator_flags_are_usage_errors(capsys, argv):
             "fockcheck verify: error: argument --weight-cut: half-integers must have denominator 2: '1/3'",
         ),
         ("verify all --jobs x", "fockcheck verify: error: argument --jobs: not an integer: 'x'"),
+        ("verify all --jobs 0", "fockcheck verify: error: argument --jobs: must be at least 1, not 0"),
+        ("verify all --jobs -3", "fockcheck verify: error: argument --jobs: must be at least 1, not -3"),
         (
             "verify virasoro --family lambda --lambda 1/0",
             "fockcheck verify: error: argument --lambda: zero denominator: '1/0'",
@@ -323,8 +325,6 @@ def test_virasoro_family_selects_checks_by_name(capsys, family, checks):
         ("verify", "virasoro", "--family", "half", "--lambda", "1/3"),
         ("verify", "virasoro-lambda", "--b", "1/3"),
         ("verify", "all", "--mmax", "2"),
-        ("verify", "all", "--jobs", "0"),
-        ("verify", "all", "--jobs", "-3"),
     ],
 )
 def test_flags_a_target_does_not_take_are_usage_errors(capsys, argv):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fockcheck import suites, virasoro
+from fockcheck import modeops, suites, verify, virasoro
 from fockcheck.charged import CHARGED, enumerate_charged_basis, hA_mode, lA_family
 from fockcheck.fock import FockState, enumerate_basis, format_state, iter_modes
 from fockcheck.heisenberg import h_mode
@@ -157,6 +157,79 @@ def test_a_nonzero_expected_diagonal_fails_the_diagonal():
     assert report.failures_total == len(failing) == 5 * len(basis)
     assert report.failures == [witness for _, witness in failing[:MAX_WITNESSES]]
     assert all(failure["lhs"] == "0" for failure in report.failures)
+
+
+def count_expected_sides(monkeypatch):
+    """A list that grows by one each time ``bracket_check`` composes an
+    expected side, that is a factor that ``as_factor`` did not make."""
+    made, calls = {}, []
+
+    def as_factor(table):
+        factor = modeops.as_factor(table)
+        made[id(factor)] = factor  # held, so no later factor reuses the id
+        return factor
+
+    def compose(factor, col, scale, acc):
+        if id(factor) not in made:
+            calls.append(scale)
+        modeops.compose(factor, col, scale, acc)
+
+    monkeypatch.setattr(verify, "as_factor", as_factor)
+    monkeypatch.setattr(verify, "compose", compose)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(GRIDS))
+def test_a_defect_that_respects_the_mirror_fails_every_swapped_case(monkeypatch, kind):
+    # +1/3 on the scalar for m > n and s/3 for m < n is s times the same
+    # defect, so each row (n, m) copies the verdict of its first row (m, n)
+    # and must still fail every case the plain sides fail, with their witnesses
+    mode, right, grid = GRIDS[kind]
+    basis = enumerate_basis(6)
+    s = 1 if kind == "anticommutator" else -1
+    defect = lambda m, n: Fraction(1, 3) if m > n else Fraction(s, 3) if m < n else 0
+    wrong = lambda m, n: (right(m, n)[0], right(m, n)[1] + defect(m, n))
+    expected_sides = count_expected_sides(monkeypatch)
+    report = bracket_check("mirrored", kind, mode, wrong, grid, basis)
+    failing = plain_failures(kind, mode, wrong, grid, basis)
+    assert {pair for pair, _ in failing} == {(m, n) for m, n in grid if m != n}
+    assert report.failures_total == len(failing) == sum(m != n for m, n in grid) * len(basis)
+    assert report.failures == [witness for _, witness in failing[:MAX_WITNESSES]]
+    # one expected side per unordered pair and vector, and one per rendered witness
+    assert len(expected_sides) == len({frozenset(pair) for pair in grid}) * len(basis) + len(report.failures)
+
+
+def test_a_swapped_declaration_in_another_form_is_evaluated_on_its_own(monkeypatch):
+    # the same operator declared with its terms in another order, or with one
+    # term split in two, is no mirror: the swapped rows compose their own cases
+    right = virasoro_expected(Fraction(1, 2))
+
+    def reordered(m, n):
+        ops, scalar = right(m, n)
+        ops = ops + [(Fraction(1), 0), (Fraction(-1), 0)]
+        return (ops[::-1] if m > n else ops), scalar
+
+    def split(m, n):
+        ops, scalar = right(m, n)
+        return ([(c / 2, k) for c, k in ops for _ in range(2)] if m > n else ops), scalar
+
+    basis = enumerate_basis(6)
+    expected_sides = count_expected_sides(monkeypatch)
+    for declared in (reordered, split):
+        expected_sides.clear()
+        report = bracket_check("swapped", "commutator", virasoro.l_half_mode, declared, square_grid(2), basis)
+        assert report.passed and report.cases_run == 25 * len(basis)
+        assert len(expected_sides) == 25 * len(basis)
+
+
+def test_mirrored_rows_compose_no_expected_side(monkeypatch):
+    # L^{1/2} on square_grid(2): 5 diagonal rows and 10 unordered pairs are
+    # evaluated, and the other 10 rows copy a verdict
+    basis = enumerate_basis(8)
+    expected_sides = count_expected_sides(monkeypatch)
+    report = virasoro_bracket("half", "L1/2", virasoro.l_half_mode, Fraction(1, 2), 2, basis)
+    assert report.passed and report.cases_run == 25 * len(basis)
+    assert len(expected_sides) == 15 * len(basis)
 
 
 def test_bracket_check_rejects_an_unknown_kind():
