@@ -157,12 +157,23 @@ def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> QuadraticModeO
         c = pref * falling(-a - 1, a_ord) * falling(-b - 1, b_ord)
         return 2 * a + l_bit, 2 * b + r_bit, c
 
+    both = list(range(T + 1, 0))  # both create: T+1 <= a <= -1
+    left, right = int(sp_l == PLUS), int(sp_r == PLUS)  # the block each factor annihilates in: 1 is psi-
+
     def support(mono: ChargedMonomial) -> list[int]:
-        plus, minus = mono
-        hits = list(range(T + 1, 0))  # both create: T+1 <= a <= -1
-        hits += indices_of(minus if sp_l == PLUS else plus)  # left factor annihilates index j: a = j
-        # the left one creates and the right one annihilates index j: T - a = j, a <= -1
-        hits += [T - j for j in indices_of(minus if sp_r == PLUS else plus) if j > T]
+        hits = both.copy()
+        block = mono[left]
+        while block:  # the left factor annihilates index j: a = j, lowest first
+            low = block & -block
+            hits.append(low.bit_length() - 1)
+            block ^= low
+        block = mono[right]
+        while block:  # the left one creates and the right one annihilates index j: T - a = j, a <= -1
+            low = block & -block
+            j = low.bit_length() - 1
+            if j > T:
+                hits.append(T - j)
+            block ^= low
         return hits
 
     return QuadraticModeOperator(rule, support, bil.prefactor.denominator, (bil, exponent), CHARGED)
@@ -217,7 +228,11 @@ def _split_sign(mono: ChargedMonomial) -> int:
     the neutral order, where the even index ``2j`` stands left of the odd
     index ``2p+1`` exactly when ``j > p``."""
     plus, minus = mono
-    swaps = sum((minus >> (p + 1)).bit_count() for p in indices_of(plus))
+    swaps = 0
+    while plus:  # each psi+ index p passes the psi- indices above it
+        low = plus & -plus
+        swaps += (minus >> low.bit_length()).bit_count()
+        plus ^= low
     return -1 if swaps % 2 else 1
 
 
@@ -225,11 +240,14 @@ def to_charged_monomial(mono: Monomial) -> tuple[int, ChargedMonomial]:
     """Signed dictionary image of a neutral monomial: the odd indices form the
     ``psi+`` block and the even ones the ``psi-`` block."""
     plus = minus = 0
-    for n in indices_of(mono):
+    while mono:
+        low = mono & -mono
+        n = low.bit_length() - 1
         if n & 1:  # psi+_{-p-1}, the image of the neutral mode -(2p+1)-1/2
             plus |= 1 << (n >> 1)
         else:  # psi-_{-j-1}, the image of the neutral mode -2j-1/2
             minus |= 1 << (n >> 1)
+        mono ^= low
     image = (plus, minus)
     return _split_sign(image), image
 
@@ -238,10 +256,14 @@ def from_charged_monomial(mono: ChargedMonomial) -> tuple[int, Monomial]:
     """Signed inverse image of a charged monomial."""
     plus, minus = mono
     neutral = 0
-    for p in indices_of(plus):
-        neutral |= 1 << (2 * p + 1)
-    for j in indices_of(minus):
-        neutral |= 1 << (2 * j)
+    while plus:  # psi+ index p is the odd neutral index 2p+1
+        low = plus & -plus
+        neutral |= 1 << (2 * low.bit_length() - 1)
+        plus ^= low
+    while minus:  # psi- index j is the even neutral index 2j
+        low = minus & -minus
+        neutral |= 1 << (2 * low.bit_length() - 2)
+        minus ^= low
     return _split_sign(mono), neutral
 
 

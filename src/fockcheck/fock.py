@@ -96,7 +96,12 @@ def indices_of(mono: Monomial) -> tuple[int, ...]:
 
 def weight2(mono: Monomial) -> int:
     """Twice the weight sum((n_i + 1/2)); always a non-negative integer."""
-    return sum(2 * n + 1 for n in indices_of(mono))
+    out = 0
+    while mono:  # each occupied index n adds 2n + 1
+        low = mono & -mono
+        out += 2 * low.bit_length() - 1
+        mono ^= low
+    return out
 
 
 def weight(mono: Monomial) -> Fraction:

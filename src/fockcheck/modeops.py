@@ -32,7 +32,9 @@ computed on read, and a store table writes its own columns.  Operators are
 composed on columns by :func:`compose`, the one loop that applies an
 operator to a vector through its :data:`Factor`: an affine combination's
 parts' tables with their weights plus its scalar, any other operator's own
-table.  A primitive operator carries a ``key`` that names its
+table.  The row kernel :func:`failing_vectors` inlines that loop to decide
+one row of :func:`fockcheck.verify.bracket_check` on a whole basis.  A
+primitive operator carries a ``key`` that names its
 construction: ``(bil, exponent)`` for :func:`bilinear_mode` and
 :func:`~fockcheck.charged.charged_bilinear_mode`, ``("h", n)`` for
 :func:`~fockcheck.heisenberg.h_mode`, ``("L1", n)`` for
@@ -181,6 +183,12 @@ class QuadraticModeOperator:
         return apply_columns(self, state)
 
 
+# A key as an error prints it, which names the operator's construction: a
+# bilinear whole, any tuple cut after two items, so a lift shows two entries.
+KEY_REPR = reprlib.Repr()
+KEY_REPR.maxtuple = 2
+KEY_REPR.repr_instance = lambda x, level: repr(x)
+
 # Columns the store holds before its tables are emptied.  At their default
 # cut-offs the five neutral bracket-grid suites fill 14,965 columns in one
 # process (12,036 of quadratic operators, 2,929 of L^1), and all fourteen
@@ -248,8 +256,9 @@ class ColumnStore:
         table = self.tables.get((key, space))
         if table is None:
             if op.space is not space:
-                name = f"{type(op).__name__} {reprlib.repr(key)}"  # a lift's key holds every entry
-                raise ValueError(f"{name} acts on the {op.space.name} space, not on a {space.name} state")
+                raise ValueError(
+                    f"operator {KEY_REPR.repr(key)} acts on the {op.space.name} space, not on a {space.name} state"
+                )
             table = self.tables[key, space] = ColumnTable(op, space, self)
         return table
 
@@ -290,8 +299,9 @@ def compose(factor: Factor, col: Iterable[tuple[Any, int]], scale: int, acc: dic
     factor is ``((table_j, w_j), ...), s``: ``A = sum_j (w_j / D) D_j op_j
     + (s / D) Id``, with ``table_j`` holding the columns of ``op_j`` over
     ``D_j``.  ``col`` is read once per part.  Every product of an operator
-    with columns is this loop, but for the ``h`` products inside an ``L^1``
-    column (:func:`fockcheck.virasoro._sugawara_on_monomial`)."""
+    with columns is this loop, but for the bracket rows of
+    :func:`failing_vectors`, which inline it, and the ``h`` products inside
+    an ``L^1`` column (:func:`fockcheck.virasoro._sugawara_on_monomial`)."""
     get = acc.get
     tables, scalar = factor
     if scalar:
@@ -303,6 +313,48 @@ def compose(factor: Factor, col: Iterable[tuple[Any, int]], scale: int, acc: dic
             c *= w
             for out, d in table[mid]:
                 acc[out] = get(out, 0) + c * d
+
+
+def failing_vectors(products: Iterable[tuple[Factor, ColumnTable, int]], want: Factor, basis: Sequence) -> list[int]:
+    """The indices ``b`` of ``basis`` at which ``sum scale * D * A (B v) - W
+    v`` is not the zero vector, ``v = basis[b]``, the sum over ``products``
+    of ``(factor of A, table of B, scale)`` and ``W`` the operator of the
+    factor ``want``: the difference of one bracket row's two sides, both in
+    numerators over the row's denominator.
+
+    Each product is :func:`compose` of ``A``'s factor on ``B``'s column at
+    ``v``, inlined into one dict per vector with the scales and ``want``'s
+    weights multiplied in once; an empty column of ``B`` composes nothing."""
+    inner = [
+        (table, scale * scalar, tuple((t, scale * w) for t, w in parts))
+        for (parts, scalar), table, scale in products
+    ]
+    parts, scalar = want
+    minus = tuple((t, -w) for t, w in parts)
+    failing = []
+    for b, mono in enumerate(basis):
+        acc: dict = {}
+        get = acc.get
+        for table, s, outer in inner:
+            col = table[mono]
+            if not col:
+                continue
+            if s:
+                for mid, c in col:
+                    acc[mid] = get(mid, 0) + s * c
+            for t, w in outer:
+                for mid, c in col:
+                    c *= w
+                    for out, d in t[mid]:
+                        acc[out] = get(out, 0) + c * d
+        if scalar:
+            acc[mono] = get(mono, 0) - scalar
+        for t, w in minus:
+            for out, d in t[mono]:
+                acc[out] = get(out, 0) + w * d
+        if any(acc.values()):
+            failing.append(b)
+    return failing
 
 
 def apply_columns(op, state: FockState) -> FockState:

@@ -22,16 +22,19 @@ relation to :func:`bracket_check` or :func:`field_identity_check`.  Every
 operator is quasi-finite: it sends a basis monomial to a finite combination
 of monomials, its *column*.  :func:`bracket_check` builds each mode operator
 once per check, asks :meth:`fockcheck.modeops.ColumnStore.table` for its
-column table once, and composes the bracket of every grid pair, and the
-expected side, through :func:`fockcheck.modeops.compose`.  In each product
-the inner factor is read from its table at the basis vector and the outer
-one is composed through its factor (:func:`fockcheck.modeops.as_factor`),
-which for an affine combination reads its parts' tables: so an affine
-mode's private table holds only its columns at the basis vectors.
+column table once, and decides each evaluated grid row, its bracket against
+its expected side on every basis vector, in one call of the row kernel
+:func:`fockcheck.modeops.failing_vectors`.  In each product the inner
+factor is read from its table at the basis vector and the outer one is
+composed through its factor (:func:`fockcheck.modeops.as_factor`), which
+for an affine combination reads its parts' tables: so an affine mode's
+private table holds only its columns at the basis vectors.
 A case is decided once per unordered pair: a later row ``(n, m)`` declared
 as ``s`` times its first row ``(m, n)`` (``s`` the bracket's sign) copies
 that row's verdict, exactly, as ``[A_n, A_m]_± = s [A_m, A_n]_±``; every
-other row composes its two sides into one difference vector.
+other row composes its two sides into one difference vector per basis
+vector.  A failing case is rendered through
+:func:`fockcheck.modeops.compose`.
 The column format is :mod:`fockcheck.modeops`'s alone: it decides where
 the columns live (a keyed operator's in the process-wide store, any
 other's in a private table that dies with the check) and walks them.
@@ -55,7 +58,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .fock import NEUTRAL, FockState, Space, format_state
-from .modeops import COLUMNS, ColumnTable, apply_declared, as_factor, compose
+from .modeops import COLUMNS, ColumnTable, apply_declared, as_factor, compose, failing_vectors
 
 MAX_WITNESSES = 20  # failures kept per report; failures_total counts them all
 
@@ -190,8 +193,10 @@ def bracket_check(
     is exact, as ``[A_n, A_m]_± = s [A_m, A_n]_±`` and both rows have the
     same denominator, so its case is ``s`` times the same equation.  Every
     other row composes ``A_m A_n v ± A_n A_m v`` (not on a commutator's
-    diagonal, which is zero) and minus the expected side into one dict.
-    Failures are reported pair-major, then in basis order.
+    diagonal, which is zero) and minus the expected side into one dict per
+    basis vector, in one call of :func:`fockcheck.modeops.failing_vectors`
+    over the whole basis.  Failures are reported pair-major, then in basis
+    order.
     """
     if kind not in ("commutator", "anticommutator"):
         raise ValueError(f"unknown bracket kind {kind!r}")
@@ -231,16 +236,10 @@ def bracket_check(
                     first[m, n] = ops, scalar, rows
 
         failing: list[tuple[int, int]] = []
-        for b, mono in enumerate(basis):
-            at = ((mono, 1),)
-            for (m, n, fm, tm, fn, tn, _, lift, want), rows in evaluated:
-                diff: dict = {}  # the bracket minus the expected side, in numerators over den
-                if m != n or sign > 0:  # a commutator's diagonal is the zero vector
-                    compose(fm, tn[mono], lift, diff)
-                    compose(fn, tm[mono], sign * lift, diff)
-                compose(want, at, -1, diff)
-                if any(diff.values()):
-                    failing.extend((j, b) for j in rows)
+        for (m, n, fm, tm, fn, tn, _, lift, want), rows in evaluated:
+            # a commutator's diagonal is the zero vector
+            products = ((fm, tn, lift), (fn, tm, sign * lift)) if m != n or sign > 0 else ()
+            failing.extend((j, b) for b in failing_vectors(products, want, basis) for j in rows)
 
         report.cases_run += len(grid) * len(basis)
         for j, b in sorted(failing):

@@ -27,6 +27,7 @@ it stays as the evidence for the lift.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -74,14 +75,23 @@ def structure_constants(k1: int, n1: int, k2: int, n2: int) -> list[Fraction]:
     with ``r`` the rising factorial; ``P`` is expanded in the basis
     ``r(j, k)``.  Since ``r(-t, k) = 0`` for ``k > t``, the values at
     ``j = 0, -1, ..., -(k1+k2)`` give the ``a_k`` by a triangular solve.
+
+    The pivot ``r(-t, t)`` is ``(-1)^t t!``, so ``a_t`` lies in ``(1/D)Z``
+    for ``D`` the product of ``t!`` over ``t <= k1+k2``: the solve runs in
+    ``int`` numerators over ``D``, and a division that is not exact raises
+    ``ArithmeticError``.
     """
-    out: list[Fraction] = []
-    for t in range(k1 + k2 + 1):
+    top = k1 + k2
+    den = math.prod(math.factorial(t) for t in range(top + 1))
+    out: list[int] = []
+    for t in range(top + 1):
         j = -t
         p = _rising(j, k2) * _rising(j - n2, k1) - _rising(j, k1) * _rising(j - n1, k2)
-        rest = p - sum(a * _rising(j, k) for k, a in enumerate(out))
-        out.append(Fraction(rest, _rising(j, t)))
-    return out
+        num, r = divmod(p * den - sum(a * _rising(j, k) for k, a in enumerate(out)), _rising(j, t))
+        if r:
+            raise ArithmeticError(f"structure constant a_{t} of ({k1}, {n1}), ({k2}, {n2}) is outside (1/{den})Z")
+        out.append(num)
+    return [Fraction(a, den) for a in out]
 
 
 def winf_expected(m: tuple[int, int], n: tuple[int, int]):

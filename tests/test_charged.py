@@ -14,6 +14,7 @@ from fockcheck.charged import (
     charge,
     charged_code,
     charged_mode_of,
+    charged_bilinear_mode,
     cweight2,
     enumerate_charged_basis,
     format_charged_monomial,
@@ -40,6 +41,7 @@ from fockcheck.heisenberg import h_mode
 from fockcheck.suites import LAMBDA_PAIRS
 from fockcheck.verify import field_identity_check, merge_reports
 from fockcheck.virasoro import central_charge, lambda_family
+from fockcheck.winf import jk_mode_charged
 
 CBASIS = enumerate_charged_basis(16)
 NBASIS = enumerate_basis(16)
@@ -216,6 +218,49 @@ def test_state_map_bijection_and_round_trip():
     for mono in NBASIS:
         v = FockState.monomial(mono, Fraction(3, 7))
         assert from_charged(to_charged(v)) == v
+
+
+def indexed_split(mono):
+    """``to_charged_monomial`` over the index tuple: the odd indices form the
+    ``psi+`` block, the even ones the ``psi-`` block, and the sign counts,
+    for each ``psi+`` index ``p``, the ``psi-`` indices ``j > p``."""
+    plus = tuple(n >> 1 for n in indices_of(mono) if n & 1)
+    minus = tuple(n >> 1 for n in indices_of(mono) if not n & 1)
+    swaps = sum(j > p for p in plus for j in minus)
+    return (-1) ** swaps, (mask_of(plus), mask_of(minus))
+
+
+def test_the_dictionary_walks_set_bits_with_the_index_signs():
+    for mono in NBASIS:
+        sign, image = indexed_split(mono)
+        assert to_charged_monomial(mono) == (sign, image)
+        assert from_charged_monomial(image) == (sign, mono)
+
+
+def indexed_support(op):
+    """The support of a ``charged_bilinear_mode`` read off index tuples: both
+    factors create, then each index the left factor annihilates, then each
+    index ``j > T`` the right one annihilates while the left one creates."""
+    bil, exponent = op.key
+    T = -exponent + bil.zshift - 2 - bil.dleft - bil.dright
+
+    def support(mono):
+        plus, minus = mono
+        left = indices_of(minus if bil.left_species == PLUS else plus)
+        right = indices_of(minus if bil.right_species == PLUS else plus)
+        return [*range(T + 1, 0), *left, *(T - j for j in right if j > T)]
+
+    return support
+
+
+def test_the_bilinear_support_walks_set_bits_in_index_order():
+    ops = [jk_mode_charged(k, n) for k in range(5) for n in range(-6, 7)]
+    ops += [hA_mode(n) for n in range(-6, 7)]
+    ops += [op for n in range(-6, 7) for _, op in lA_lambda_b_mode(Fraction(1, 3), Fraction(2, 5), n).parts]
+    assert len(ops) == 65 + 13 + 39
+    for op in ops:
+        oracle = indexed_support(op)
+        assert [op.support(mono) for mono in CBASIS] == [oracle(mono) for mono in CBASIS], op.key
 
 
 def test_heisenberg_intertwining():

@@ -491,6 +491,21 @@ def test_a_column_asked_for_on_another_space_registers_nothing():
         assert all(COLUMNS.tables[key] is table for key, table in registered.items())
 
 
+def test_the_wrong_space_message_prints_a_bilinear_whole_and_a_lift_short():
+    # the prefactor and the species tell two charged bilinears apart
+    bil = ChargedBilinear(Fraction(-1, 3), 0, MINUS, 1, PLUS, 0)
+    with pytest.raises(ValueError) as err:
+        charged_bilinear_mode(bil, -2).apply(FockState.vacuum())
+    assert str(err.value) == f"operator ({bil!r}, -2) acts on the charged space, not on a neutral state"
+    assert "Fraction(-1, 3)" in str(err.value) and "left_species=-1" in str(err.value)
+    # a lift's key holds every matrix entry: the message shows two
+    with pytest.raises(ValueError) as err:
+        MatrixLift(glinf_matrix(0, 1, 6)).apply(FockState.vacuum())
+    assert str(err.value) == (
+        "operator ('lift', (((-7, -6), 1), ((-6, -5), 1), ...)) acts on the charged space, not on a neutral state"
+    )
+
+
 def test_an_operator_without_a_key_gets_a_new_private_table():
     op = AffineOperator([(1, h_mode(1))])
     # its part is keyed: that table is the store's own, the same one every time

@@ -132,8 +132,8 @@ GRIDS = {
 
 @pytest.mark.parametrize("kind", sorted(GRIDS))
 def test_a_defect_only_in_swapped_pairs_fails_exactly_those(kind):
-    # the bracket of (n, m) is read back from (m, n); an expected side wrong
-    # only for m > n must fail exactly those cases, with the plain sides
+    # an expected side wrong only for m > n makes those rows no mirrors: they
+    # compose their own cases and must fail exactly those, with the plain sides
     mode, right, grid = GRIDS[kind]
     basis = enumerate_basis(6)
     wrong = lambda m, n: (right(m, n)[0], right(m, n)[1] + (Fraction(1, 3) if m > n else 0))
@@ -161,8 +161,19 @@ def test_a_nonzero_expected_diagonal_fails_the_diagonal():
 
 def count_expected_sides(monkeypatch):
     """A list that grows by one each time ``bracket_check`` composes an
-    expected side, that is a factor that ``as_factor`` did not make."""
+    expected side: once per vector the row kernel ``failing_vectors`` walks,
+    as it composes its row's expected side on each, and once per ``compose``
+    of a factor that ``as_factor`` did not make, as ``_sides`` does to render
+    a witness."""
     made, calls = {}, []
+
+    def failing_vectors(products, want, basis):
+        def walked():
+            for mono in basis:
+                calls.append(-1)
+                yield mono
+
+        return modeops.failing_vectors(products, want, walked())
 
     def as_factor(table):
         factor = modeops.as_factor(table)
@@ -174,6 +185,7 @@ def count_expected_sides(monkeypatch):
             calls.append(scale)
         modeops.compose(factor, col, scale, acc)
 
+    monkeypatch.setattr(verify, "failing_vectors", failing_vectors)
     monkeypatch.setattr(verify, "as_factor", as_factor)
     monkeypatch.setattr(verify, "compose", compose)
     return calls

@@ -1,5 +1,6 @@
 """Differential-operator generators, the window matrices, central defects."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,28 @@ def test_structure_constants_examples():
     assert structure_constants(1, 1, 1, -1) == [0, 2, 0]
     assert structure_constants(0, 2, 0, -2) == [0]
     assert structure_constants(2, 1, 1, -2) == [0, 2, 5, 0]
+
+
+def fraction_solve(k1, n1, k2, n2):
+    """The triangular solve of ``structure_constants`` in ``Fraction``s."""
+    rising = lambda j, k: math.prod(range(j, j + k))
+    out = []
+    for t in range(k1 + k2 + 1):
+        j = -t
+        p = rising(j, k2) * rising(j - n2, k1) - rising(j, k1) * rising(j - n1, k2)
+        rest = p - sum(a * rising(j, k) for k, a in enumerate(out))
+        out.append(Fraction(rest, rising(j, t)))
+    return out
+
+
+def test_integer_structure_constants_equal_the_fraction_solve():
+    for k1 in range(4):
+        for k2 in range(4):
+            for n1 in range(-6, 7):
+                for n2 in range(-6, 7):
+                    got = structure_constants(k1, n1, k2, n2)
+                    assert got == fraction_solve(k1, n1, k2, n2), (k1, n1, k2, n2)
+                    assert all(type(a) is Fraction for a in got)
 
 
 def lifted_columns(monkeypatch, run, widen=None):
