@@ -10,8 +10,8 @@ report names it where the check is declared.  The families here are
 * ``L^1``: the Sugawara bilinear ``(1/2) sum_k :h_{n-k} h_k:`` in Heisenberg
   modes (central charge 1);
 * ``L~^1``: ``(1/2) L^{1/2}_{2n} + (1/32) delta(n)`` (central charge 1);
-* ``L^{lambda,b}``: the two-parameter deformation of ``L^1`` by ``h`` and a
-  constant, with central charge ``-12*lambda**2 + 12*lambda - 2``.
+* ``L^{lambda,b}``: the bilinear ``(1/2) L^{1/2}_{2n} + (a_n - 1/4) h_n + M delta(n)``,
+  ``a_n`` affine and ``M`` quadratic in ``(lambda, b)`` (central charge ``-12*lambda**2 + 12*lambda - 2``).
 
 Heisenberg quadratics are normal ordered with annihilators right: in
 ``:h_a h_b:`` the larger mode index acts first.  This is the unique choice
@@ -181,19 +181,19 @@ def lambda_b_constant(lam: Fraction, b: Fraction) -> Fraction:
 
 
 def lambda_family(lam: Fraction, b: Fraction) -> Callable[[int], AffineOperator]:
-    """The deformation ``L^1_n - (1/2-lam)((2n+1)/2) h_n - b h_n + M delta(n)``.
-
-    The state isomorphism carries it to the charged family with a shifted
-    ``b``: ``to_charged(L^{lam,b}_n v) = LA(lam, b - K)_n to_charged(v)`` with
-    ``K = (1 - 2 lam)/4``, the ``K`` of :func:`lambda_b_constant`
-    (see :func:`fockcheck.charged.lA_lambda_b_mode`).
+    """The bilinear ``(1/2) L^{1/2}_{2n} + (a_n - 1/4) h_n + M delta(n)``, with
+    ``a_n = -(1/2-lam)((2n+1)/2) - b`` affine and ``M`` quadratic in ``(lam, b)``.
+    By ``L^1_n = (1/2) L^{1/2}_{2n} - (1/4) h_n`` it is ``L^1_n + a_n h_n + M delta(n)``,
+    which ``lambda_specialises_to_one`` checks against the Sugawara sum at ``(1/2, 0)``.
+    The state isomorphism carries it to :func:`fockcheck.charged.lA_lambda_b_mode`
+    at ``b - K``, with the ``K = (1 - 2 lam)/4`` of :func:`lambda_b_constant`.
     """
     lam, b = Fraction(lam), Fraction(b)
     M = lambda_b_constant(lam, b)
 
     def mode(n: int) -> AffineOperator:
-        h_coeff = -(Fraction(1, 2) - lam) * Fraction(2 * n + 1, 2) - b
-        return AffineOperator([(1, sugawara_l1_mode(n)), (h_coeff, h_mode(n))], M if n == 0 else 0)
+        h_coeff = -(Fraction(1, 2) - lam) * Fraction(2 * n + 1, 2) - b - Fraction(1, 4)
+        return AffineOperator([(Fraction(1, 2), l_half_mode(2 * n)), (h_coeff, h_mode(n))], M if n == 0 else 0)
 
     return mode
 

@@ -468,10 +468,14 @@ def test_character_and_decompose_print_at_the_size_floors(capsys):
     assert code == 0 and out.strip() == "n=+0 k=0 dim=1 p(k)=1 match=True"
 
 
-def _readme_commands():
+def _readme_lines():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
-    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("fockcheck ")]
+    return [line for line in block.splitlines() if line.startswith("fockcheck ")]
+
+
+def _readme_commands():
+    return [shlex.split(line, comments=True) for line in _readme_lines()]
 
 
 def test_readme_commands_parse():
@@ -482,3 +486,19 @@ def test_readme_commands_parse():
         args = parser.parse_args(argv[1:])
         if args.command == "verify":
             _verify_params(args)
+
+
+def test_readme_commands_run(capsys):
+    """Every README command but ``verify all``, which CI runs through the
+    console script, exits 0; a ``# prints:`` comment is the command's output
+    (read from the raw line, since ``shlex`` drops comments)."""
+    printed = 0
+    for line, argv in zip(_readme_lines(), _readme_commands()):
+        if argv[1:3] == ["verify", "all"]:
+            continue
+        code, out, _ = run_cli(capsys, *argv[1:])
+        assert code == 0, line
+        if "# prints:" in line:
+            assert out.strip() == line.split("# prints:", 1)[1].strip()
+            printed += 1
+    assert printed == 1

@@ -219,6 +219,10 @@ CONTROLS = [
     ("diagonal_bilinear_vanishes", suites, "bilinear_mode", extra_left_derivative, identities),
     ("heisenberg_field_odd_modes_only", suites, "bilinear_mode", extra_left_derivative, identities),
     ("j0_equals_heisenberg_neutral", winf, "jk_mode_neutral", lambda f: lambda k, n: f(k, n + 1), winf_small),
+    # the lambda family is built on L^{1/2} and h, so only the right side of the c = 1 specialisation
+    # reads the Sugawara sum, and the lambda brackets read L^{1/2}
+    ("lambda_specialises_to_one", virasoro, "sugawara_l1_mode", shifted_charge, lambda_specialisations),
+    ("virasoro_lambda", virasoro, "l_half_mode", shifted_charge, lambda_bracket),
 ]
 
 # a merged report and the sub-check whose control covers it

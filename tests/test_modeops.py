@@ -564,8 +564,8 @@ def test_a_held_store_table_fills_its_misses_without_asking_the_store(monkeypatc
 
 
 def test_store_tables_hold_only_what_fill_inserted():
-    # L^1 columns fill h columns first; the lambda family reads both through
-    # an affine combination
+    # L^1 columns fill h columns first; the lambda family reads L^{1/2} and h
+    # columns through an affine combination
     COLUMNS.clear()
     basis = enumerate_basis(8)
     assert virasoro_bracket("one", "L1", sugawara_l1_mode, Fraction(1), 2, basis).passed

@@ -10,6 +10,7 @@ from fockcheck.grading import vacuum_like
 from fockcheck.heisenberg import h_mode
 from fockcheck.modeops import AffineOperator
 from fockcheck.virasoro import (
+    L_HALF_BILINEAR,
     central_charge,
     doubling_construct,
     h_derivative_mode,
@@ -145,6 +146,36 @@ def test_lambda_specialises_to_tilde():
         for mono in BASIS_8:
             v = FockState.monomial(mono)
             assert fam(n).apply(v) == l1_tilde_mode(n).apply(v)
+
+
+def _differences(values, order):
+    """Every forward difference of total ``order`` of ``{(i, j): value}`` on an index grid."""
+    out = []
+    for along_i in range(order + 1):
+        grid = dict(values)
+        for di, dj in [(1, 0)] * along_i + [(0, 1)] * (order - along_i):
+            grid = {(i, j): grid[i + di, j + dj] - v for (i, j), v in grid.items() if (i + di, j + dj) in grid}
+        out += grid.values()
+    return out
+
+
+def test_lambda_family_is_a_bilinear_with_affine_weights():
+    """Each mode reads ``L^{1/2}_{2n}`` at weight 1/2 and ``h_n`` at a weight
+    affine in ``(lam, b)``, plus a constant quadratic in them.  The lattice is
+    4 x 4 because a third difference along one axis needs four points."""
+    grid = [Fraction(k, 3) for k in range(-1, 3)]
+    for n in range(-3, 4):
+        l_half_key, h_key = (L_HALF_BILINEAR, -2 * n - 2), ("h", n)
+        h_weight, scalar = {}, {}
+        for i, lam in enumerate(grid):
+            for j, b in enumerate(grid):
+                mode = lambda_family(lam, b)(n)
+                weights = {op.key: c for c, op in mode.parts}
+                assert set(weights) <= {l_half_key, h_key}
+                assert weights[l_half_key] == Fraction(1, 2)
+                h_weight[i, j], scalar[i, j] = weights.get(h_key, 0), mode.scalar
+        assert not any(_differences(h_weight, 2))
+        assert not any(_differences(scalar, 3))
 
 
 def test_lambda_bracket_generic_pair():
