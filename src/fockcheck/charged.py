@@ -180,6 +180,7 @@ def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> QuadraticModeO
 
 
 H_CHARGED_BILINEAR = ChargedBilinear(Fraction(1), 0, PLUS, 0, MINUS, 0)
+A_CHARGED_BILINEAR = ChargedBilinear(Fraction(1), 0, PLUS, 1, MINUS, 0)  # :(d psi+) psi-:
 
 
 def hA_mode(n: int) -> QuadraticModeOperator:
@@ -189,20 +190,22 @@ def hA_mode(n: int) -> QuadraticModeOperator:
 
 def lA_lambda_b_mode(lam: Fraction, b: Fraction, n: int) -> AffineOperator:
     """Mode n of ``(1-lam):(d psi+) psi-: + lam :(d psi-) psi+: - b :psi+ psi-:``
-    plus the constant ``b(b - 2 lam + 1)/2`` at mode zero.
+    plus the constant ``b(b - 2 lam + 1)/2`` at mode zero, built on two
+    stored columns as ``A_n + (lam(n+1) - b) hA_n + b(b - 2 lam + 1)/2 delta(n)``.
+
+    ``A_n`` is the mode of ``:(d psi+) psi-:`` and ``B_n`` that of
+    ``:(d psi-) psi+:``, both at ``z^{-n-2}``.  Normal-ordered products are
+    antisymmetric and ``d :psi+ psi-: = :(d psi+) psi-: + :psi+ (d psi-):``,
+    so ``B_n = A_n + (n+1) hA_n`` exactly, which folds the ``lam`` part into
+    the weight of ``hA_n``.
 
     It is the image of the neutral family under the state isomorphism with
     ``b`` shifted: ``LA(lam, b)`` corresponds to
     ``virasoro.lambda_family(lam, b + K)`` with ``K = (1 - 2 lam)/4``.
     """
     lam, b = Fraction(lam), Fraction(b)
-    e = -n - 2
     return AffineOperator(
-        [
-            (1 - lam, charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, PLUS, 1, MINUS, 0), e)),
-            (lam, charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, MINUS, 1, PLUS, 0), e)),
-            (-b, hA_mode(n)),
-        ],
+        [(1, charged_bilinear_mode(A_CHARGED_BILINEAR, -n - 2)), (lam * (n + 1) - b, hA_mode(n))],
         b * (b - 2 * lam + 1) / 2 if n == 0 else 0,
     )
 

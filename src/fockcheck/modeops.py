@@ -38,21 +38,21 @@ primitive operator carries a ``key`` that names its
 construction: ``(bil, exponent)`` for :func:`bilinear_mode` and
 :func:`~fockcheck.charged.charged_bilinear_mode`, ``("h", n)`` for
 :func:`~fockcheck.heisenberg.h_mode`, ``("L1", n)`` for
-:class:`~fockcheck.virasoro.SugawaraOperator` and ``("lift", entries)``
-for :class:`~fockcheck.winf.MatrixLift`, and a ``space``; its
-``column(mono, intern)`` computes a column afresh.  Equal keys build equal
-operators, so they share one table of the process-wide :data:`COLUMNS`
-store, which computes each column once; asking for a keyed operator's
-table on another space raises ``ValueError``.  The key names the
-construction, not the mathematical operator: two constructions a check
-compares (``h_mode`` and ``h_mode_bilinear``, a tilde bilinear and its
-:func:`parity_flip`) never share a column.  Any
-other operator (affine combinations, single modes, wrappers) gets a new
-private table: a column there is its ``apply`` on the one-monomial state,
-and a coefficient of it outside ``(1/D)Z`` raises ``ArithmeticError``, so an
-undersized declaration is caught monomial by monomial, also inside an
-affine combination.  An affine combination asks for its parts' tables once
-per space and holds them in its factor.
+:class:`~fockcheck.virasoro.SugawaraOperator`, ``("lift", entries)``
+for :class:`~fockcheck.winf.MatrixLift` and ``("mode", t)`` for a single
+:class:`ModeOperator`, and a ``space``; its ``column(mono, intern)``
+computes a column afresh.  Equal keys on one space build equal operators,
+so they share one table of the process-wide :data:`COLUMNS` store, which
+computes each column once; asking for a keyed operator's table on another
+space raises ``ValueError``.  The key names the construction, not the
+mathematical operator: two constructions a check compares (``h_mode`` and
+``h_mode_bilinear``, a tilde bilinear and its :func:`parity_flip`) never
+share a column.  Any other operator (affine combinations, wrappers) gets
+a new private table: a column there is its ``apply`` on the one-monomial
+state, and a coefficient of it outside ``(1/D)Z`` raises
+``ArithmeticError``, so an undersized declaration is caught monomial by
+monomial, also inside an affine combination.  An affine combination asks
+for its parts' tables once per space and holds them in its factor.
 
 Normal ordering of a pair subtracts the vacuum expectation.  As an action
 this means: when the left factor annihilates and the right one creates, the
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from .fock import NEUTRAL, FockState, Monomial, Space, apply_mode
+from .fock import NEUTRAL, FockState, Monomial, Space
 
 Pair = tuple[int, int, int]  # left mode code, right mode code, coefficient numerator
 Column = tuple[tuple[Any, int], ...]  # (monomial, int numerator over the operator's denominator)
@@ -190,10 +190,10 @@ KEY_REPR.maxtuple = 2
 KEY_REPR.repr_instance = lambda x, level: repr(x)
 
 # Columns the store holds before its tables are emptied.  At their default
-# cut-offs the five neutral bracket-grid suites fill 14,965 columns in one
-# process (12,036 of quadratic operators, 2,929 of L^1), and all fourteen
-# suites 25,586 (330 of window-matrix lifts); 32768 holds a whole run and
-# bounds the memory of larger cut-offs.
+# cut-offs the five neutral bracket-grid suites fill 14,964 columns in one
+# process (12,036 of quadratic operators, 2,928 of L^1), and all fourteen
+# suites 28,205 (330 of window-matrix lifts, 3,648 of single modes); 32768
+# holds a whole run and bounds the memory of larger cut-offs.
 STORE_SIZE = 32768
 
 
@@ -253,12 +253,12 @@ class ColumnStore:
         key = getattr(op, "key", None)
         if key is None:
             return ColumnTable(op, space)
+        if op.space is not space:  # ("mode", t) names a mode of either space
+            raise ValueError(
+                f"operator {KEY_REPR.repr(key)} acts on the {op.space.name} space, not on a {space.name} state"
+            )
         table = self.tables.get((key, space))
         if table is None:
-            if op.space is not space:
-                raise ValueError(
-                    f"operator {KEY_REPR.repr(key)} acts on the {op.space.name} space, not on a {space.name} state"
-                )
             table = self.tables[key, space] = ColumnTable(op, space, self)
         return table
 
@@ -383,11 +383,12 @@ class FermionBilinear:
 
 
 def falling(m: int, order: int) -> int:
-    """The falling factorial ``m (m-1) ... (m-order+1)``."""
-    out = 1
-    for step in range(order):
-        out *= m - step
-    return out
+    """The falling factorial ``m (m-1) ... (m-order+1)``, in closed form: for
+    ``m < 0`` every factor is negative, and their magnitudes are the falling
+    factorial of ``order - 1 - m``."""
+    if m >= 0:
+        return math.perm(m, order)
+    return (-1) ** order * math.perm(order - 1 - m, order)
 
 
 def pair_sum(rule: Callable[[int], Pair], T: int, denominator: int, key: Hashable) -> QuadraticModeOperator:
@@ -485,18 +486,30 @@ def zero_operator() -> AffineOperator:
 
 
 class ModeOperator:
-    """A single mode as an operator (used by the relation harness).
+    """The single mode ``t`` of ``space`` as a keyed operator (the Clifford
+    grids and the CLI's ``phi[...]`` token).
 
-    The code ``t`` is read, and checked, in the space of the state it acts on.
+    The code ``t`` is checked once, by ``space.check_mode``.  Its column on a
+    monomial is one ``space.act(t, mono)``: empty, or the one signed
+    monomial the mode sends it to, so it needs no state to fill.
     """
 
     denominator = 1
 
-    def __init__(self, t: int):
-        self.t = t
+    def __init__(self, t: int, space: Space = NEUTRAL):
+        self.t = space.check_mode(t)
+        self.key = ("mode", self.t)
+        self.space = space
+
+    def column(self, mono, intern: Callable) -> Column:
+        hit = self.space.act(self.t, mono)
+        if hit is None:
+            return ()
+        sign, out = hit
+        return ((intern(out, out), sign),)
 
     def apply(self, state: FockState) -> FockState:
-        return apply_mode(self.t, state)
+        return apply_columns(self, state)
 
 
 def parity_flip(mode: Callable[[int], object]) -> Callable[[int], AffineOperator]:

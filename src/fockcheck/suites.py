@@ -352,7 +352,7 @@ def suite_iso(weight_cut2: int = 16, mmax: int = 4, max_index2: int = 15) -> lis
     cbasis = ch.enumerate_charged_basis(weight_cut2)
 
     def transported(t: int) -> ModeOperator:
-        return ModeOperator(ch.charged_code(*ch.charged_mode_of(t)))
+        return ModeOperator(ch.charged_code(*ch.charged_mode_of(t)), ch.CHARGED)
 
     transport = clifford_bracket(
         "dictionary_clifford_transport", transported, max_index2, cbasis, ch.CHARGED, weight_cut2=weight_cut2

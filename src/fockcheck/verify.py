@@ -187,16 +187,16 @@ def bracket_check(
 
     A row ``(n, m)`` after the first row ``(m, n)`` of its pair (or a
     repeated ``(m, n)``) mirrors it when its declaration, zero terms
-    dropped, is ``([(s * c, k) for c, k in ops], s * scalar)`` of the first
-    row's, ``s`` the bracket's sign (``+1`` for a repeat).  A mirror composes
-    nothing and copies the first row's verdict on every basis vector: this
-    is exact, as ``[A_n, A_m]_± = s [A_m, A_n]_±`` and both rows have the
-    same denominator, so its case is ``s`` times the same equation.  Every
-    other row composes ``A_m A_n v ± A_n A_m v`` (not on a commutator's
-    diagonal, which is zero) and minus the expected side into one dict per
-    basis vector, in one call of :func:`fockcheck.modeops.failing_vectors`
-    over the whole basis.  Failures are reported pair-major, then in basis
-    order.
+    dropped, is ``s`` times the first row's, ``s`` the bracket's sign (``+1``
+    for a repeat): the first row's as is, or negated term by term.  A
+    mirror composes nothing and copies the first row's verdict on every
+    basis vector: this is exact, as ``[A_n, A_m]_± = s [A_m, A_n]_±`` and
+    both rows have the same denominator, so its case is ``s`` times the
+    same equation.  Every other row composes ``A_m A_n v ± A_n A_m v`` (not
+    on a commutator's diagonal, which is zero) and minus the expected side
+    into one dict per basis vector, in one call of
+    :func:`fockcheck.modeops.failing_vectors` over the whole basis.
+    Failures are reported pair-major, then in basis order.
     """
     if kind not in ("commutator", "anticommutator"):
         raise ValueError(f"unknown bracket kind {kind!r}")
@@ -225,9 +225,8 @@ def bracket_check(
             want = tuple((t, _scaled(c, den // t.op.denominator)) for c, t in parts), _scaled(scalar, den)
             row = (m, n, as_factor(tm), tm, as_factor(tn), tn, den, den // product, want)
             grid.append(row)
-            s = 1 if (m, n) in first else sign
             head = first.get((m, n)) or first.get((n, m))
-            if head and (ops, scalar) == ([(s * c, k) for c, k in head[0]], s * head[1]):
+            if head and _mirrors(ops, scalar, head, (m, n) in first or sign > 0):
                 head[2].append(j)  # a mirror: s times the first row's case on every vector
             else:
                 rows = [j]
@@ -249,6 +248,18 @@ def bracket_check(
                 lambda: _sides(grid[j], mono, sign, space),
             )
     return report
+
+
+def _mirrors(ops: list, scalar, head: tuple, same: bool) -> bool:
+    """Whether the declaration ``(ops, scalar)`` is ``head``'s, the first
+    row's, as is (``same``) or negated term by term."""
+    if same:
+        return ops == head[0] and scalar == head[1]
+    return (
+        scalar == -head[1]
+        and len(ops) == len(head[0])
+        and all(k == l and c == -d for (c, k), (d, l) in zip(ops, head[0]))
+    )
 
 
 def _sides(row: tuple, mono, sign: int, space: Space) -> tuple[FockState, FockState]:

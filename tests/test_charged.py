@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from fockcheck.charged import (
+    A_CHARGED_BILINEAR,
     CHARGED,
+    H_CHARGED_BILINEAR,
     MINUS,
     ChargedBilinear,
     ConjugatedOperator,
@@ -38,13 +40,17 @@ from fockcheck.fock import (
 )
 from fockcheck.grading import dg
 from fockcheck.heisenberg import h_mode
+from fockcheck.modeops import AffineOperator
 from fockcheck.suites import LAMBDA_PAIRS
 from fockcheck.verify import field_identity_check, merge_reports
 from fockcheck.virasoro import central_charge, lambda_family
 from fockcheck.winf import jk_mode_charged
+from test_virasoro import _differences
 
 CBASIS = enumerate_charged_basis(16)
 NBASIS = enumerate_basis(16)
+B_BILINEAR = ChargedBilinear(Fraction(1), 0, MINUS, 1, PLUS, 0)  # :(d psi-) psi+:
+LATTICE = [Fraction(k, 3) for k in range(-1, 3)]  # 4 points: a third difference along one axis needs four
 
 
 def psi(species, m, state):
@@ -257,10 +263,61 @@ def test_the_bilinear_support_walks_set_bits_in_index_order():
     ops = [jk_mode_charged(k, n) for k in range(5) for n in range(-6, 7)]
     ops += [hA_mode(n) for n in range(-6, 7)]
     ops += [op for n in range(-6, 7) for _, op in lA_lambda_b_mode(Fraction(1, 3), Fraction(2, 5), n).parts]
+    ops += [charged_bilinear_mode(B_BILINEAR, -n - 2) for n in range(-6, 7)]  # the paper's third part
     assert len(ops) == 65 + 13 + 39
     for op in ops:
         oracle = indexed_support(op)
         assert [op.support(mono) for mono in CBASIS] == [oracle(mono) for mono in CBASIS], op.key
+
+
+def paper_lA_mode(lam, b, n):
+    """The paper's three-part form ``(1-lam) A_n + lam B_n - b hA_n`` plus
+    ``b(b - 2 lam + 1)/2`` at mode zero, ``B_n`` the mode of ``:(d psi-) psi+:``."""
+    e = -n - 2
+    parts = [
+        (1 - lam, charged_bilinear_mode(A_CHARGED_BILINEAR, e)),
+        (lam, charged_bilinear_mode(B_BILINEAR, e)),
+        (-b, hA_mode(n)),
+    ]
+    return AffineOperator(parts, b * (b - 2 * lam + 1) / 2 if n == 0 else 0)
+
+
+def test_the_two_part_lambda_family_is_the_papers_three_part_form():
+    # B_n = A_n + (n+1) hA_n folds the lam B_n part into hA_n's weight
+    reports = [
+        field_identity_check(
+            "three_parts",
+            lambda n, lam=lam, b=b: paper_lA_mode(lam, b, n),
+            lambda n, lam=lam, b=b: lA_lambda_b_mode(lam, b, n),
+            range(-6, 7),
+            CBASIS,
+            space=CHARGED,
+        )
+        for lam in LATTICE
+        for b in LATTICE
+    ]
+    report = merge_reports("three_parts", {}, reports)
+    assert report.passed, report.failures[:2]
+    assert report.cases_run == 16 * 13 * len(CBASIS)
+
+
+def test_charged_lambda_family_is_a_bilinear_with_affine_weights():
+    """Each mode reads ``A_n`` at weight 1 and ``hA_n`` at a weight affine in
+    ``(lam, b)``, plus a constant quadratic in them: ``c = -2 + 12 lam - 12
+    lam^2`` is of degree two, read off the weights."""
+    for n in range(-3, 4):
+        a_key, h_key = (A_CHARGED_BILINEAR, -n - 2), (H_CHARGED_BILINEAR, -n - 1)
+        h_weight, scalar = {}, {}
+        for i, lam in enumerate(LATTICE):
+            for j, b in enumerate(LATTICE):
+                mode = lA_lambda_b_mode(lam, b, n)
+                weights = {op.key: c for c, op in mode.parts}
+                assert set(weights) <= {a_key, h_key}
+                assert weights[a_key] == 1
+                h_weight[i, j], scalar[i, j] = weights.get(h_key, 0), mode.scalar
+        assert not any(_differences(h_weight, 2))
+        assert not any(_differences(scalar, 3))
+        assert any(h_weight.values()) and (n != 0 or any(scalar.values()))
 
 
 def test_heisenberg_intertwining():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fockcheck
-from fockcheck import modeops, virasoro
+from fockcheck import fock, modeops, suites, virasoro
 from fockcheck.charged import (
     CHARGED,
     MINUS,
@@ -275,6 +275,8 @@ def declared_operators():
     yield ("lift commutator",), MatrixLift(commutator), CHARGED
     for t in (-3, -1, 1, 3):
         yield ("phi", t), ModeOperator(t), NEUTRAL
+    for code in range(-4, 4):
+        yield ("psi", code), ModeOperator(code, CHARGED), CHARGED
 
 
 def test_declared_denominator_is_sound():
@@ -375,13 +377,18 @@ def test_bilinear_rejects_bad_signs():
 
 def fresh_column(op, mono, space):
     """The column of a keyed operator on ``mono`` as a dict, computed without
-    the column store or the column kernel: for a quadratic operator the sum
-    over ``support(mono)`` of :func:`apply_pair_to_monomial` on ``rule(i)``,
-    zeros dropped, and for ``L^1_n`` the sum ``(1/2) sum_k :h_{n-k} h_k:``
-    over a ``k`` range wider than any window, from such ``h`` columns (over 2
-    each, so the numerators over 4 of the sum are those over 8 of ``L^1_n``)."""
+    the column store or the column kernel: for a single mode its one
+    ``space.act``, for a quadratic operator the sum over ``support(mono)`` of
+    :func:`apply_pair_to_monomial` on ``rule(i)``, zeros dropped, and for
+    ``L^1_n`` the sum ``(1/2) sum_k :h_{n-k} h_k:`` over a ``k`` range wider
+    than any window, from such ``h`` columns (over 2 each, so the numerators
+    over 4 of the sum are those over 8 of ``L^1_n``)."""
     acc = {}
-    if isinstance(op, SugawaraOperator):
+    if isinstance(op, ModeOperator):
+        hit = space.act(op.t, mono)
+        if hit is not None:
+            acc[hit[1]] = hit[0]
+    elif isinstance(op, SugawaraOperator):
         for k in range(-12, 13):
             a, b = sorted((op.n - k, k))
             for m, c in fresh_column(h_mode(b), mono, space).items():
@@ -397,7 +404,7 @@ def fresh_column(op, mono, space):
 def test_stored_columns_equal_fresh_ones_on_a_cold_and_a_warm_store():
     bases = {NEUTRAL: enumerate_basis(8), CHARGED: enumerate_charged_basis(8)}
     keyed = [(label, op, space) for label, op, space in declared_operators() if getattr(op, "key", None) is not None]
-    assert {type(op) for _, op, _ in keyed} == {QuadraticModeOperator, SugawaraOperator, MatrixLift}
+    assert {type(op) for _, op, _ in keyed} == {QuadraticModeOperator, SugawaraOperator, MatrixLift, ModeOperator}
     COLUMNS.clear()
     virasoro._sugawara_on_monomial.cache_clear()
     probed = 0
@@ -489,6 +496,24 @@ def test_a_column_asked_for_on_another_space_registers_nothing():
         assert len(str(err.value)) <= 180
         assert COLUMNS.tables.keys() == registered.keys()
         assert all(COLUMNS.tables[key] is table for key, table in registered.items())
+
+
+def test_a_mode_asked_for_on_the_other_space_raises_naming_its_key():
+    # ("mode", 1) names a mode of either space: with the charged one's table
+    # registered, the neutral mode on a charged state must still raise
+    charged_state = FockState.vacuum(CHARGED)
+    ModeOperator(1, CHARGED).apply(charged_state)
+    registered = dict(COLUMNS.tables)
+    with pytest.raises(ValueError) as err:
+        ModeOperator(1).apply(charged_state)
+    assert str(err.value) == "operator ('mode', 1) acts on the neutral space, not on a charged state"
+    with pytest.raises(ValueError, match=r"operator \('mode', -3\) acts on the charged space, not on a neutral state"):
+        ModeOperator(-3, CHARGED).apply(FockState.vacuum())
+    assert COLUMNS.tables.keys() == registered.keys()
+    # the code is checked once, by the space it is built for
+    with pytest.raises(ValueError, match="fermion mode must be a half-integer"):
+        ModeOperator(-4)
+    assert ModeOperator(-4, CHARGED).key == ("mode", -4)
 
 
 def test_the_wrong_space_message_prints_a_bilinear_whole_and_a_lift_short():
@@ -627,3 +652,60 @@ def test_an_l1_operator_asks_for_each_h_table_once(monkeypatch):
     assert calls and set(calls.values()) == {1} and set(calls) == {("h", k) for k in op.h_tables}
     # the same columns as through a new set of tables, which asks once per term
     assert columns == [virasoro._sugawara_on_monomial(1, mono, virasoro.HTables()) for mono in basis]
+
+
+def falling_loop(m, order):
+    """The falling factorial as a product of ``order`` factors, as an oracle."""
+    out = 1
+    for step in range(order):
+        out *= m - step
+    return out
+
+
+def test_falling_is_the_product_of_its_factors():
+    for m in range(-30, 31):
+        for order in range(12):
+            assert modeops.falling(m, order) == falling_loop(m, order), (m, order)
+
+
+def test_the_clifford_grids_build_no_state_when_they_pass(monkeypatch):
+    # a mode's column is one space.act on a cold store: both Clifford grids,
+    # the neutral one and the transported one of suite_iso, pass without a state
+    built, inside = [], []
+    init, grid = fock.FockState.__init__, suites.clifford_bracket
+
+    def counted_init(self, *args, **kwargs):
+        built.extend(inside)  # the name of the grid that builds a state
+        init(self, *args, **kwargs)
+
+    def counted_grid(name, *args, **kwargs):
+        inside.append(name)
+        try:
+            return grid(name, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(fock.FockState, "__init__", counted_init)
+    monkeypatch.setattr(suites, "clifford_bracket", counted_grid)
+    COLUMNS.clear()
+    [clifford] = suites.suite_clifford()
+    [transport] = [rep for rep in suites.suite_iso() if rep.check == "dictionary_clifford_transport"]
+    assert clifford.passed and transport.passed
+    assert clifford.cases_run == transport.cases_run > 3000
+    assert built == []
+    filled = [len(table) for (key, _), table in COLUMNS.tables.items() if key[0] == "mode" and table]
+    assert len(filled) == 2 * 16 and sum(filled) > 3000
+
+
+def test_a_whole_run_fits_in_the_store(monkeypatch):
+    # all fourteen suites at their defaults in one process on a cleared store:
+    # a clear at STORE_SIZE would recompute columns mid-run
+    clears = []
+    clear = COLUMNS.clear
+    COLUMNS.clear()
+    virasoro._sugawara_on_monomial.cache_clear()
+    monkeypatch.setattr(COLUMNS, "clear", lambda: clears.append(COLUMNS.entries) or clear())
+    for run in suites.SUITES.values():
+        assert all(rep.passed for rep in run())
+    assert clears == []
+    assert sum(len(table) for table in COLUMNS.tables.values()) == COLUMNS.entries < modeops.STORE_SIZE
