@@ -25,8 +25,9 @@ from .fock import (
     enumerate_basis,
     format_state,
     parse_state,
+    weight,
 )
-from .grading import deg_h, dg, lemma_vector, partition_count, sector_basis, vacuum_like, weight
+from .grading import deg_h, dg, lemma_vector, partition_count, sector_basis, vacuum_like
 from .heisenberg import h_mode, highest_weight_check, spanning_check
 from .modeops import FermionBilinear, bilinear_mode
 from .qchar import CharacterSeries, char_product_form, char_sum_form, char_trace, jacobi_check

@@ -54,7 +54,7 @@ from .fock import (
     Space,
     add_term,
     apply_mode_to_monomial,
-    increasing_tuples,
+    index_sets,
     indices_of,
     mask_of,
     mode_bits,
@@ -104,15 +104,13 @@ def apply_charged_mode_to_monomial(code: int, mono: ChargedMonomial) -> tuple[in
 
 def enumerate_charged_basis(weight_cut2: int) -> list[ChargedMonomial]:
     """All charged monomials of transported twice-weight <= weight_cut2, in
-    :attr:`CHARGED.sort_key` order; each block is a tuple of
-    :func:`~fockcheck.fock.increasing_tuples`, index ``j`` costing ``4j + 3``
+    :attr:`CHARGED.sort_key` order; each block is a mask of
+    :func:`~fockcheck.fock.index_sets`, index ``j`` costing ``4j + 3``
     for ``psi+`` and ``4j + 1`` for ``psi-``."""
-    if weight_cut2 < 0:
-        raise ValueError("weight cut must be non-negative")
     out = [
-        (mask_of(plus), mask_of(minus))
-        for pweight, plus in increasing_tuples(3, 4, weight_cut2)
-        for _, minus in increasing_tuples(1, 4, weight_cut2 - pweight)
+        (plus, minus)
+        for pweight, plus in index_sets(3, 4, weight_cut2)
+        for _, minus in index_sets(1, 4, weight_cut2 - pweight)
     ]
     out.sort(key=CHARGED.sort_key)
     return out

@@ -36,7 +36,7 @@ from multiprocessing import Pool
 from . import suites as _suites
 from . import virasoro as vir
 from .fock import INTEGER, PHI_RE, RATIONAL, FockState, enumerate_basis, format_state, parse_fraction, parse_half, parse_int
-from .grading import partition_count, sector_basis
+from .grading import partition_count, sector_grid
 from .heisenberg import h_mode
 from .modeops import ModeOperator
 from .qchar import char_product_form, char_sum_form, char_trace, jacobi_check
@@ -241,16 +241,14 @@ def cmd_jacobi(args) -> int:
 def cmd_decompose(args) -> int:
     lines = []
     ok = True
-    for n in range(-args.nmax, args.nmax + 1):
-        for k in range(args.kmax + 1):
-            dim = len(sector_basis(n, k))
-            pk = partition_count(k)
-            match = dim == pk
-            ok = ok and match
-            if args.json:
-                lines.append(json.dumps({"n": n, "k": k, "dim": dim, "p": pk, "match": match}, sort_keys=True))
-            else:
-                lines.append(f"n={n:+d} k={k} dim={dim} p(k)={pk} match={match}")
+    for (n, k), sector in sector_grid(args.nmax, args.kmax).items():
+        dim, pk = len(sector), partition_count(k)
+        match = dim == pk
+        ok = ok and match
+        if args.json:
+            lines.append(json.dumps({"n": n, "k": k, "dim": dim, "p": pk, "match": match}, sort_keys=True))
+        else:
+            lines.append(f"n={n:+d} k={k} dim={dim} p(k)={pk} match={match}")
     _emit(lines, args.out)
     return 0 if ok else 1
 

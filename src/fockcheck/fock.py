@@ -20,7 +20,8 @@ convention: a mode acting on index ``n`` passes the factors of the occupied
 indices above ``n``, so its sign is the parity of a popcount.  Index tuples
 ``(n_1, ..., n_k)`` appear only at the edges (:func:`mask_of` and
 :func:`indices_of`): building a state from its monomial, rendering, parsing
-and the report order, which is weight, then the index tuple.
+and the report order, which is weight, then the index tuple.  The
+enumerator :func:`index_sets` builds masks, in that order within a weight.
 
 Neutral mode indices are half-integers.  They are encoded throughout as
 *twice* the value, an odd ``int``: ``t = 2*m``.  Negative ``t`` creates the
@@ -288,22 +289,25 @@ def apply_mode(t: int, state: FockState) -> FockState:
     return FockState(acc, state.denominator, space)
 
 
-def increasing_tuples(first: int, step: int, budget: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Every strictly increasing tuple of indices 0, 1, ... whose costs sum to at
-    most ``budget``, index ``n`` costing ``first + step*n`` (both positive).
+def index_sets(first: int, step: int, budget: int) -> list[tuple[int, Monomial]]:
+    """Every set of indices 0, 1, ... whose costs sum to at most ``budget``,
+    index ``n`` costing ``first + step*n`` (both positive), as a mask.
 
-    Returns ``(total cost, tuple)`` pairs in lexicographic order of the
-    tuples; both Fock bases and every charge sector are read off it.
+    Returns ``(total cost, mask)`` pairs in lexicographic order of the
+    increasing index tuples; both Fock bases and the graded table
+    (:func:`fockcheck.grading.graded_basis`) are read off it.
     """
-    found: list[tuple[int, tuple[int, ...]]] = []
+    if budget < 0:
+        raise ValueError("weight cut must be non-negative")
+    found: list[tuple[int, Monomial]] = []
 
-    def extend(prefix: tuple[int, ...], n: int, total: int) -> None:
-        found.append((total, prefix))
+    def extend(mask: Monomial, n: int, total: int) -> None:
+        found.append((total, mask))
         while total + first + step * n <= budget:
-            extend(prefix + (n,), n + 1, total + first + step * n)
+            extend(mask | 1 << n, n + 1, total + first + step * n)
             n += 1
 
-    extend((), 0, 0)
+    extend(0, 0, 0)
     return found
 
 
@@ -311,11 +315,10 @@ def enumerate_basis(weight_cut2: int) -> list[Monomial]:
     """All monomials of twice-weight at most ``weight_cut2`` (index ``n`` costs ``2n + 1``).
 
     Ordered by weight, then lexicographically on the index tuple, so reports
-    and golden files are stable.
+    and golden files are stable: a stable sort by weight keeps the order of
+    :func:`index_sets` within each weight.
     """
-    if weight_cut2 < 0:
-        raise ValueError("weight cut must be non-negative")
-    return [mask_of(mono) for _, mono in sorted(increasing_tuples(1, 2, weight_cut2))]
+    return [mono for _, mono in sorted(index_sets(1, 2, weight_cut2), key=lambda pair: pair[0])]
 
 
 # -- text form ---------------------------------------------------------------

@@ -9,22 +9,24 @@ minimal weight: indices ``{1, 3, ..., 2n-1}`` for ``n > 0`` and
 ``{0, 2, ..., 2|n|-2}`` for ``n < 0``.  ``deg_h`` is defined as
 ``(weight(v) - weight(v_dg(v))) / 2``; with this normalisation ``h_{-m}``
 raises ``deg_h`` by exactly ``m`` and the sector of charge ``n`` and energy
-``k`` has dimension ``p(k)``.
+``k`` has dimension ``p(k)``: :func:`sector_weight2` and its inverse
+:func:`sector_energy` are that rule, and every sector is a bucket of one
+:func:`graded_basis` table, as is each coefficient of the character trace.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
-from .fock import Monomial, apply_mode_to_monomial, increasing_tuples, indices_of, mask_of, weight, weight2
+from .fock import Monomial, apply_mode_to_monomial, index_sets, indices_of, mask_of, weight2
 
 Partition = tuple[int, ...]
 
 
 def dg(mono: Monomial) -> int:
-    odd = sum(n & 1 for n in indices_of(mono))
-    return 2 * odd - mono.bit_count()
+    """Odd minus even occupied indices: the set bits less twice the even ones."""
+    even = mono & (1 << 2 * mono.bit_length()) // 3  # 0b0101...01, one bit at each even index
+    return mono.bit_count() - 2 * even.bit_count()
 
 
 def vacuum_like(n: int) -> Monomial:
@@ -33,29 +35,49 @@ def vacuum_like(n: int) -> Monomial:
     return mask_of(tuple(range(0, -2 * n - 1, 2)))
 
 
-def deg_h(mono: Monomial) -> int:
-    """Energy grade of a monomial within its charge sector.
+def sector_weight2(n: int, k: int) -> int:
+    """Twice the weight of the sector of charge ``n`` and energy ``k``: ``4k + weight2(v_n)``."""
+    if k < 0:
+        raise ValueError("energy grade must be non-negative")
+    return 4 * k + weight2(vacuum_like(n))
 
-    Raises ``ValueError`` if the weight defect against the sector's
-    vacuum-like vector is not a non-negative even half-integer pair, which
-    would falsify the sector grading.
-    """
-    diff2 = weight2(mono) - weight2(vacuum_like(dg(mono)))
-    if diff2 < 0 or diff2 % 4:
-        raise ValueError(f"grading defect: monomial {indices_of(mono)} has weight defect {Fraction(diff2, 2)}")
-    return diff2 // 4
+
+def sector_energy(n: int, w2: int) -> int | None:
+    """The energy of charge ``n`` at twice-weight ``w2``; ``None`` off the sector's grid."""
+    diff2 = w2 - weight2(vacuum_like(n))
+    return diff2 // 4 if diff2 >= 0 and diff2 % 4 == 0 else None
+
+
+def deg_h(mono: Monomial) -> int:
+    """Energy grade of a monomial within its charge sector; ``ValueError`` if its
+    weight is off that sector's grid, which would falsify the sector grading."""
+    k = sector_energy(dg(mono), weight2(mono))
+    if k is None:
+        raise ValueError(f"grading defect: monomial {indices_of(mono)} is off its sector's weight grid")
+    return k
+
+
+def graded_basis(weight_cut2: int) -> dict[tuple[int, int], list[Monomial]]:
+    """The monomials of twice-weight at most ``weight_cut2`` by ``(charge, twice-weight)``,
+    each bucket in basis order, the order :func:`~fockcheck.fock.index_sets` lists a weight in."""
+    table: dict[tuple[int, int], list[Monomial]] = {}
+    for w2, mono in index_sets(1, 2, weight_cut2):
+        table.setdefault((dg(mono), w2), []).append(mono)
+    return table
 
 
 def sector_basis(n: int, k: int) -> list[Monomial]:
-    """All monomials with charge ``n`` and energy ``k``, in lexicographic order
-    of their index tuples: the tuples of
-    :func:`~fockcheck.fock.increasing_tuples` (index ``m`` costs ``2m + 1``)
-    of twice-weight exactly ``4k + weight2(v_n)`` and charge ``n``."""
-    if k < 0:
-        raise ValueError("energy grade must be non-negative")
-    target2 = 4 * k + weight2(vacuum_like(n))
-    sector = (mask_of(mono) for total, mono in increasing_tuples(1, 2, target2) if total == target2)
-    return [mono for mono in sector if dg(mono) == n]
+    """All monomials with charge ``n`` and energy ``k``, in basis order."""
+    w2 = sector_weight2(n, k)
+    return graded_basis(w2).get((n, w2), [])
+
+
+def sector_grid(nmax: int, kmax: int) -> dict[tuple[int, int], list[Monomial]]:
+    """The sectors ``(n, k)`` with ``|n| <= nmax`` and ``0 <= k <= kmax``, read off one
+    table at the largest of their weights, that of ``(nmax, kmax)``."""
+    table = graded_basis(sector_weight2(nmax, kmax))
+    grid = [(n, k) for n in range(-nmax, nmax + 1) for k in range(kmax + 1)]
+    return {(n, k): table.get((n, sector_weight2(n, k)), []) for n, k in grid}
 
 
 def partition_count(k: int) -> int:
@@ -105,17 +127,3 @@ def lemma_vector(parts: Partition) -> Monomial:
             raise ValueError(f"partition {parts} collided while building its sector vector")
         _, mono = hit
     return mono
-
-
-__all__ = [
-    "Partition",
-    "dg",
-    "deg_h",
-    "lemma_vector",
-    "partition_count",
-    "partitions",
-    "sector_basis",
-    "vacuum_like",
-    "weight",
-    "weight2",
-]

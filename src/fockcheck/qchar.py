@@ -9,7 +9,8 @@ go wrong.
 
 The three realisations of the graded dimension ``tr q^{L0} z^{h0}`` are
 
-* the basis trace over monomials (``z^dg q^weight``);
+* the basis trace over monomials (``z^dg q^weight``), the bucket sizes of
+  :func:`fockcheck.grading.graded_basis`;
 * the product  prod_i (1 + z q^{2i-1/2}) (1 + z^{-1} q^{2i-3/2});
 * the sum     (1 / prod_i (1 - q^{2i})) * sum_n z^n q^{n^2 + n/2};
 
@@ -22,8 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .fock import enumerate_basis, weight2
-from .grading import dg, partition_count, vacuum_like
+from .grading import graded_basis, partition_count, sector_energy
 from .verify import VerificationReport
 
 
@@ -103,11 +103,7 @@ def geometric_factor(qhalf: int, qmax_half: int) -> CharacterSeries:
 
 def char_trace(weight_cut2: int) -> CharacterSeries:
     """Basis trace sum of ``z^dg(v) q^weight(v)``; complete up to that weight."""
-    acc: dict[tuple[int, int], int] = {}
-    for mono in enumerate_basis(weight_cut2):
-        key = (dg(mono), weight2(mono))
-        acc[key] = acc.get(key, 0) + 1
-    return CharacterSeries(acc, weight_cut2)
+    return CharacterSeries({key: len(monos) for key, monos in graded_basis(weight_cut2).items()}, weight_cut2)
 
 
 def _product(round_factors: Callable[[int], Sequence[tuple[int, int, int]]], qmax_half: int) -> CharacterSeries:
@@ -200,9 +196,8 @@ def sector_refinement_check(weight_cut2: int) -> VerificationReport:
         trace = char_trace(weight_cut2)
         seen_charges = sorted({z for z, _ in trace.coeffs})
         for n in seen_charges:
-            base2 = weight2(vacuum_like(n))
             for w2 in range(weight_cut2 + 1):
-                diff = w2 - base2
-                expect = partition_count(diff // 4) if diff >= 0 and diff % 4 == 0 else 0
+                k = sector_energy(n, w2)
+                expect = 0 if k is None else partition_count(k)
                 report.expect(trace.coeffs.get((n, w2), 0), expect, lambda: f"coefficient of z^{n} q^{Fraction(w2, 2)}")
     return report

@@ -223,6 +223,9 @@ CONTROLS = [
     # reads the Sugawara sum, and the lambda brackets read L^{1/2}
     ("lambda_specialises_to_one", virasoro, "sugawara_l1_mode", shifted_charge, lambda_specialisations),
     ("virasoro_lambda", virasoro, "l_half_mode", shifted_charge, lambda_bracket),
+    # both tilde specialisations compare an L^{1/2} side with one built without L^{1/2}
+    ("lambda_specialises_to_one_tilde", virasoro, "l_half_mode", shifted_charge, lambda_specialisations),
+    ("doubling_n2_gives_one_tilde", virasoro, "l_half_mode", shifted_charge, lambda: suites.suite_doubling(4)),
 ]
 
 # a merged report and the sub-check whose control covers it

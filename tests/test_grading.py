@@ -4,14 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from fockcheck.fock import enumerate_basis, indices_of, mask_of, weight
+from fockcheck import cli, grading, suites
+from fockcheck.fock import enumerate_basis, indices_of, mask_of, weight, weight2
 from fockcheck.grading import (
     deg_h,
     dg,
+    graded_basis,
     lemma_vector,
     partition_count,
     partitions,
     sector_basis,
+    sector_energy,
+    sector_grid,
+    sector_weight2,
     vacuum_like,
 )
 
@@ -70,6 +75,63 @@ def test_sector_examples():
     assert sector_basis(0, 0) == [mask_of(())]
     assert mask_of((2,)) in sector_basis(-1, 1)
     assert len(sector_basis(0, 4)) == partition_count(4) == 5
+
+
+@pytest.mark.parametrize("cut2", range(25))
+def test_graded_basis_tiles_the_basis_in_basis_order(cut2):
+    basis = enumerate_basis(cut2)
+    table = graded_basis(cut2)
+    assert sorted(m for bucket in table.values() for m in bucket) == sorted(basis)
+    for (n, w2), bucket in table.items():
+        assert bucket and all((dg(m), weight2(m)) == (n, w2) for m in bucket)
+        assert bucket == [m for m in basis if (dg(m), weight2(m)) == (n, w2)]
+
+
+def test_graded_basis_rejects_a_negative_cut():
+    with pytest.raises(ValueError, match="weight cut must be non-negative"):
+        graded_basis(-1)
+
+
+def test_the_sector_rule_round_trips_and_has_no_sector_off_its_grid():
+    for n in range(-6, 7):
+        weights = {sector_weight2(n, k): k for k in range(12)}
+        assert min(weights) == weight2(vacuum_like(n))
+        for w2 in range(max(weights) + 1):
+            assert sector_energy(n, w2) == weights.get(w2), (n, w2)
+    with pytest.raises(ValueError, match="energy grade must be non-negative"):
+        sector_weight2(0, -1)
+
+
+def test_deg_h_raises_on_a_weight_off_the_sector_grid(monkeypatch):
+    # with the charge read one too high, every weight is odd against the grid of 4
+    monkeypatch.setattr(grading, "dg", lambda mono: dg(mono) + 1)
+    for mono in enumerate_basis(8):
+        with pytest.raises(ValueError, match="grading defect"):
+            deg_h(mono)
+
+
+def test_sector_grid_reads_every_sector_of_its_range():
+    grid = sector_grid(3, 4)
+    assert list(grid) == [(n, k) for n in range(-3, 4) for k in range(5)]
+    assert all(grid[n, k] == sector_basis(n, k) for n, k in grid)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [suites.suite_sectors, lambda: cli.main(["decompose"]), lambda: cli.main(["decompose", "--nmax", "3", "--json"])],
+    ids=["suite_sectors", "decompose", "decompose-json"],
+)
+def test_the_sector_tables_enumerate_the_basis_once(monkeypatch, capsys, run):
+    calls = []
+    enumerate_sets = grading.index_sets
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_sets(*args)
+
+    monkeypatch.setattr(grading, "index_sets", counted)
+    run()
+    assert len(calls) == 1
 
 
 def partition_count_oracle(kmax):

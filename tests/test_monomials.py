@@ -29,6 +29,7 @@ from fockcheck.fock import (
     creation,
     enumerate_basis,
     format_monomial,
+    index_sets,
     indices_of,
     mask_of,
     weight2,
@@ -155,6 +156,42 @@ def test_charged_basis_order_is_weight_then_printed_modes(cut2):
     printed = lambda block: tuple(-j - 1 for j in reversed(block))
     want = [(plus, minus) for _, plus, minus in sorted(pairs, key=lambda p: (p[0], printed(p[1]), printed(p[2])))]
     assert [tuple(map(indices_of, mono)) for mono in enumerate_charged_basis(cut2)] == want
+
+
+def increasing_tuples(first, step, budget):
+    """The tuple recursion the mask enumerator replaced, kept as its oracle:
+    ``(total cost, tuple)`` pairs, each prefix before its extensions."""
+    found = []
+
+    def extend(prefix, n, total):
+        found.append((total, prefix))
+        while total + first + step * n <= budget:
+            extend(prefix + (n,), n + 1, total + first + step * n)
+            n += 1
+
+    extend((), 0, 0)
+    return found
+
+
+@pytest.mark.parametrize("first,step", [(1, 2), (3, 4), (1, 4)])
+def test_index_sets_lists_the_tuple_recursion_as_masks(first, step):
+    for budget in range(41):
+        want = [(total, mask_of(prefix)) for total, prefix in increasing_tuples(first, step, budget)]
+        assert index_sets(first, step, budget) == want, budget
+    with pytest.raises(ValueError, match="must be non-negative"):
+        index_sets(first, step, -1)
+
+
+@pytest.mark.parametrize("cut2", range(25))
+def test_neutral_basis_is_sorted_by_the_report_key(cut2):
+    basis = enumerate_basis(cut2)
+    assert basis == sorted(basis, key=NEUTRAL.sort_key) and len(set(basis)) == len(basis)
+
+
+def test_bitwise_charge_is_the_index_tuple_formula():
+    for mono in range(1 << 14):
+        indices = indices_of(mono)
+        assert dg(mono) == 2 * sum(n & 1 for n in indices) - len(indices), mono
 
 
 @pytest.mark.parametrize("indices", [(0.5,), (True,), (-1,), (2, 1), (1, 1), [0, 1], 3.0, "01"])
