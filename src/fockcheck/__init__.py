@@ -28,7 +28,7 @@ from .fock import (
     weight,
 )
 from .grading import deg_h, dg, lemma_vector, partition_count, sector_basis, vacuum_like
-from .heisenberg import h_mode, highest_weight_check, spanning_check
+from .heisenberg import h_mode, highest_weight_check, spanning_all
 from .modeops import FermionBilinear, bilinear_mode
 from .qchar import CharacterSeries, char_product_form, char_sum_form, char_trace, jacobi_check
 from .suites import SUITES, run_suite

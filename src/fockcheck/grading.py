@@ -12,11 +12,13 @@ raises ``deg_h`` by exactly ``m`` and the sector of charge ``n`` and energy
 ``k`` has dimension ``p(k)``: :func:`sector_weight2` and its inverse
 :func:`sector_energy` are that rule, and every sector is a bucket of one
 :func:`graded_basis` table, as is each coefficient of the character trace.
+The spanning certificate's exact rank on each sector is :func:`prefix_ranks`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import math
+from typing import Iterable, Iterator
 
 from .fock import Monomial, apply_mode_to_monomial, index_sets, indices_of, mask_of, weight2
 
@@ -78,6 +80,25 @@ def sector_grid(nmax: int, kmax: int) -> dict[tuple[int, int], list[Monomial]]:
     table = graded_basis(sector_weight2(nmax, kmax))
     grid = [(n, k) for n in range(-nmax, nmax + 1) for k in range(kmax + 1)]
     return {(n, k): table.get((n, sector_weight2(n, k)), []) for n, k in grid}
+
+
+def prefix_ranks(rows: Iterable[list[int]]) -> Iterator[int]:
+    """The exact rank of the first ``i`` of the ``int`` rows, after each row ``i``: each
+    row is reduced against the kept pivots in increasing leading column, so each
+    clears its column and keeps the smaller ones clear, and is kept, divided by
+    its content gcd, if anything is left."""
+    pivots: dict[int, list[int]] = {}  # leading column -> its row, zero before it
+    for row in rows:
+        for lead in sorted(pivots):
+            if row[lead]:
+                pivot = pivots[lead]
+                a, b = pivot[lead], row[lead]
+                row = [a * x - b * y for x, y in zip(row, pivot)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            g = math.gcd(*row)
+            pivots[lead] = [x // g for x in row]
+        yield len(pivots)
 
 
 def partition_count(k: int) -> int:

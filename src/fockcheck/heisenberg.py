@@ -11,17 +11,30 @@ and preserves the charge grading.
 Two independent constructions are provided: the explicit mode sum above and
 extraction from the bilinear field; equality of the two on truncated bases
 guards the sign conventions.
+
+Each charge sector is an irreducible highest-weight module:
+:func:`highest_weight_check` pins ``h_m v_n = delta(m, 0) n v_n``, and
+:func:`spanning_all` certifies by exact rank, on the stored ``h`` columns
+and one graded pass, that the ``h_{-lambda} v_n`` span every sector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
-from .fock import FockState
-from .grading import partition_count, partitions, sector_basis, vacuum_like
-from .modeops import AffineOperator, FermionBilinear, QuadraticModeOperator, bilinear_mode, pair_sum
-from .verify import VerificationReport, field_identity_check, fraction_free_rank
+from .fock import NEUTRAL
+from .grading import partition_count, partitions, prefix_ranks, sector_grid, vacuum_like
+from .modeops import (
+    COLUMNS,
+    AffineOperator,
+    FermionBilinear,
+    QuadraticModeOperator,
+    as_factor,
+    bilinear_mode,
+    compose,
+    pair_sum,
+)
+from .verify import VerificationReport, field_identity_check
 
 
 def h_mode(n: int) -> QuadraticModeOperator:
@@ -44,41 +57,39 @@ def h_mode_bilinear(n: int) -> QuadraticModeOperator:
     return bilinear_mode(HEISENBERG_BILINEAR, -2 * n - 1)
 
 
-def raising_string(ks: Iterable[int], start: FockState) -> FockState:
-    """Apply ``h_{-k_l} ... h_{-k_1}`` to a state, smallest k first."""
-    out = start
-    for k in ks:
-        out = h_mode(-k).apply(out)
-    return out
-
-
 def highest_weight_check(n: int, mmax: int) -> VerificationReport:
     """Declare ``h_m v_n = delta(m, 0) n v_n``, 0 <= m <= mmax, as a field identity against scalars."""
     scalar = lambda m: AffineOperator([], 0 if m else n)
     return field_identity_check("highest_weight", h_mode, scalar, range(mmax + 1), [vacuum_like(n)], n=n, mmax=mmax)
 
 
-def spanning_check(n: int, k: int) -> VerificationReport:
+def spanning_all(nmax: int, kmax: int) -> VerificationReport:
     """Exact-rank certificate that the vectors h_{-k_l}...h_{-k_1} v_n span
-    the charge-n, energy-k sector.
+    each charge-n, energy-k sector, |n| <= nmax and 0 <= k <= kmax, all read
+    off one :func:`~fockcheck.grading.sector_grid` pass.
 
-    One case per partition of ``k``, taken in order: the i-th vector lies in
-    the sector, the first i vectors have rank i, and the sector basis has
-    p(k) elements.  The last case is the rank certificate: p(k) independent
-    vectors in a sector of dimension p(k).
+    One case per sector and partition of ``k``, in that order: the i-th
+    vector lies in the sector, the first i vectors have rank i, and the
+    sector has p(k) elements; so a sector's last case certifies it.  Each
+    vector composes the stored ``h_{-m}`` columns on ``int`` numerators from
+    ``v_n``; :func:`~fockcheck.grading.prefix_ranks` is blind to their scale.
     """
-    with VerificationReport("spanning", {"n": n, "k": k}) as report:
-        basis = sector_basis(n, k)
-        sector = set(basis)
-        expect = partition_count(k)
-        rows = []
-        vn = FockState.monomial(vacuum_like(n))
-        for i, parts in enumerate(partitions(k), 1):
-            terms = raising_string(parts, vn).terms
-            rows.append([terms.get(mono, 0) for mono in basis])
-            report.expect(
-                (terms.keys() <= sector, fraction_free_rank(rows), len(basis)),
-                (True, i, expect),
-                lambda: f"partition {parts} in sector ({n}, {k}): (in sector, rank so far, dim)",
-            )
+    with VerificationReport("spanning_all", {"nmax": nmax, "kmax": kmax}) as report:
+        raising = {m: as_factor(COLUMNS.table(h_mode(-m), NEUTRAL)) for m in range(1, kmax + 1)}
+        for (n, k), basis in sector_grid(nmax, kmax).items():
+            vectors = []
+            for parts in partitions(k):
+                vec = {vacuum_like(n): 1}
+                for m in parts:
+                    acc: dict = {}
+                    compose(raising[m], vec.items(), 1, acc)
+                    vec = {mono: c for mono, c in acc.items() if c}
+                vectors.append((parts, vec))
+            ranks = prefix_ranks([vec.get(mono, 0) for mono in basis] for _, vec in vectors)
+            for i, ((parts, vec), rank) in enumerate(zip(vectors, ranks), 1):
+                report.expect(
+                    (vec.keys() <= set(basis), rank, len(basis)),
+                    (True, i, partition_count(k)),
+                    lambda: f"partition {parts} in sector ({n}, {k}): (in sector, rank so far, dim)",
+                )
     return report

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .grading import graded_basis, partition_count, sector_energy
+from .grading import graded_basis, partition_count, sector_energy, sector_weight2
 from .verify import VerificationReport
 
 
@@ -191,11 +191,12 @@ def character_triple_check(qmax_half: int) -> VerificationReport:
 
 
 def sector_refinement_check(weight_cut2: int) -> VerificationReport:
-    """The z^n q^w coefficient of the trace equals p((w - weight(v_n))/2)."""
+    """The z^n q^w coefficient of the trace equals p((w - weight(v_n))/2) for every
+    charge n with weight2(v_n) <= weight_cut2, which implies |n| <= weight_cut2."""
     with VerificationReport("sector_refinement", {"weight_cut2": weight_cut2}) as report:
         trace = char_trace(weight_cut2)
-        seen_charges = sorted({z for z, _ in trace.coeffs})
-        for n in seen_charges:
+        charges = [n for n in range(-weight_cut2, weight_cut2 + 1) if sector_weight2(n, 0) <= weight_cut2]
+        for n in charges:
             for w2 in range(weight_cut2 + 1):
                 k = sector_energy(n, w2)
                 expect = 0 if k is None else partition_count(k)

@@ -20,7 +20,7 @@ from .heisenberg import (
     h_mode,
     h_mode_bilinear,
     highest_weight_check,
-    spanning_check,
+    spanning_all,
 )
 from .modeops import AffineOperator, FermionBilinear, ModeOperator, bilinear_mode, zero_operator
 from .qchar import character_triple_check, jacobi_check, sector_refinement_check
@@ -134,16 +134,7 @@ def suite_decomposition(
         {"nmax": hw_nmax, "mmax": hw_mmax},
         [highest_weight_check(n, hw_mmax) for n in range(-hw_nmax, hw_nmax + 1)],
     )
-    span = merge_reports(
-        "spanning_all",
-        {"nmax": span_nmax, "kmax": span_kmax},
-        [
-            spanning_check(n, k)
-            for n in range(-span_nmax, span_nmax + 1)
-            for k in range(span_kmax + 1)
-        ],
-    )
-    return [hw, span]
+    return [hw, spanning_all(span_nmax, span_kmax)]
 
 
 # ``verify virasoro --family F`` (F other than lambda): check name, report label, mode function, central charge

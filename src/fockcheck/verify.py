@@ -46,7 +46,8 @@ a coefficient outside that ``(1/D)Z`` raises ``ArithmeticError`` in both
 harnesses, so a wrong declaration is never a quiet pass.  Each grid pair is
 composed in ``int`` numerators over one common denominator, so a case holds
 when the two sides' numerators agree; states are built only to render a
-failing case.
+failing case.  The harness does no linear algebra: the one rank a check
+reads, the spanning certificate's, is :func:`fockcheck.grading.prefix_ranks`.
 """
 
 from __future__ import annotations
@@ -296,34 +297,4 @@ def field_identity_check(
                 got, want = apply_declared(a, mono, space), apply_declared(b, mono, space)
                 report.expect(got, want, lambda: f"(n={n}) on {format_state(FockState.monomial(mono, space=space))}")
     return report
-
-
-def fraction_free_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Exact rank over the rationals by fraction-free (Bareiss) elimination."""
-    mat = []
-    for row in rows:
-        denom = 1
-        for x in row:
-            denom = math.lcm(denom, x.denominator)
-        mat.append([int(x * denom) for x in row])
-    if not mat:
-        return 0
-    n_rows, n_cols = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(rank, n_rows) if mat[r][col]), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pivot = mat[rank][col]
-        for r in range(rank + 1, n_rows):
-            for c in range(col + 1, n_cols):
-                mat[r][c] = (pivot * mat[r][c] - mat[r][col] * mat[rank][c]) // prev
-            mat[r][col] = 0
-        prev = pivot
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
 

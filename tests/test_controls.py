@@ -82,6 +82,18 @@ def mirror_sign_flipped(f):
     return pair_sum
 
 
+def first_partition_for_last(f):
+    def partitions(k):
+        parts = list(f(k))
+        return parts[:-1] + parts[:1] if k >= 2 else parts
+
+    return partitions
+
+
+def without_charge(n):
+    return lambda f: lambda weight_cut2: {key: monos for key, monos in f(weight_cut2).items() if key[0] != n}
+
+
 CBASIS = charged.enumerate_charged_basis(6)
 
 
@@ -165,7 +177,7 @@ CONTROLS = [
         lambda: suites.suite_winf(kmax=0, nmax=0, weight_cut2=4, mmax=1),
     ),
     ("highest_weight", heisenberg, "vacuum_like", shifted_charge, lambda: [heisenberg.highest_weight_check(1, 2)]),
-    ("spanning", heisenberg, "partition_count", plus_one, lambda: [heisenberg.spanning_check(0, 3)]),
+    ("spanning_all", heisenberg, "partition_count", plus_one, lambda: [heisenberg.spanning_all(1, 3)]),
     ("sector_refinement", qchar, "partition_count", plus_one, lambda: [qchar.sector_refinement_check(8)]),
     ("character_triple", qchar, "binomial_factor", doubled_factor, lambda: [qchar.character_triple_check(8)]),
     ("jacobi", qchar, "binomial_factor", doubled_factor, lambda: [qchar.jacobi_check("DA", 4)]),
@@ -226,10 +238,14 @@ CONTROLS = [
     # both tilde specialisations compare an L^{1/2} side with one built without L^{1/2}
     ("lambda_specialises_to_one_tilde", virasoro, "l_half_mode", shifted_charge, lambda_specialisations),
     ("doubling_n2_gives_one_tilde", virasoro, "l_half_mode", shifted_charge, lambda: suites.suite_doubling(4)),
+    # the rank, not the dimension: each sector's last vector repeats its first
+    ("spanning_all", heisenberg, "partitions", first_partition_for_last, lambda: [heisenberg.spanning_all(1, 3)]),
+    # a whole charge bucket missing from the trace, not a wrong coefficient in one
+    ("sector_refinement", qchar, "graded_basis", without_charge(1), lambda: [qchar.sector_refinement_check(8)]),
 ]
 
 # a merged report and the sub-check whose control covers it
-MERGED = {"highest_weight_all": "highest_weight", "spanning_all": "spanning", "j0_central_column": "winf_scalar_defect"}
+MERGED = {"highest_weight_all": "highest_weight", "j0_central_column": "winf_scalar_defect"}
 
 
 @pytest.fixture(autouse=True)

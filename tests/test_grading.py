@@ -1,5 +1,7 @@
-"""Charge and energy gradings, sector bases, partition machinery."""
+"""Charge and energy gradings, sector bases, partition machinery, exact rank."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from fockcheck.grading import (
     lemma_vector,
     partition_count,
     partitions,
+    prefix_ranks,
     sector_basis,
     sector_energy,
     sector_grid,
@@ -186,3 +189,68 @@ def test_lemma_vector_rejects_non_partitions():
         lemma_vector((1, 2))
     with pytest.raises(ValueError):
         lemma_vector((0,))
+
+
+def gaussian_rank_oracle(rows):
+    mat = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def integer_rows(rows):
+    """Each rational row times the lcm of its denominators: the same rank on every prefix."""
+    return [[int(x * math.lcm(*(y.denominator for y in row))) for x in row] for row in rows]
+
+
+def random_rows(seed):
+    """Small-int rows from ``seed``; every other matrix ends in a combination of its earlier rows."""
+    rng = random.Random(seed)
+    n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+    rows = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(n_cols)] for _ in range(n_rows)]
+    if seed % 2:
+        weights = [rng.randint(-3, 3) for _ in rows]
+        rows.append([sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n_cols)])
+    return rows
+
+
+def assert_ranks_match_oracle(rows):
+    assert list(prefix_ranks(rows)) == [gaussian_rank_oracle(rows[:i]) for i in range(1, len(rows) + 1)], rows
+
+
+def test_prefix_ranks_match_gaussian_oracle():
+    cases = [
+        [[Fraction(1, 2), Fraction(3)], [Fraction(1), Fraction(6)]],
+        [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]],
+        [[Fraction(2, 7), Fraction(1), Fraction(0)], [Fraction(0), Fraction(1), Fraction(5, 3)],
+         [Fraction(2, 7), Fraction(2), Fraction(5, 3)]],
+        [[Fraction(i * j + i + 1, (j + 2)) for j in range(5)] for i in range(4)],
+        # reduced against the pivots in decreasing leading column, the independent third
+        # row would keep an entry in column 1 and replace the second pivot: rank 2, not 3
+        [[1, 1, 0], [0, 1, 1], [1, 0, 0]],
+    ]
+    for rows in cases:
+        assert_ranks_match_oracle(integer_rows(rows))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_prefix_ranks_match_gaussian_oracle_on_random_rows(seed):
+    assert_ranks_match_oracle(random_rows(seed))
+
+
+def test_prefix_ranks_empty_and_identity():
+    assert list(prefix_ranks([])) == []
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert list(prefix_ranks(eye)) == [1, 2, 3, 4]

@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from fockcheck import fock, grading
 from fockcheck.fock import FockState, enumerate_basis, format_state, indices_of, mask_of
-from fockcheck.grading import deg_h, dg, sector_basis, vacuum_like
+from fockcheck.grading import deg_h, dg, prefix_ranks, sector_basis, vacuum_like
 from fockcheck.heisenberg import (
     h_mode,
     h_mode_bilinear,
     highest_weight_check,
-    spanning_check,
+    spanning_all,
 )
-from fockcheck.verify import fraction_free_rank
 
 from test_fock import clifford_reduce
 
@@ -117,19 +117,26 @@ def test_highest_weight_reports():
 
 
 def test_spanning_examples():
-    assert spanning_check(0, 0).passed
-    assert spanning_check(2, 3).passed
-    assert spanning_check(-3, 5).passed
+    small = spanning_all(0, 0)
+    assert small.passed and small.cases_run == 1
+    # one case per partition of k <= 5 (1 + 1 + 2 + 3 + 5 + 7) in each of the 7 charges |n| <= 3
+    report = spanning_all(3, 5)
+    assert report.passed and report.cases_run == 7 * 19 == 133
+    assert report.params == {"nmax": 3, "kmax": 5}
 
 
 def test_spanning_detects_rank_deficit():
-    # sanity of the rank engine itself: dependent rows are not full rank
-    rows = [
-        [Fraction(1), Fraction(2), Fraction(3)],
-        [Fraction(2), Fraction(4), Fraction(6)],
-        [Fraction(0), Fraction(1), Fraction(1, 7)],
-    ]
-    assert fraction_free_rank(rows) == 2
+    # sanity of the rank engine itself: a dependent row leaves the rank where it was
+    assert list(prefix_ranks([[7, 14, 21], [14, 28, 42], [0, 7, 1]])) == [1, 1, 2]
+
+
+def test_spanning_all_reads_one_graded_pass_and_builds_no_state(monkeypatch):
+    passes, states = [], []
+    graded_basis, init = grading.graded_basis, fock.FockState.__init__
+    monkeypatch.setattr(grading, "graded_basis", lambda *args: passes.append(args) or graded_basis(*args))
+    monkeypatch.setattr(fock.FockState, "__init__", lambda self, *a, **kw: states.append(1) or init(self, *a, **kw))
+    assert spanning_all(3, 5).passed
+    assert len(passes) == 1 and states == []
 
 
 def test_format_state_shows_heisenberg_action():

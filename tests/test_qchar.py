@@ -95,15 +95,15 @@ def test_sector_refinement():
 def test_virasoro_weight_named_cases():
     from fockcheck.fock import FockState
     from fockcheck.grading import vacuum_like
-    from fockcheck.heisenberg import raising_string
+    from fockcheck.heisenberg import h_mode
     from fockcheck.virasoro import l_half_mode
 
     l0 = l_half_mode(0)
-    v = raising_string((1,), FockState.vacuum())
+    v = h_mode(-1).apply(FockState.vacuum())
     assert l0.apply(v) == v.scale(2)
     v1 = FockState.monomial(vacuum_like(1))
     assert l0.apply(v1) == v1.scale(Fraction(3, 2))
-    w = raising_string((1, 1), FockState.monomial(vacuum_like(-2)))
+    w = h_mode(-1).apply(h_mode(-1).apply(FockState.monomial(vacuum_like(-2))))
     assert l0.apply(w) == w.scale(7)
 
 

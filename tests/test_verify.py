@@ -1,4 +1,4 @@
-"""The relation-checking harness itself: determinism, witnesses, rank, memo."""
+"""The relation-checking harness itself: determinism, witnesses, memo."""
 
 import hashlib
 import json
@@ -17,7 +17,6 @@ from fockcheck.verify import (
     VerificationReport,
     bracket_check,
     field_identity_check,
-    fraction_free_rank,
     merge_reports,
 )
 from fockcheck.suites import (
@@ -399,40 +398,3 @@ def test_sugawara_window_is_sound():
                     continue
                 a, b = sorted((n - k, k))
                 assert h_mode(a).apply(h_mode(b).apply(v)).is_zero, (n, k, mono)
-
-
-def gaussian_rank_oracle(rows):
-    mat = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
-def test_rank_matches_gaussian_oracle():
-    cases = [
-        [[Fraction(1, 2), Fraction(3)], [Fraction(1), Fraction(6)]],
-        [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]],
-        [[Fraction(2, 7), Fraction(1), Fraction(0)], [Fraction(0), Fraction(1), Fraction(5, 3)],
-         [Fraction(2, 7), Fraction(2), Fraction(5, 3)]],
-        [[Fraction(i * j + i + 1, (j + 2)) for j in range(5)] for i in range(4)],
-    ]
-    for rows in cases:
-        assert fraction_free_rank(rows) == gaussian_rank_oracle(rows), rows
-
-
-def test_rank_empty_and_identity():
-    assert fraction_free_rank([]) == 0
-    eye = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-    assert fraction_free_rank(eye) == 4
