@@ -121,10 +121,10 @@ def enumerate_charged_basis(weight_cut2: int) -> list[ChargedMonomial]:
 
 @dataclass(frozen=True)
 class ChargedBilinear:
-    """``prefactor * z^zshift :(d^dleft X)(z) (d^dright Y)(z):`` for species X, Y."""
+    """``prefactor :(d^dleft X)(z) (d^dright Y)(z):`` for species X, Y; a
+    ``z^p`` prefactor only shifts the exponent read by ``-p``."""
 
     prefactor: Fraction
-    zshift: int
     left_species: int
     dleft: int
     right_species: int
@@ -141,11 +141,11 @@ def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> QuadraticModeO
     """Coefficient of ``z**exponent`` of the bilinear, as a lazy operator.
 
     Fields expand as ``X(z) = sum_n X_n z^{-n-1}``; with
-    ``T = -exponent + zshift - 2 - dleft - dright`` the summand at free index
+    ``T = -exponent - 2 - dleft - dright`` the summand at free index
     ``a`` pairs ``X_a`` with ``Y_{T-a}``; its coefficient is an ``int``
     numerator over the prefactor's denominator.
     """
-    T = -exponent + bil.zshift - 2 - bil.dleft - bil.dright
+    T = -exponent - 2 - bil.dleft - bil.dright
     pref, a_ord, b_ord = bil.prefactor.numerator, bil.dleft, bil.dright
     sp_l, sp_r = bil.left_species, bil.right_species
     l_bit, r_bit = charged_code(sp_l, 0), charged_code(sp_r, 0)  # charged_code(sp, a) == 2*a + bit
@@ -177,8 +177,8 @@ def charged_bilinear_mode(bil: ChargedBilinear, exponent: int) -> QuadraticModeO
     return QuadraticModeOperator(rule, support, bil.prefactor.denominator, (bil, exponent), CHARGED)
 
 
-H_CHARGED_BILINEAR = ChargedBilinear(Fraction(1), 0, PLUS, 0, MINUS, 0)
-A_CHARGED_BILINEAR = ChargedBilinear(Fraction(1), 0, PLUS, 1, MINUS, 0)  # :(d psi+) psi-:
+H_CHARGED_BILINEAR = ChargedBilinear(Fraction(1), PLUS, 0, MINUS, 0)
+A_CHARGED_BILINEAR = ChargedBilinear(Fraction(1), PLUS, 1, MINUS, 0)  # :(d psi+) psi-:
 
 
 def hA_mode(n: int) -> QuadraticModeOperator:

@@ -38,18 +38,14 @@ from .verify import VerificationReport, field_identity_check
 
 
 def h_mode(n: int) -> QuadraticModeOperator:
-    """The mode h_n as its explicit alternating pair sum, in numerators ``-+1``
+    """The mode h_n as its explicit alternating pair sum, in weights ``-+1``
     over 2; :func:`~fockcheck.modeops.pair_sum` folds each summand with its
     mirror, of the opposite sign, into one of ``-+2`` over 2."""
-    T = -2 * n - 1  # the two paper-style indices of each summand add to T
-
-    def rule(i: int):
-        return -(2 * i + 1), -(2 * (T - i) + 1), -1 if i % 2 == 0 else 1
-
-    return pair_sum(rule, T, 2, ("h", n))
+    # the two paper-style indices of each summand add to T = -2n - 1
+    return pair_sum(lambda i: -1 if i % 2 == 0 else 1, -2 * n - 1, 2, ("h", n))
 
 
-HEISENBERG_BILINEAR = FermionBilinear(Fraction(1, 2), 0, 0, 0, 1, -1)
+HEISENBERG_BILINEAR = FermionBilinear(Fraction(1, 2), 0, 0, 1, -1)
 
 
 def h_mode_bilinear(n: int) -> QuadraticModeOperator:

@@ -61,8 +61,9 @@ as written (rightmost factor first).
 
 Mode extraction from neutral bilinear fields uses the expansion
 ``phi(s*z) = sum_m phi_{-m-1/2} s^m z^m`` with field derivatives taken before
-evaluation, so ``F(z) = pref * z^shift :(d^a phi)(s1 z)(d^b phi)(s2 z):``
-has integer powers of ``z`` only.
+evaluation, so ``F(z) = pref :(d^a phi)(s1 z)(d^b phi)(s2 z):`` has
+integer powers of ``z`` only (a ``z^p`` prefactor would only shift the
+exponent read), and its mode at each exponent is a :func:`pair_sum` of weights.
 """
 
 from __future__ import annotations
@@ -366,10 +367,10 @@ def apply_columns(op, state: FockState) -> FockState:
 
 @dataclass(frozen=True)
 class FermionBilinear:
-    """``prefactor * z^zshift :(d^dleft phi)(sleft*z) (d^dright phi)(sright*z):``."""
+    """``prefactor :(d^dleft phi)(sleft*z) (d^dright phi)(sright*z):``; a ``z^p``
+    prefactor would only shift the exponent :func:`bilinear_mode` reads by ``-p``."""
 
     prefactor: Fraction
-    zshift: int
     dleft: int
     dright: int
     sleft: int
@@ -391,19 +392,18 @@ def falling(m: int, order: int) -> int:
     return (-1) ** order * math.perm(order - 1 - m, order)
 
 
-def pair_sum(rule: Callable[[int], Pair], T: int, denominator: int, key: Hashable) -> QuadraticModeOperator:
-    """The neutral pair sum ``sum_i rule(i)`` whose summand at free index
-    ``i`` pairs the modes ``-i-1/2`` and ``-(T-i)-1/2``, one summand per
-    unordered mode pair.  As ``:phi_p phi_q: = -:phi_q phi_p:``, the summand
-    at ``2i < T`` carries ``w_i - w_{T-i}`` and the mirrored one at ``2i >
-    T`` reads 0, as does the midpoint ``2i = T``, which squares a mode.  The
-    support lists only ``i`` with ``2i < T``, each once: those where both
-    factors create, then ``-m`` for each occupied index ``n = m - 1`` that
-    the left factor annihilates."""
+def pair_sum(weight: Callable[[int], int], T: int, denominator: int, key: Hashable) -> QuadraticModeOperator:
+    """The neutral pair sum ``sum_i weight(i) :phi_{-i-1/2} phi_{-(T-i)-1/2}:``
+    over ``denominator``, one summand per unordered mode pair.  As ``:phi_p
+    phi_q: = -:phi_q phi_p:``, the summand at ``2i < T`` carries ``weight(i)
+    - weight(T-i)`` and the mirrored one at ``2i > T`` reads 0, as does the
+    midpoint ``2i = T``, which squares a mode.  The support lists only ``i``
+    with ``2i < T``, each once: those where both factors create, then ``-m``
+    for each occupied index ``n = m - 1`` that the left factor annihilates."""
 
     def folded(i: int) -> Pair:
-        p, q, w = rule(i)
-        return (p, q, w - rule(T - i)[2]) if 2 * i < T else (p, q, 0)
+        p, q = -(2 * i + 1), -(2 * (T - i) + 1)
+        return (p, q, weight(i) - weight(T - i)) if 2 * i < T else (p, q, 0)
 
     both = list(range(0, (T + 1) // 2))  # both factors create
 
@@ -423,25 +423,25 @@ def pair_sum(rule: Callable[[int], Pair], T: int, denominator: int, key: Hashabl
 def bilinear_mode(bil: FermionBilinear, exponent: int) -> QuadraticModeOperator:
     """Coefficient of ``z**exponent`` in the bilinear field, as a lazy operator.
 
-    With ``T = exponent - zshift + dleft + dright`` the summand at free index
-    ``i`` pairs the modes ``-i-1/2`` and ``-(T-i)-1/2``; its coefficient
-    collects the derivative falling factorials and the evaluation signs, over
-    the prefactor's denominator.
+    It is the :func:`pair_sum` with ``T = exponent + dleft + dright`` whose
+    weight at free index ``i`` collects the derivative falling factorials of
+    ``i`` and ``T - i`` and the evaluation signs, over the prefactor's
+    denominator.
     """
-    T = exponent - bil.zshift + bil.dleft + bil.dright
+    T = exponent + bil.dleft + bil.dright
     pref, a, b = bil.prefactor.numerator, bil.dleft, bil.dright
     sl, sr = bil.sleft, bil.sright
 
-    def rule(i: int) -> Pair:
+    def weight(i: int) -> int:
         j = T - i
         c = pref * falling(i, a) * falling(j, b)
         if sl < 0 and (i - a) % 2:
             c = -c
         if sr < 0 and (j - b) % 2:
             c = -c
-        return -(2 * i + 1), -(2 * j + 1), c
+        return c
 
-    return pair_sum(rule, T, bil.prefactor.denominator, (bil, exponent))
+    return pair_sum(weight, T, bil.prefactor.denominator, (bil, exponent))
 
 
 class AffineOperator:

@@ -304,7 +304,7 @@ def suite_identities(mmax: int = 4, weight_cut2: int = 16) -> list[VerificationR
             basis,
         ),
     ]
-    diagonal = FermionBilinear(Fraction(1), 0, 0, 0, 1, 1)  # :phi(z) phi(z):
+    diagonal = FermionBilinear(Fraction(1), 0, 0, 1, 1)  # :phi(z) phi(z):
     reports.append(
         field_identity_check(
             "diagonal_bilinear_vanishes",

@@ -38,14 +38,14 @@ from .modeops import (
     zero_operator,
 )
 
-L_HALF_BILINEAR = FermionBilinear(Fraction(1, 2), 0, 1, 0, 1, 1)
-L_HALF_TILDE_BILINEAR = FermionBilinear(Fraction(1, 2), 0, 1, 0, -1, -1)
+L_HALF_BILINEAR = FermionBilinear(Fraction(1, 2), 1, 0, 1, 1)
+L_HALF_TILDE_BILINEAR = FermionBilinear(Fraction(1, 2), 1, 0, -1, -1)
 
 WEIGHT2_VARIANTS = {
-    1: FermionBilinear(Fraction(1), 0, 1, 0, 1, 1),  # :(d phi)(z) phi(z):
-    2: FermionBilinear(Fraction(1), 0, 1, 0, -1, -1),  # :(d phi)(-z) phi(-z):
-    3: FermionBilinear(Fraction(1), 0, 1, 0, 1, -1),  # :(d phi)(z) phi(-z):
-    4: FermionBilinear(Fraction(1), 0, 1, 0, -1, 1),  # :(d phi)(-z) phi(z):
+    1: FermionBilinear(Fraction(1), 1, 0, 1, 1),  # :(d phi)(z) phi(z):
+    2: FermionBilinear(Fraction(1), 1, 0, -1, -1),  # :(d phi)(-z) phi(-z):
+    3: FermionBilinear(Fraction(1), 1, 0, 1, -1),  # :(d phi)(z) phi(-z):
+    4: FermionBilinear(Fraction(1), 1, 0, -1, 1),  # :(d phi)(-z) phi(z):
 }
 
 

@@ -53,7 +53,7 @@ def jk_mode_charged(k: int, n: int):
     if k < 0:
         raise ValueError("differential order must be non-negative")
     sign = Fraction(-1) ** k
-    bil = ChargedBilinear(sign, 0, PLUS, 0, MINUS, k)
+    bil = ChargedBilinear(sign, PLUS, 0, MINUS, k)
     return charged_bilinear_mode(bil, -(n + k + 1))
 
 

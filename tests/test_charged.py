@@ -49,7 +49,7 @@ from test_virasoro import _differences
 
 CBASIS = enumerate_charged_basis(16)
 NBASIS = enumerate_basis(16)
-B_BILINEAR = ChargedBilinear(Fraction(1), 0, MINUS, 1, PLUS, 0)  # :(d psi-) psi+:
+B_BILINEAR = ChargedBilinear(Fraction(1), MINUS, 1, PLUS, 0)  # :(d psi-) psi+:
 LATTICE = [Fraction(k, 3) for k in range(-1, 3)]  # 4 points: a third difference along one axis needs four
 
 
@@ -141,7 +141,7 @@ def test_report_order_is_pinned():
 )
 def test_charged_bilinear_rejects_bad_fields(fields):
     with pytest.raises(ValueError):
-        ChargedBilinear(Fraction(1), 0, *fields)
+        ChargedBilinear(Fraction(1), *fields)
 
 
 def test_hA_bracket():
@@ -248,7 +248,7 @@ def indexed_support(op):
     factors create, then each index the left factor annihilates, then each
     index ``j > T`` the right one annihilates while the left one creates."""
     bil, exponent = op.key
-    T = -exponent + bil.zshift - 2 - bil.dleft - bil.dright
+    T = -exponent - 2 - bil.dleft - bil.dright
 
     def support(mono):
         plus, minus = mono

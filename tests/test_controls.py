@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import reset_columns
 from fockcheck import charged, heisenberg, qchar, suites, virasoro, winf
-from fockcheck.fock import FockState, enumerate_basis
+from fockcheck.fock import NEUTRAL, FockState, enumerate_basis
 from fockcheck.modeops import COLUMNS, ModeOperator, QuadraticModeOperator
 from fockcheck.verify import VerificationReport
 
@@ -72,11 +73,8 @@ def first_summand_flipped(f):
 
 
 def mirror_sign_flipped(f):
-    def pair_sum(rule, T, denominator, key):
-        def flipped(i):
-            p, q, w = rule(i)
-            return (p, q, -w) if 2 * i > T else (p, q, w)
-
+    def pair_sum(weight, T, denominator, key):
+        flipped = lambda i: -weight(i) if 2 * i > T else weight(i)
         return f(flipped, T, denominator, ("mirror sign flipped", key))
 
     return pair_sum
@@ -252,9 +250,32 @@ MERGED = {"highest_weight_all": "highest_weight", "j0_central_column": "winf_sca
 def fresh_columns_after():
     """Empty the column store after each control: a defect patched into a
     constructor that a keyed operator reads (``virasoro.h_mode`` inside the
-    L^1 columns) could otherwise leave wrong columns under right keys."""
+    L^1 columns) could otherwise leave wrong columns under right keys, or an
+    operator holding them registered under its key."""
     yield
-    COLUMNS.clear()
+    reset_columns()
+
+
+def test_reset_columns_drops_an_operator_built_under_a_patched_constructor(monkeypatch):
+    # an L^1 table filled while virasoro.h_mode was shifted holds its operator's h tables, h_{k+1} at k
+    basis = enumerate_basis(12)
+    expected = {mono: virasoro._sugawara_on_monomial(1, mono, virasoro.HTables()) for mono in basis}
+
+    def stale_after(empty):
+        reset_columns()
+        COLUMNS.table(virasoro.sugawara_l1_mode(1), NEUTRAL)
+        with monkeypatch.context() as patch:
+            patch.setattr(virasoro, "h_mode", shifted_charge(virasoro.h_mode))
+            table = COLUMNS.table(virasoro.sugawara_l1_mode(1), NEUTRAL)
+            for mono in basis:
+                table[mono]
+        empty()
+        table = COLUMNS.table(virasoro.sugawara_l1_mode(1), NEUTRAL)
+        return sum(table[mono] != expected[mono] for mono in basis)
+
+    assert len(basis) == 18
+    assert stale_after(COLUMNS.clear) == 10  # the registry kept the shifted operator
+    assert stale_after(reset_columns) == 0
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -32,6 +33,7 @@ from fockcheck.modeops import (
     ModeOperator,
     QuadraticModeOperator,
     bilinear_mode,
+    pair_sum,
     parity_flip,
     zero_operator,
 )
@@ -125,7 +127,7 @@ def test_normal_ordered_pair_kills_vacuum():
                 assert out.is_zero, (p, q)
 
 
-DIAGONAL = FermionBilinear(Fraction(1), 0, 0, 0, 1, 1)
+DIAGONAL = FermionBilinear(Fraction(1), 0, 0, 1, 1)
 
 
 def test_diagonal_field_is_zero_operator():
@@ -139,7 +141,7 @@ def test_diagonal_field_is_zero_operator():
 def test_low_exponent_modes_vanish_on_cut_basis():
     # the mode at exponent e shifts weight by e+1; when that lands below
     # zero weight nothing survives
-    bil = FermionBilinear(Fraction(1, 2), 0, 0, 0, 1, -1)
+    bil = FermionBilinear(Fraction(1, 2), 0, 0, 1, -1)
     for mono in enumerate_basis(8):
         w2 = weight2(mono)
         for e in range(-w2 // 2 - 6, -w2 // 2 - 1):
@@ -178,19 +180,24 @@ def test_support_bound_is_sound():
         for sl in (1, -1):
             for sr in (1, -1):
                 for e in range(-6, 3):
-                    op = bilinear_mode(FermionBilinear(Fraction(1), 0, a, b, sl, sr), e)
+                    op = bilinear_mode(FermionBilinear(Fraction(1), a, b, sl, sr), e)
                     assert out_of_support_summands(op, basis, NEUTRAL), (a, b, sl, sr, e)
     cbasis = enumerate_charged_basis(10)
     for a, b in ORDERS:
         for left in (PLUS, MINUS):
             for right in (PLUS, MINUS):
                 for e in range(-6, 3):
-                    op = charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, left, a, right, b), e)
+                    op = charged_bilinear_mode(ChargedBilinear(Fraction(1), left, a, right, b), e)
                     assert out_of_support_summands(op, cbasis, CHARGED), (left, a, right, b, e)
     # the W_{1+infinity} generators at the orders and shifts the closed-form grid reaches
     for k in range(4):
         for n in range(-6, 7):
             assert out_of_support_summands(jk_mode_charged(k, n), cbasis, CHARGED), (k, n)
+
+
+def unfolded_pair_sum(weight, T: int) -> list[tuple[int, int, int]]:
+    """``weight(i) :phi_{-i-1/2} phi_{-(T-i)-1/2}:`` at every free index ``|i| <= 24``."""
+    return [(-(2 * i + 1), -(2 * (T - i) + 1), weight(i)) for i in range(-24, 25)]
 
 
 def unfolded_summands(bil: FermionBilinear, exponent: int) -> list[tuple[int, int, int]]:
@@ -199,31 +206,48 @@ def unfolded_summands(bil: FermionBilinear, exponent: int) -> list[tuple[int, in
     over the prefactor's denominator read off the expansion ``(d^a phi)(s z)
     = sum_m phi_{-m-1/2} m(m-1)...(m-a+1) s^(m-a) z^(m-a)``."""
     pref, a, b = Fraction(bil.prefactor), bil.dleft, bil.dright
-    T = exponent - bil.zshift + a + b
-    out = []
-    for i in range(-24, 25):
+    T = exponent + a + b
+
+    def weight(i):
         j = T - i
         c = pref * math.prod(i - k for k in range(a)) * math.prod(j - k for k in range(b))
         c *= bil.sleft ** ((i - a) % 2) * bil.sright ** ((j - b) % 2)
-        out.append((-(2 * i + 1), -(2 * j + 1), int(c * pref.denominator)))
-    return out
+        return int(c * pref.denominator)
+
+    return unfolded_pair_sum(weight, T)
+
+
+def assert_pair_sum_is_unfolded_sum(op, T, summands, label):
+    """``op`` acts on every monomial of twice-weight <= 10 as the unfolded
+    ``summands`` do, and its support yields each ``i`` once, only ``2i < T``."""
+    for mono in enumerate_basis(10):
+        hits = list(op.support(mono))
+        assert len(set(hits)) == len(hits) and all(2 * i < T for i in hits), (label, mono)
+        acc = {}
+        for p, q, w in summands:
+            apply_pair_to_monomial(NEUTRAL.act, p, q, mono, acc, w)
+        assert dict(op.column(mono, {}.setdefault)) == acc, (label, mono)
 
 
 def test_each_neutral_pair_sum_equals_its_unfolded_sum():
-    # one summand per unordered mode pair: the support yields each i once, only 2i < T
-    bils = [FermionBilinear(Fraction(1), 0, a, b, sl, sr) for a, b in ORDERS for sl in (1, -1) for sr in (1, -1)]
+    # one summand per unordered mode pair, folded as w(i) - w(T-i), for arbitrary int weights
+    rng = random.Random(0)
+    for T in (-7, -4, -1, 0, 1, 2, 5, 8):
+        for _ in range(3):
+            weight = {i: rng.randint(-9, 9) for i in range(-40, 41)}.__getitem__
+            op = pair_sum(weight, T, 3, ("arbitrary", T))
+            assert_pair_sum_is_unfolded_sum(op, T, unfolded_pair_sum(weight, T), (T, op.key))
+    h_weight = lambda i: -1 if i % 2 == 0 else 1
+    for n in range(-3, 4):
+        T = -2 * n - 1
+        assert_pair_sum_is_unfolded_sum(h_mode(n), T, unfolded_pair_sum(h_weight, T), ("h", n))
+    # the bilinears' weights, against the field expansion
+    bils = [FermionBilinear(Fraction(1), a, b, sl, sr) for a, b in ORDERS for sl in (1, -1) for sr in (1, -1)]
     sums = [(bilinear_mode(bil, e), bil, e) for bil in bils for e in range(-6, 3)]
     sums += [(h_mode_bilinear(n), HEISENBERG_BILINEAR, -2 * n - 1) for n in range(-3, 4)]
     for op, bil, e in sums:
-        T = e - bil.zshift + bil.dleft + bil.dright
-        summands = unfolded_summands(bil, e)
-        for mono in enumerate_basis(10):
-            hits = list(op.support(mono))
-            assert len(set(hits)) == len(hits) and all(2 * i < T for i in hits), (bil, e, mono)
-            acc = {}
-            for p, q, w in summands:
-                apply_pair_to_monomial(NEUTRAL.act, p, q, mono, acc, w)
-            assert dict(op.column(mono, {}.setdefault)) == acc, (bil, e, mono)
+        T = e + bil.dleft + bil.dright
+        assert_pair_sum_is_unfolded_sum(op, T, unfolded_summands(bil, e), (bil, e))
 
 
 def off_denominator_coefficients(op, basis, space):
@@ -262,11 +286,11 @@ def declared_operators():
         for a, b in ORDERS:
             for sl in (1, -1):
                 for sr in (1, -1):
-                    bil = FermionBilinear(Fraction(3, 4), 0, a, b, sl, sr)
+                    bil = FermionBilinear(Fraction(3, 4), a, b, sl, sr)
                     yield ("bilinear", a, b, sl, sr, e), bilinear_mode(bil, e), NEUTRAL
             for left in (PLUS, MINUS):
                 for right in (PLUS, MINUS):
-                    bil = ChargedBilinear(Fraction(-2, 3), 0, left, a, right, b)
+                    bil = ChargedBilinear(Fraction(-2, 3), left, a, right, b)
                     yield ("charged bilinear", left, a, right, b, e), charged_bilinear_mode(bil, e), CHARGED
     for k in range(3):
         for n in range(-2, 3):
@@ -372,7 +396,7 @@ def test_affine_operator_scalar_part():
 
 def test_bilinear_rejects_bad_signs():
     with pytest.raises(ValueError):
-        FermionBilinear(Fraction(1), 0, 0, 0, 2, 1)
+        FermionBilinear(Fraction(1), 0, 0, 2, 1)
 
 
 def fresh_column(op, mono, space):
@@ -486,7 +510,7 @@ def test_a_column_asked_for_on_another_space_registers_nothing():
     neutral_state = FockState.monomial((0, 1))
     for op, state in (
         (h_mode(1), charged_state),
-        (charged_bilinear_mode(ChargedBilinear(Fraction(1), 0, PLUS, 0, MINUS, 0), -2), neutral_state),
+        (charged_bilinear_mode(ChargedBilinear(Fraction(1), PLUS, 0, MINUS, 0), -2), neutral_state),
         (sugawara_l1_mode(0), charged_state),
         (MatrixLift(glinf_matrix(0, 1, 6)), neutral_state),
     ):
@@ -518,7 +542,7 @@ def test_a_mode_asked_for_on_the_other_space_raises_naming_its_key():
 
 def test_the_wrong_space_message_prints_a_bilinear_whole_and_a_lift_short():
     # the prefactor and the species tell two charged bilinears apart
-    bil = ChargedBilinear(Fraction(-1, 3), 0, MINUS, 1, PLUS, 0)
+    bil = ChargedBilinear(Fraction(-1, 3), MINUS, 1, PLUS, 0)
     with pytest.raises(ValueError) as err:
         charged_bilinear_mode(bil, -2).apply(FockState.vacuum())
     assert str(err.value) == f"operator ({bil!r}, -2) acts on the charged space, not on a neutral state"

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fockcheck.modeops import COLUMNS
+from conftest import reset_columns
 from fockcheck.suites import run_suite
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -34,7 +34,7 @@ TINY = {
 @pytest.mark.parametrize("workload", ["neutral-grid", "charged-iso"])
 def test_every_listed_layer_records_spans(workload):
     spec = WORKLOADS[workload]
-    COLUMNS.clear()  # a benchmark repetition starts from an empty store
+    reset_columns()  # a benchmark repetition starts from an empty store
     with Tracer() as tracer:
         reports = [rep for name in spec["suites"] for rep in run_suite(name, **TINY[name])]
     assert reports and all(rep.passed for rep in reports)

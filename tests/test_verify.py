@@ -309,7 +309,7 @@ def test_bracket_check_memo_dies_with_the_check(monkeypatch):
     family = virasoro.l_half_mode
     assert virasoro_bracket("half", "L1/2", family, Fraction(1, 2), 2, basis).passed
     # the same mode function, now built from a doubled field: L' = 2L breaks the bracket
-    monkeypatch.setattr(virasoro, "L_HALF_BILINEAR", FermionBilinear(Fraction(1), 0, 1, 0, 1, 1))
+    monkeypatch.setattr(virasoro, "L_HALF_BILINEAR", FermionBilinear(Fraction(1), 1, 0, 1, 1))
     report = virasoro_bracket("half", "L1/2", family, Fraction(1, 2), 2, basis)
     assert not report.passed and report.failures
 
